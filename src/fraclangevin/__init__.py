@@ -11,7 +11,7 @@ from .core import NoiseStream, Path, TimeGrid, increments, uniform_grid
 from .fbm import (CovMatrix, DecompositionError, cholesky_factor,
                   covariance_matrix, sample_fbm_exact, sample_fbm_kernel)
 from .fractional import (DegenerateDenominatorError, FractionalConfig,
-                         FractionalPath, estimate_ah,
+                         FractionalPath, ah_ratios, estimate_ah,
                          expected_fractional_velocity, fractional_velocity,
                          normalized_residual_max, phi,
                          residual_refinement_study,
@@ -47,6 +47,7 @@ __all__ = [
     "StepFunction",
     "StepKind",
     "TimeGrid",
+    "ah_ratios",
     "beta_fn",
     "cholesky_factor",
     "covariance_matrix",

@@ -17,13 +17,13 @@ import sys
 import click
 import numpy as np
 
+from . import __version__
 from .core import NoiseStream, Path, TimeGrid, uniform_grid
 from .fractional import (DegenerateDenominatorError, FractionalConfig,
-                         estimate_ah, fractional_velocity,
+                         ah_ratios, fractional_velocity,
                          residual_refinement_study)
 from .hurst import DegenerateSeriesError, estimate_hurst
-from .kernels import (Regime, make_kernel_spec, verify_covariance_identity,
-                      weight_matrix)
+from .kernels import Regime, make_kernel_spec, verify_covariance_identity
 from .langevin import LangevinParams, simulate_ou_exact
 from .fbm import sample_fbm_exact, sample_fbm_kernel
 from .noise import (StepDistribution, StepKind, donsker_path,
@@ -106,7 +106,7 @@ def _write_csv(path, header, columns):
 
 
 def _read_csv(path):
-    """Header plus float columns; parse errors carry the line number."""
+    """Header plus finite float columns; parse errors carry the line number."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -121,10 +121,14 @@ def _read_csv(path):
                         f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
                 for i, field in enumerate(row):
                     try:
-                        columns[i].append(float(field))
+                        value = float(field)
                     except ValueError:
                         raise click.ClickException(
                             f"{path}:{lineno}: {field!r} is not a number")
+                    if not math.isfinite(value):
+                        raise click.ClickException(
+                            f"{path}:{lineno}: {field!r} is not a finite number")
+                    columns[i].append(value)
     except OSError as exc:
         raise click.ClickException(f"cannot read {path}: {exc}")
     return header, [np.asarray(c) for c in columns]
@@ -141,7 +145,7 @@ _config_option = click.option(
 
 
 @click.group()
-@click.version_option()
+@click.version_option(version=__version__)
 def main():
     """Fractional-Brownian Langevin toolkit."""
 
@@ -314,13 +318,11 @@ def cmd_estimate_ah(ctx, **_kwargs):
     try:
         grid = TimeGrid(t_vel)
         v_path = Path(grid, velocity)
-        obs_path = Path(grid, observed)
-        amplitude = estimate_ah(spec, obs_path, v_path)
+        ratios = ah_ratios(spec, Path(grid, observed), v_path)
     except (DegenerateDenominatorError, ValueError) as exc:
         raise click.ClickException(str(exc))
+    amplitude = float(ratios.mean())
     times = grid.points[1:]
-    denominators = weight_matrix(spec, grid) @ (0.5 * (velocity[:-1] + velocity[1:]))
-    ratios = times ** (hurst - 0.5) * (observed[1:] - velocity[0]) / denominators
     click.echo("per-time ratio diagnostics (t, ratio):")
     for t, r in zip(times, ratios):
         click.echo(f"  {t!r} {r!r}")

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid, uniform_grid
-from .kernels import (KernelSpec, Regime, _kernel_values, _weight_row,
-                      kernel_weights, weight_matrix)
-from .langevin import LangevinParams
+from .kernels import (KernelSpec, Regime, _kernel_row, kernel_weights,
+                      weight_matrix)
+from .langevin import LangevinParams, _checked_increments, _em_values
 from .noise import gaussian_increments
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "transformed_langevin_residual",
     "normalized_residual_max",
     "residual_refinement_study",
+    "ah_ratios",
     "estimate_ah",
 ]
 
@@ -123,7 +124,7 @@ def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
 
     The column dimension batches independent paths; the kernel row at
     each t_i is computed once and shared by every column, which is what
-    makes many-seed refinement studies affordable.
+    makes many-seed refinement studies affordable; no dense n x n matrix is held.
     """
     pts = grid.points
     mids = grid.midpoints
@@ -133,9 +134,7 @@ def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
     bh = np.empty_like(res)
     m, b, sig = params.mass, params.friction, params.sigma
     for i in range(1, n + 1):
-        t = float(pts[i])
-        kv = _kernel_values(spec, t, mids[:i])
-        w = _weight_row(spec, t, mids[:i], widths[:i], kv)
+        kv, w = _kernel_row(spec, float(pts[i]), mids[:i], widths[:i])
         bh[i - 1] = kv @ db[:i]
         res[i - 1] = m * (kv @ dv[:i]) + b * (w @ vmid[:i]) - sig * bh[i - 1]
     return res, bh
@@ -150,9 +149,7 @@ def transformed_langevin_residual(spec: KernelSpec, params: LangevinParams,
     vanishes up to discretization error, because the continuum identity
     is exact given a common driving Brownian path.
     """
-    db = np.asarray(brownian_increments, dtype=float)
-    if db.shape != (v.grid.n_cells,):
-        raise ValueError("need exactly one Brownian increment per grid cell")
+    db = _checked_increments(v.grid, brownian_increments)
     res, _ = _residual_pass(spec, params, v.grid, np.diff(v.values),
                             _midpoint_values(v), db)
     return Path(v.grid, np.concatenate(([0.0], res)))
@@ -161,24 +158,10 @@ def transformed_langevin_residual(spec: KernelSpec, params: LangevinParams,
 def normalized_residual_max(spec: KernelSpec, params: LangevinParams,
                             v: Path, brownian_increments) -> float:
     """max_t |r(t)| / (sigma * max_t |B^H_t|) for one driven path."""
-    db = np.asarray(brownian_increments, dtype=float)
-    if db.shape != (v.grid.n_cells,):
-        raise ValueError("need exactly one Brownian increment per grid cell")
+    db = _checked_increments(v.grid, brownian_increments)
     res, bh = _residual_pass(spec, params, v.grid, np.diff(v.values),
                              _midpoint_values(v), db)
     return float(np.max(np.abs(res)) / (params.sigma * np.max(np.abs(bh))))
-
-
-def _em_batch(params: LangevinParams, grid: TimeGrid, db: np.ndarray) -> np.ndarray:
-    """Euler-Maruyama paths, one column per seed; returns (n+1, S)."""
-    n, s = db.shape
-    alpha = 1.0 - params.rate * grid.widths
-    shocks = (params.sigma / params.mass) * db
-    out = np.empty((n + 1, s))
-    out[0] = params.v0
-    for i in range(n):
-        out[i + 1] = alpha[i] * out[i] + shocks[i]
-    return out
 
 
 def residual_refinement_study(spec: KernelSpec, params: LangevinParams,
@@ -203,7 +186,7 @@ def residual_refinement_study(spec: KernelSpec, params: LangevinParams,
     for count in counts:
         grid = uniform_grid(horizon, count)
         db = db_fine.reshape(count, n_max // count, -1).sum(axis=1)
-        paths = _em_batch(params, grid, db)
+        paths = _em_values(params, grid, db)
         vmid = 0.5 * (paths[:-1] + paths[1:])
         res, bh = _residual_pass(spec, params, grid, np.diff(paths, axis=0),
                                  vmid, db)
@@ -212,19 +195,18 @@ def residual_refinement_study(spec: KernelSpec, params: LangevinParams,
     return out
 
 
-def estimate_ah(spec: KernelSpec, observed: Path, v: Path) -> float:
-    """Recover the amplitude from measured transform values.
+def ah_ratios(spec: KernelSpec, observed: Path, v: Path) -> np.ndarray:
+    """Per-time amplitude ratios t_i^(H-1/2) (V^H_i - V_0) / int_0^(t_i) K V.
 
-    Averages t_i^(H-1/2) (V^H_i - V_0) / int_0^(t_i) K V over the
-    positive grid times, with the denominators computed by the same
-    kernel weights the forward transform uses, so a noiseless round
-    trip returns the amplitude to floating-point accuracy.
+    One ratio per positive grid time.  The denominators use the same
+    kernel weights as the forward transform, so each ratio of a
+    noiseless transform is the amplitude to floating-point accuracy.
+    Raises :class:`DegenerateDenominatorError` where a denominator
+    vanishes relative to the velocity's scale.
     """
     if observed.grid != v.grid:
         raise ValueError("observed and velocity paths must share a grid")
-    vmid = _midpoint_values(v)
-    w = weight_matrix(spec, v.grid)
-    denominators = w @ vmid
+    denominators = weight_matrix(spec, v.grid) @ _midpoint_values(v)
     times = v.grid.points[1:]
     scale = 1e-12 * max(1.0, float(np.max(np.abs(v.values))))
     bad = np.abs(denominators) < scale
@@ -234,4 +216,9 @@ def estimate_ah(spec: KernelSpec, observed: Path, v: Path) -> float:
             f"kernel integral of the velocity vanishes at t={t_bad!r}")
     ratios = times ** (spec.hurst - 0.5) * (observed.values[1:] - v.values[0])
     ratios /= denominators
-    return float(ratios.mean())
+    return ratios
+
+
+def estimate_ah(spec: KernelSpec, observed: Path, v: Path) -> float:
+    """Recover the amplitude: the mean of :func:`ah_ratios` over the grid."""
+    return float(ah_ratios(spec, observed, v).mean())

@@ -245,29 +245,30 @@ def fbm_covariance(hurst: float, s: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _below_singular_split(spec: KernelSpec, t: float, m: float, k_at_m: float):
-    """Split K(t, m) = a * (t-m)^(H-1/2) + r near the s = t singularity."""
+def _singular_cell(spec: KernelSpec, t, m: np.ndarray, delta: np.ndarray,
+                   k: np.ndarray):
+    """Split K(t, m) = a (t-m)^(H-1/2) + r below half and weight the cell.
+
+    a = c_H (t/m)^(H-1/2); the last cell [t-delta, t] integrates the
+    leading factor exactly, weight = a delta^(H+1/2)/(H+1/2) + r delta.
+    Returns (a, r, weight).  Pass arrays (length-1 slices for one row):
+    numpy's power then rounds like the full weight_matrix diagonal.
+    """
     h = spec.hurst
     a = spec.c_h * (t / m) ** (h - 0.5)
-    r = k_at_m - a * (t - m) ** (h - 0.5)
-    return a, r
+    r = k - a * (t - m) ** (h - 0.5)
+    return a, r, a * delta ** (h + 0.5) / (h + 0.5) + r * delta
 
 
-def _weight_row(spec: KernelSpec, t: float, mids: np.ndarray,
-                widths: np.ndarray, kvals: np.ndarray) -> np.ndarray:
-    """Midpoint weights K(t, m_j) * width_j with the singular-cell fix.
-
-    Below half the final cell [t-delta, t] integrates the leading
-    (t-s)^(H-1/2) factor exactly, delta^(H+1/2)/(H+1/2), against the
-    smooth cofactor frozen at the cell midpoint.
-    """
+def _kernel_row(spec: KernelSpec, t: float, mids: np.ndarray,
+                widths: np.ndarray):
+    """K(t, m_j) and the weights K * width_j, last one from _singular_cell."""
+    kvals = _kernel_values(spec, t, mids)
     weights = kvals * widths
     if spec.regime is Regime.BELOW_HALF:
-        h = spec.hurst
-        delta = widths[-1]
-        a, r = _below_singular_split(spec, t, float(mids[-1]), float(kvals[-1]))
-        weights[-1] = a * delta ** (h + 0.5) / (h + 0.5) + r * delta
-    return weights
+        weights[-1:] = _singular_cell(spec, t, mids[-1:], widths[-1:],
+                                      kvals[-1:])[2]
+    return kvals, weights
 
 
 def kernel_weights(spec: KernelSpec, t: float, grid: TimeGrid) -> QuadratureRule:
@@ -281,11 +282,7 @@ def kernel_weights(spec: KernelSpec, t: float, grid: TimeGrid) -> QuadratureRule
     if i == 0:
         raise ValueError("t must be a positive grid point")
     mids = grid.midpoints[:i]
-    widths = grid.widths[:i]
-    if spec.regime is Regime.STANDARD:
-        return QuadratureRule(mids, widths.copy(), float(t))
-    kvals = _kernel_values(spec, float(t), mids)
-    weights = _weight_row(spec, float(t), mids, widths, kvals)
+    _, weights = _kernel_row(spec, float(t), mids, grid.widths[:i])
     return QuadratureRule(mids, weights, float(t))
 
 
@@ -325,18 +322,13 @@ def weight_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _weight_matrix_cached(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    n = grid.n_cells
-    mids = grid.midpoints
     widths = grid.widths
     kmat = _kernel_matrix_cached(spec, grid)
     out = kmat * widths[None, :]
     if spec.regime is Regime.BELOW_HALF:
-        h = spec.hurst
-        pts = grid.points[1:]
-        diag = np.arange(n)
-        a = spec.c_h * (pts / mids) ** (h - 0.5)
-        r = kmat[diag, diag] - a * (pts - mids) ** (h - 0.5)
-        out[diag, diag] = a * widths ** (h + 0.5) / (h + 0.5) + r * widths
+        diag = np.diag_indices(grid.n_cells)
+        out[diag] = _singular_cell(spec, grid.points[1:], grid.midpoints,
+                                   widths, kmat[diag])[2]
     out.flags.writeable = False
     return out
 
@@ -365,14 +357,15 @@ def verify_covariance_identity(spec: KernelSpec, s: float, t: float, n: int) -> 
     terms = k_lo * k_hi * delta
     if spec.regime is Regime.BELOW_HALF:
         h = spec.hurst
-        m = float(mids[-1])
-        a, r = _below_singular_split(spec, lo, m, float(k_lo[-1]))
-        sing_cell = delta ** (h + 0.5) / (h + 0.5)
+        a, r, w = _singular_cell(spec, lo, mids[-1:], np.full(1, delta),
+                                 k_lo[-1:])
         if hi == lo:
-            terms[-1] = (a * a * delta ** (2 * h) / (2 * h)
-                         + 2 * a * r * sing_cell + r * r * delta)
+            # int (a x^(H-1/2) + r)^2 over the cell; its cross term
+            # 2 a r delta^(H+1/2)/(H+1/2) equals 2 r (w - r delta)
+            terms[-1:] = (a * a * delta ** (2 * h) / (2 * h)
+                          + 2 * r * w - r * r * delta)
         else:
-            terms[-1] = float(k_hi[-1]) * (a * sing_cell + r * delta)
+            terms[-1:] = k_hi[-1:] * w
     quad = float(terms.sum())
     target = fbm_covariance(spec.hurst, s, t)
     return abs(quad - target) / target

@@ -83,17 +83,11 @@ def simulate_ou_exact(params: LangevinParams, grid: TimeGrid,
     """
     rate = params.rate
     alpha = np.exp(-rate * grid.widths)
-    det = params.v0 * np.exp(-rate * grid.points)
+    values = params.v0 * np.exp(-rate * grid.points)
     std = params.sigma * np.sqrt((1.0 - alpha**2) /
                                  (2.0 * params.friction * params.mass))
     eta = std * stream.generator().standard_normal(grid.n_cells)
-    noise = np.empty(grid.n_cells)
-    acc = 0.0
-    for i in range(grid.n_cells):
-        acc = alpha[i] * acc + eta[i]
-        noise[i] = acc
-    values = det.copy()
-    values[1:] += noise
+    values[1:] += _ar1(alpha, eta, 0.0)[1:]
     return Path(grid, values)
 
 
@@ -109,7 +103,7 @@ def simulate_ou_conditional(params: LangevinParams, grid: TimeGrid,
     rate = params.rate
     alpha = np.exp(-rate * grid.widths)
     gain = params.sigma * (1.0 - alpha) / (params.friction * grid.widths)
-    return _drive(params, grid, alpha, gain * db)
+    return Path(grid, _ar1(alpha, gain * db, params.v0))
 
 
 def simulate_ou_em(params: LangevinParams, grid: TimeGrid,
@@ -119,9 +113,14 @@ def simulate_ou_em(params: LangevinParams, grid: TimeGrid,
     Consumes caller-supplied Brownian increments so the same noise can
     drive other operations.
     """
-    db = _checked_increments(grid, increments)
-    alpha = 1.0 - params.rate * grid.widths
-    return _drive(params, grid, alpha, (params.sigma / params.mass) * db)
+    return Path(grid, _em_values(params, grid,
+                                 _checked_increments(grid, increments)))
+
+
+def _em_values(params: LangevinParams, grid: TimeGrid, db: np.ndarray) -> np.ndarray:
+    """Euler-Maruyama values at the grid points, one column per path of db."""
+    return _ar1(1.0 - params.rate * grid.widths, (params.sigma / params.mass) * db,
+                params.v0)
 
 
 def _checked_increments(grid: TimeGrid, increments) -> np.ndarray:
@@ -131,12 +130,15 @@ def _checked_increments(grid: TimeGrid, increments) -> np.ndarray:
     return db
 
 
-def _drive(params: LangevinParams, grid: TimeGrid, alpha: np.ndarray,
-           shocks: np.ndarray) -> Path:
-    values = np.empty(grid.points.size)
-    values[0] = params.v0
-    v = params.v0
-    for i in range(grid.n_cells):
-        v = alpha[i] * v + shocks[i]
-        values[i + 1] = v
-    return Path(grid, values)
+def _ar1(alpha: np.ndarray, shocks: np.ndarray, x0) -> np.ndarray:
+    """out[0] = x0, out[i+1] = alpha[i] out[i] + shocks[i]; shocks (n,) or (n, S).
+
+    Each column of an (n, S) run equals its own 1-D run bit for bit.  1-D runs
+    step in Python floats: the same IEEE arithmetic as numpy scalars, 2x faster.
+    """
+    out = np.empty((len(shocks) + 1,) + shocks.shape[1:])
+    out[0] = x = x0
+    rows = shocks.tolist() if shocks.ndim == 1 else shocks
+    for i, (a, e) in enumerate(zip(alpha.tolist(), rows), start=1):
+        out[i] = x = a * x + e
+    return out

@@ -20,6 +20,12 @@ def read_csv(path):
     return header, np.atleast_2d(data)
 
 
+def test_version_without_installed_metadata(runner):
+    res = runner.invoke(main, ["--version"])
+    assert res.exit_code == 0, res.output
+    assert "0.1.0" in res.output
+
+
 def test_simulate_fbm_deterministic_bytes(runner, tmp_path):
     out = tmp_path / "fbm.csv"
     args = ["simulate-fbm", "--hurst", "0.7", "--steps", "64", "--paths", "3",
@@ -122,6 +128,17 @@ def test_estimate_hurst_malformed_csv(runner, tmp_path):
     assert ":3:" in res.output
 
 
+def test_estimate_hurst_rejects_nan_cell(runner, tmp_path):
+    rng = np.random.default_rng(1)
+    rows = [repr(float(x)) for x in rng.standard_normal(200)]
+    rows[150] = "nan"
+    f = tmp_path / "nan.csv"
+    f.write_text("x\n" + "\n".join(rows) + "\n")
+    res = runner.invoke(main, ["estimate-hurst", str(f)])
+    assert res.exit_code != 0
+    assert f"{f}:152: 'nan' is not a finite number" in res.output
+
+
 def test_estimate_hurst_batch_mean_and_increments(runner, tmp_path):
     rng = np.random.default_rng(0)
     cols = rng.standard_normal((400, 3)).cumsum(axis=0)
@@ -151,6 +168,29 @@ def test_estimate_ah_round_trip(runner, tmp_path):
     assert amp == pytest.approx(1.0, rel=1e-6)
     report = json.loads((tmp_path / "ah.json").read_text())
     assert len(report["ratios"]) == 128
+
+
+def test_estimate_ah_report_mean_is_amplitude(runner, tmp_path):
+    # within the 1e-6 guard band the ratios use the standard-regime H
+    vel = tmp_path / "v.csv"
+    out = tmp_path / "ah.json"
+    args = ["simulate-velocity", "--hurst", "0.7", "--friction", "2.0",
+            "--sigma", "0.5", "--steps", "128", "--seed", "4", "--out", str(vel)]
+    assert runner.invoke(main, args).exit_code == 0
+    res = runner.invoke(main, ["estimate-ah", str(vel), str(vel),
+                               "--hurst", "0.5000001", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    report = json.loads(out.read_text())
+    ratios = np.array([r["ratio"] for r in report["ratios"]])
+    assert ratios.mean() == report["amplitude"]
+
+
+def test_estimate_ah_rejects_infinite_cell(runner, tmp_path):
+    f = tmp_path / "inf.csv"
+    f.write_text("t,V,VH\n0.0,1.0,1.0\n0.5,inf,1.1\n1.0,0.8,1.2\n")
+    res = runner.invoke(main, ["estimate-ah", str(f), str(f), "--hurst", "0.7"])
+    assert res.exit_code != 0
+    assert f"{f}:3: 'inf' is not a finite number" in res.output
 
 
 def test_estimate_ah_degenerate_velocity(runner, tmp_path):

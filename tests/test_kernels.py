@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from fraclangevin import (Regime, beta_fn, fbm_covariance, kernel_dt,
-                          kernel_value, kernel_weights, make_kernel_spec,
-                          uniform_grid, verify_covariance_identity)
+                          kernel_matrix, kernel_value, kernel_weights,
+                          make_kernel_spec, uniform_grid,
+                          verify_covariance_identity, weight_matrix)
+from fraclangevin.kernels import _singular_cell
 
 # High-precision reference values (mpmath, 30 digits).  Kernel points come
 # from the exact closed form of the inner integral,
@@ -325,6 +327,40 @@ def test_weights_interior_time():
     # self-similar scaling t^(H+1/2) of the kernel mass
     assert rule.weights.sum() == pytest.approx(
         KERNEL_MASS[0.7] * 0.5 ** 1.2, rel=2e-2)
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.45])
+def test_weights_rows_equal_weight_matrix_bitwise(hurst):
+    spec = make_kernel_spec(hurst)
+    grid = uniform_grid(1.0, 1024)
+    wmat = weight_matrix(spec, grid)
+    for i in range(grid.n_cells):
+        rule = kernel_weights(spec, float(grid.points[i + 1]), grid)
+        assert np.array_equal(rule.weights, wmat[i, : i + 1]), i
+
+
+def _scalar_singular_cell(spec, t, m, delta, k):
+    # the singular-cell weight as formerly written with Python floats
+    h = spec.hurst
+    a = spec.c_h * (t / m) ** (h - 0.5)
+    r = k - a * (t - m) ** (h - 0.5)
+    return a * delta ** (h + 0.5) / (h + 0.5) + r * delta
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.1, 0.3, 0.45, 0.49])
+def test_singular_cell_matches_scalar_reference(hurst):
+    spec = make_kernel_spec(hurst)
+    grid = uniform_grid(2.0, 1024)
+    kmat = kernel_matrix(spec, grid)
+    for i in range(grid.n_cells):
+        cell = slice(i, i + 1)
+        _, _, w = _singular_cell(spec, float(grid.points[i + 1]),
+                                 grid.midpoints[cell], grid.widths[cell],
+                                 kmat[i, cell])
+        ref = _scalar_singular_cell(spec, float(grid.points[i + 1]),
+                                    float(grid.midpoints[i]),
+                                    float(grid.widths[i]), float(kmat[i, i]))
+        assert abs(w[0] - ref) <= 1e-15 * abs(ref), i
 
 
 def test_weights_reject_off_grid_time():

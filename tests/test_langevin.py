@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fraclangevin import (LangevinParams, NoiseStream, gaussian_increments,
-                          ou_mean, ou_variance, simulate_ou_conditional,
-                          simulate_ou_em, simulate_ou_exact, uniform_grid)
+from fraclangevin import (LangevinParams, NoiseStream, TimeGrid,
+                          gaussian_increments, ou_mean, ou_variance,
+                          simulate_ou_conditional, simulate_ou_em,
+                          simulate_ou_exact, uniform_grid)
+from fraclangevin.langevin import _ar1
 
 PARAMS = LangevinParams(mass=1.0, friction=2.0, sigma=0.5, v0=1.0)
 
@@ -150,3 +152,65 @@ def test_conditional_exact_is_unbiased_per_cell():
     path = simulate_ou_conditional(PARAMS, grid, db)
     expect = math.exp(-rate) * 1.0 + PARAMS.sigma * (1 - math.exp(-rate)) / 2.0 * 0.4
     assert path.values[-1] == pytest.approx(expect, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the shared AR(1) recurrence against the former per-solver scalar loops
+# ---------------------------------------------------------------------------
+
+
+def _scalar_exact(params, grid, stream):
+    rate = params.rate
+    alpha = np.exp(-rate * grid.widths)
+    det = params.v0 * np.exp(-rate * grid.points)
+    std = params.sigma * np.sqrt((1.0 - alpha**2) /
+                                 (2.0 * params.friction * params.mass))
+    eta = std * stream.generator().standard_normal(grid.n_cells)
+    noise = np.empty(grid.n_cells)
+    acc = 0.0
+    for i in range(grid.n_cells):
+        acc = alpha[i] * acc + eta[i]
+        noise[i] = acc
+    values = det.copy()
+    values[1:] += noise
+    return values
+
+
+def _scalar_drive(params, grid, alpha, shocks):
+    values = np.empty(grid.points.size)
+    values[0] = params.v0
+    v = params.v0
+    for i in range(grid.n_cells):
+        v = alpha[i] * v + shocks[i]
+        values[i + 1] = v
+    return values
+
+
+GRIDS = [uniform_grid(1.0, 512),
+         TimeGrid(np.concatenate(([0.0], np.cumsum(
+             np.random.default_rng(9).uniform(0.001, 0.01, 300)))))]
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_solvers_match_scalar_loops_bitwise(grid):
+    p = LangevinParams(mass=1.3, friction=2.0, sigma=0.5, v0=-0.7)
+    assert np.array_equal(simulate_ou_exact(p, grid, NoiseStream(5)).values,
+                          _scalar_exact(p, grid, NoiseStream(5)))
+    db = gaussian_increments(grid, NoiseStream(6))
+    alpha = np.exp(-p.rate * grid.widths)
+    gain = p.sigma * (1.0 - alpha) / (p.friction * grid.widths)
+    assert np.array_equal(simulate_ou_conditional(p, grid, db).values,
+                          _scalar_drive(p, grid, alpha, gain * db))
+    assert np.array_equal(
+        simulate_ou_em(p, grid, db).values,
+        _scalar_drive(p, grid, 1.0 - p.rate * grid.widths, (p.sigma / p.mass) * db))
+
+
+def test_ar1_batch_columns_equal_single_runs():
+    rng = np.random.default_rng(11)
+    alpha = rng.uniform(0.5, 1.0, 257)
+    shocks = rng.standard_normal((257, 6))
+    batch = _ar1(alpha, shocks, 0.3)
+    assert batch.shape == (258, 6)
+    for j in range(6):
+        assert np.array_equal(batch[:, j], _ar1(alpha, shocks[:, j], 0.3))
