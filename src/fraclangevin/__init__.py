@@ -18,9 +18,9 @@ from .fractional import (DegenerateDenominatorError, FractionalConfig,
                          transformed_langevin_residual)
 from .hurst import (DegenerateSeriesError, HurstEstimate, RSSeries,
                     estimate_hurst, loglog_regression, rs_series)
-from .kernels import (KernelSpec, QuadratureRule, Regime, beta_fn,
-                      fbm_covariance, kernel_dt, kernel_matrix, kernel_value,
-                      kernel_weights, make_kernel_spec,
+from .kernels import (DenseSizeError, KernelSpec, QuadratureRule, Regime,
+                      beta_fn, fbm_covariance, kernel_dt, kernel_matrix,
+                      kernel_value, kernel_weights, make_kernel_spec,
                       verify_covariance_identity, weight_matrix)
 from .langevin import (LangevinParams, ou_mean, ou_variance, simulate_ou_em,
                        simulate_ou_conditional, simulate_ou_exact)
@@ -33,6 +33,7 @@ __all__ = [
     "DecompositionError",
     "DegenerateDenominatorError",
     "DegenerateSeriesError",
+    "DenseSizeError",
     "FractionalConfig",
     "FractionalPath",
     "HurstEstimate",

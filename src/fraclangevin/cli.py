@@ -9,6 +9,7 @@ over the file.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -23,7 +24,8 @@ from .fractional import (DegenerateDenominatorError, FractionalConfig,
                          ah_ratios, fractional_velocity,
                          residual_refinement_study)
 from .hurst import DegenerateSeriesError, estimate_hurst
-from .kernels import Regime, make_kernel_spec, verify_covariance_identity
+from .kernels import (DenseSizeError, Regime, make_kernel_spec,
+                      verify_covariance_identity)
 from .langevin import LangevinParams, simulate_ou_exact
 from .fbm import sample_fbm_exact, sample_fbm_kernel
 from .noise import (StepDistribution, StepKind, donsker_path,
@@ -134,6 +136,15 @@ def _read_csv(path):
     return header, [np.asarray(c) for c in columns]
 
 
+@contextlib.contextmanager
+def _dense_budget(steps):
+    """Report a dense operator over the memory budget against --steps."""
+    try:
+        yield
+    except DenseSizeError as exc:
+        raise click.ClickException(f"--steps {steps} is too large: {exc}")
+
+
 _config_option = click.option(
     "--config", type=click.Path(exists=True, dir_okay=False), default=None,
     help="JSON file with default parameter values; flags override it.")
@@ -177,13 +188,14 @@ def cmd_simulate_fbm(ctx, **_kwargs):
         raise click.BadParameter(str(exc))
     spec = make_kernel_spec(hurst)
     cols = []
-    for k in range(p["paths"]):
-        stream = NoiseStream(seed, k)
-        if p["method"] == "exact":
-            path = sample_fbm_exact(hurst, grid, stream)
-        else:
-            path = sample_fbm_kernel(spec, grid, stream)
-        cols.append(path.values)
+    with _dense_budget(p["steps"]):
+        for k in range(p["paths"]):
+            stream = NoiseStream(seed, k)
+            if p["method"] == "exact":
+                path = sample_fbm_exact(hurst, grid, stream)
+            else:
+                path = sample_fbm_kernel(spec, grid, stream)
+            cols.append(path.values)
     header = ["t"] + [f"path{k}" for k in range(p["paths"])]
     _write_csv(p["out"], header, [grid.points] + cols)
     click.echo(f"wrote {p['paths']} path(s) on {p['steps']} cells to {p['out']}")
@@ -227,7 +239,8 @@ def cmd_simulate_velocity(ctx, **_kwargs):
         click.echo(f"wrote t,V to {p['out']} (H = 1/2 has no transform)")
         return
     config = FractionalConfig(spec, p["ah"])
-    fp = fractional_velocity(config, v)
+    with _dense_budget(p["steps"]):
+        fp = fractional_velocity(config, v)
     _write_csv(p["out"], ["t", "V", "VH"],
                [grid.points, v.values, fp.transformed.values])
     click.echo(f"wrote t,V,VH to {p['out']}")
@@ -307,13 +320,15 @@ def cmd_estimate_ah(ctx, **_kwargs):
         raise click.ClickException(
             f"grids differ at data row {row + 1}: t={t_obs[row]!r} vs {t_vel[row]!r}")
 
-    def pick(header, cols, wanted):
-        if wanted in header:
-            return cols[header.index(wanted)]
-        return cols[-1] if wanted == "VH" else cols[1]
-
-    observed = pick(obs_header, obs_cols, "VH")
-    velocity = pick(vel_header, vel_cols, "V")
+    if "VH" in obs_header:
+        observed = obs_cols[obs_header.index("VH")]
+    elif "V" in obs_header:
+        raise click.ClickException(
+            f"{p['observed_csv']}: no VH column (it has V, which is the "
+            "velocity, not its transform)")
+    else:
+        observed = obs_cols[-1]
+    velocity = vel_cols[vel_header.index("V") if "V" in vel_header else 1]
     spec = make_kernel_spec(hurst)
     try:
         grid = TimeGrid(t_vel)
@@ -323,9 +338,11 @@ def cmd_estimate_ah(ctx, **_kwargs):
         raise click.ClickException(str(exc))
     amplitude = float(ratios.mean())
     times = grid.points[1:]
-    click.echo("per-time ratio diagnostics (t, ratio):")
-    for t, r in zip(times, ratios):
-        click.echo(f"  {t!r} {r!r}")
+    quantiles = np.quantile(ratios, [0.0, 0.05, 0.5, 0.95, 1.0])
+    click.echo(f"per-time ratios: count = {ratios.size}")
+    click.echo("  " + "  ".join(
+        f"{name} = {float(x)!r}"
+        for name, x in zip(("min", "p05", "p50", "p95", "max"), quantiles)))
     click.echo(f"A_H estimate = {amplitude!r}")
     if p["out"]:
         with open(p["out"], "w") as fh:

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid
-from .kernels import KernelSpec, Regime, kernel_matrix
+from .kernels import KernelSpec, Regime, _check_dense, kernel_matrix
 from .noise import gaussian_increments
 
 __all__ = [
@@ -75,6 +75,7 @@ def cholesky_factor(cov: CovMatrix) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _cholesky_cached(hurst: float, grid: TimeGrid) -> np.ndarray:
+    _check_dense(grid.n_cells)
     ell = cholesky_factor(covariance_matrix(hurst, grid))
     ell.flags.writeable = False
     return ell

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid, uniform_grid
-from .kernels import (KernelSpec, Regime, _kernel_row, kernel_weights,
+from .kernels import (KernelSpec, Regime, _kernel_grid, _kernel_rows,
+                      _row_blocks, _singular_cell, kernel_weights,
                       weight_matrix)
 from .langevin import LangevinParams, _checked_increments, _em_values
 from .noise import gaussian_increments
@@ -120,24 +121,31 @@ def expected_fractional_velocity(config: FractionalConfig, params: LangevinParam
 
 def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
                    dv: np.ndarray, vmid: np.ndarray, db: np.ndarray):
-    """Row-streamed residuals r(t_i) and kernel-sampled B^H(t_i).
+    """Block-streamed residuals r(t_i) and kernel-sampled B^H(t_i).
 
-    The column dimension batches independent paths; the kernel row at
-    each t_i is computed once and shared by every column, which is what
-    makes many-seed refinement studies affordable; no dense n x n matrix is held.
+    r(t_i) = sum_j K(t_i, m_j) (m dV_j + b w_j V_j - sigma dB_j), plus the
+    singular-cell weight correction below half.  The column dimension
+    batches independent paths, and each block of kernel rows is applied
+    to all of them at once; no dense n x n matrix is held.
     """
-    pts = grid.points
+    n = grid.n_cells
+    times = grid.points[1:]
     mids = grid.midpoints
     widths = grid.widths
-    n = grid.n_cells
-    res = np.empty((n,) + dv.shape[1:])
-    bh = np.empty_like(res)
     m, b, sig = params.mass, params.friction, params.sigma
-    for i in range(1, n + 1):
-        kv, w = _kernel_row(spec, float(pts[i]), mids[:i], widths[:i])
-        bh[i - 1] = kv @ db[:i]
-        res[i - 1] = m * (kv @ dv[:i]) + b * (w @ vmid[:i]) - sig * bh[i - 1]
-    return res, bh
+    vmid2 = vmid.reshape(n, -1)
+    db2 = db.reshape(n, -1)
+    cells = m * dv.reshape(n, -1) + b * widths[:, None] * vmid2 - sig * db2
+    rhs = np.hstack((cells, db2))
+    out = np.empty_like(rhs)
+    for i0, i1 in _row_blocks(n):
+        out[i0:i1] = _kernel_rows(spec, times[i0:i1], mids[:i1]) @ rhs[:i1]
+    res, bh = np.hsplit(out, 2)
+    if spec.regime is Regime.BELOW_HALF:
+        diag = _kernel_grid(spec, times, mids)  # K(t_i, m_{i-1}) pairwise
+        cell = _singular_cell(spec, times, mids, widths, diag)[2]
+        res += b * (cell - diag * widths)[:, None] * vmid2
+    return res.reshape(dv.shape), bh.reshape(dv.shape)
 
 
 def transformed_langevin_residual(spec: KernelSpec, params: LangevinParams,

@@ -50,6 +50,18 @@ def test_simulate_fbm_requires_seed(runner, tmp_path):
     assert "--seed" in res.output
 
 
+def test_simulate_fbm_steps_over_dense_budget(runner, tmp_path):
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["simulate-fbm", "--hurst", "0.3", "--steps",
+                               "200000", "--seed", "1", "--method", "kernel",
+                               "--out", str(out)])
+    assert res.exit_code != 0
+    assert isinstance(res.exception, SystemExit)
+    assert "--steps 200000 is too large" in res.output
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
 def test_simulate_fbm_variance_report(runner, tmp_path):
     out = tmp_path / "fbm.csv"
     res = runner.invoke(main, ["simulate-fbm", "--hurst", "0.7", "--steps", "16",
@@ -183,6 +195,36 @@ def test_estimate_ah_report_mean_is_amplitude(runner, tmp_path):
     report = json.loads(out.read_text())
     ratios = np.array([r["ratio"] for r in report["ratios"]])
     assert ratios.mean() == report["amplitude"]
+
+
+def test_estimate_ah_rejects_velocity_as_transform(runner, tmp_path):
+    # within the 1e-6 guard band simulate-velocity writes t,V only
+    vel = tmp_path / "v.csv"
+    args = ["simulate-velocity", "--hurst", "0.5000001", "--steps", "64",
+            "--seed", "4", "--out", str(vel)]
+    assert runner.invoke(main, args).exit_code == 0
+    res = runner.invoke(main, ["estimate-ah", str(vel), str(vel),
+                               "--hurst", "0.5000001"])
+    assert res.exit_code != 0
+    assert f"{vel}: no VH column" in res.output
+
+
+def test_estimate_ah_stdout_is_a_fixed_summary(runner, tmp_path):
+    vel = tmp_path / "vel.csv"
+    out = tmp_path / "ah.json"
+    args = ["simulate-velocity", "--hurst", "0.3", "--steps", "512",
+            "--seed", "2", "--out", str(vel)]
+    assert runner.invoke(main, args).exit_code == 0
+    res = runner.invoke(main, ["estimate-ah", str(vel), str(vel),
+                               "--hurst", "0.3", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    lines = res.output.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "per-time ratios: count = 512"
+    for name in ("min", "p05", "p50", "p95", "max"):
+        assert f"{name} = " in lines[1]
+    assert lines[2].startswith("A_H estimate = ")
+    assert len(json.loads(out.read_text())["ratios"]) == 512
 
 
 def test_estimate_ah_rejects_infinite_cell(runner, tmp_path):

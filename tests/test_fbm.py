@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from fraclangevin import (CovMatrix, DecompositionError, NoiseStream,
-                          cholesky_factor, covariance_matrix, fbm_covariance,
-                          gaussian_increments, make_kernel_spec,
-                          sample_fbm_exact, sample_fbm_kernel, uniform_grid)
+from fraclangevin import (CovMatrix, DecompositionError, DenseSizeError,
+                          NoiseStream, cholesky_factor, covariance_matrix,
+                          fbm_covariance, gaussian_increments,
+                          make_kernel_spec, sample_fbm_exact,
+                          sample_fbm_kernel, uniform_grid)
 
 
 def grid_012():
@@ -160,3 +161,9 @@ def test_increment_stationarity():
     va, vb = a.var(), b.var()
     joint_se = np.sqrt(2.0 / m) * (va + vb) / 2
     assert abs(va - vb) <= 4 * joint_se
+
+
+def test_exact_sampler_refuses_oversized_grid():
+    # checked before the 3.2 GB covariance matrix is allocated
+    with pytest.raises(DenseSizeError):
+        sample_fbm_exact(0.7, uniform_grid(1.0, 20000), NoiseStream(1))

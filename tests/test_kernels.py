@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
-from fraclangevin import (Regime, beta_fn, fbm_covariance, kernel_dt,
-                          kernel_matrix, kernel_value, kernel_weights,
-                          make_kernel_spec, uniform_grid,
-                          verify_covariance_identity, weight_matrix)
-from fraclangevin.kernels import _singular_cell
+from fraclangevin import (DenseSizeError, Regime, TimeGrid, beta_fn,
+                          fbm_covariance, kernel_dt, kernel_matrix,
+                          kernel_value, kernel_weights, make_kernel_spec,
+                          uniform_grid, verify_covariance_identity,
+                          weight_matrix)
+from fraclangevin import kernels
+from fraclangevin.kernels import (PROFILE_TOL, _kernel_grid, _kernel_values,
+                                  _profile, _singular_cell)
 
 # High-precision reference values (mpmath, 30 digits).  Kernel points come
 # from the exact closed form of the inner integral,
@@ -209,6 +212,99 @@ def test_kernel_against_runtime_quadrature_oracle():
         spec = make_kernel_spec(hurst)
         assert kernel_value(spec, t, s) == pytest.approx(
             quad_kernel_oracle(hurst, t, s), rel=1e-6)
+
+
+def hypergeometric_kernel(hurst, t, s):
+    """Closed form above half (Decreusefond-Ustunel):
+    c_H (t-s)^(H-1/2) / (H-1/2) * 2F1(1/2-H, H-1/2; H+1/2; -(t-s)/s)."""
+    c = make_kernel_spec(hurst).c_h
+    d = t - s
+    return (c * d ** (hurst - 0.5) / (hurst - 0.5)
+            * special.hyp2f1(0.5 - hurst, hurst - 0.5, hurst + 0.5, -d / s))
+
+
+@pytest.mark.parametrize("hurst", [0.500002, 0.501, 0.51, 0.52, 0.53, 0.55,
+                                   0.6, 0.7, 0.75, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("t", [1.0, 0.375])
+def test_kernel_rows_match_hypergeometric_closed_form(hurst, t):
+    # s/t >= 1/(2 * 8192) on these rows
+    grid = uniform_grid(1.0, 8192)
+    rule = kernel_weights(make_kernel_spec(hurst), t, grid)
+    kvals = rule.weights / grid.widths[: rule.nodes.size]
+    ref = hypergeometric_kernel(hurst, t, rule.nodes)
+    assert np.max(np.abs(kvals / ref - 1)) <= 1e-8
+
+
+def quadrature_kernel_matrix(spec, grid):
+    """The row-by-row construction from the graded quadrature alone."""
+    n = grid.n_cells
+    out = np.zeros((n, n))
+    for i in range(n):
+        out[i, : i + 1] = _kernel_values(spec, float(grid.points[i + 1]),
+                                         grid.midpoints[: i + 1])
+    return out
+
+
+def max_rel_dev(a, b):
+    return float(np.max(np.abs(a / b - 1)))
+
+
+@pytest.mark.parametrize("hurst", [0.01, 0.05, 0.1, 0.3, 0.45, 0.49, 0.499998,
+                                   0.500002, 0.51, 0.7, 0.95, 0.99])
+def test_kernel_matrix_matches_quadrature_rows(hurst):
+    spec = make_kernel_spec(hurst)
+    grid = uniform_grid(1.0, 1024)
+    kmat = kernel_matrix(spec, grid)
+    ref = quadrature_kernel_matrix(spec, grid)
+    lower = np.tril_indices(grid.n_cells)
+    assert max_rel_dev(kmat[lower], ref[lower]) <= 1e-11
+    assert not np.triu(kmat, 1).any()
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_kernel_matrix_falls_back_beyond_profile_panels(hurst):
+    # cells 1e-15 wide at both ends: s/t and (t-s)/t fall below 2^-41
+    inner = np.linspace(0.0, 1.0, 65)[1:-1]
+    grid = TimeGrid(np.concatenate(([0.0, 1e-15], inner, [1.0 - 1e-15, 1.0])))
+    spec = make_kernel_spec(hurst)
+    kmat = kernel_matrix(spec, grid)
+    ref = quadrature_kernel_matrix(spec, grid)
+    lower = np.tril_indices(grid.n_cells)
+    assert max_rel_dev(kmat[lower], ref[lower]) <= 1e-11
+    assert not np.triu(kmat, 1).any()
+
+
+@pytest.mark.parametrize("hurst", [0.01, 0.3, 0.7, 0.99])
+def test_profile_records_its_deviation(hurst):
+    profile = _profile(make_kernel_spec(hurst))
+    assert 0.0 < profile.deviation <= PROFILE_TOL
+
+
+def test_profile_fit_over_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(kernels, "PROFILE_TOL", 1e-18)
+    with pytest.raises(ArithmeticError, match="deviates"):
+        _profile.__wrapped__(make_kernel_spec(0.3))
+
+
+@given(st.floats(min_value=0.01, max_value=0.99).filter(
+           lambda h: abs(h - 0.5) > 1e-5),
+       st.floats(min_value=0.05, max_value=20.0),
+       st.floats(min_value=0.01, max_value=100.0),
+       st.integers(min_value=1, max_value=300))
+def test_kernel_rows_homogeneous(hurst, t, c, n):
+    spec = make_kernel_spec(hurst)
+    mids = uniform_grid(t, n).midpoints
+    scaled = _kernel_grid(spec, c * t, c * mids)
+    row = _kernel_grid(spec, t, mids)
+    assert max_rel_dev(scaled, c ** (hurst - 0.5) * row) <= 1e-12
+
+
+def test_dense_operators_refuse_oversized_grids():
+    grid = uniform_grid(1.0, 20000)  # 3.2 GB per dense matrix
+    spec = make_kernel_spec(0.3)
+    for build in (kernel_matrix, weight_matrix):
+        with pytest.raises(DenseSizeError, match="20000x20000"):
+            build(spec, grid)
 
 
 def test_kernel_rejects_bad_domain():
