@@ -15,7 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid
-from .kernels import KernelSpec, Regime, _check_dense, kernel_matrix
+from .kernels import (KernelSpec, Regime, _check_dense, fbm_covariance,
+                      kernel_matrix)
 from .noise import gaussian_increments
 
 __all__ = [
@@ -52,13 +53,8 @@ class CovMatrix:
 
 def covariance_matrix(hurst: float, grid: TimeGrid) -> CovMatrix:
     """Matrix M[i][j] = R(t_i, t_j) over the positive grid points."""
-    if not (0.0 < hurst < 1.0):
-        raise ValueError(f"Hurst index must lie in (0, 1); got {hurst!r}")
     pts = grid.points[1:]
-    two_h = 2.0 * hurst
-    p = pts**two_h
-    m = 0.5 * (p[:, None] + p[None, :] - np.abs(pts[:, None] - pts[None, :]) ** two_h)
-    return CovMatrix(grid, m)
+    return CovMatrix(grid, fbm_covariance(hurst, pts[None, :], pts[:, None]))
 
 
 def cholesky_factor(cov: CovMatrix) -> np.ndarray:

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid, uniform_grid
-from .kernels import (KernelSpec, Regime, _kernel_grid, _kernel_rows,
-                      _row_blocks, _singular_cell, kernel_weights,
-                      weight_matrix)
+from .kernels import (KernelSpec, Regime, _cell_correction, _kernel_grid,
+                      _kernel_integral, _kernel_rows, _row_blocks,
+                      kernel_weights)
 from .langevin import LangevinParams, _checked_increments, _em_values
 from .noise import gaussian_increments
 
@@ -76,30 +76,24 @@ class FractionalPath:
             raise ValueError("base and transformed paths must share a grid")
 
 
-def phi(config: FractionalConfig, t: float) -> float:
-    """Power-law normalization A * t^(1/2 - H), defined for t > 0."""
-    if not t > 0:
+def phi(config: FractionalConfig, t):
+    """Power-law normalization A * t^(1/2 - H) at scalar or array t > 0."""
+    if not np.all(np.greater(t, 0)):
         raise ValueError("phi is defined for positive times only")
     return config.amplitude * t ** (0.5 - config.spec.hurst)
 
 
-def _phi_values(config: FractionalConfig, times: np.ndarray) -> np.ndarray:
-    return config.amplitude * times ** (0.5 - config.spec.hurst)
-
-
-def _midpoint_values(v: Path) -> np.ndarray:
-    # linear interpolation of the discrete path at the cell midpoints
-    return 0.5 * (v.values[:-1] + v.values[1:])
+def _midpoint_values(values: np.ndarray) -> np.ndarray:
+    # linear interpolation at the cell midpoints; rows are grid points
+    return 0.5 * (values[:-1] + values[1:])
 
 
 def fractional_velocity(config: FractionalConfig, v: Path) -> FractionalPath:
     """Transform a velocity path: V_0 + phi(t_i) * <weights(t_i), V at nodes>."""
-    vmid = _midpoint_values(v)
-    w = weight_matrix(config.spec, v.grid)
-    history = w @ vmid
+    history = _kernel_integral(config.spec, v.grid, _midpoint_values(v.values))
     values = np.empty_like(v.values)
     values[0] = v.values[0]
-    values[1:] = v.values[0] + _phi_values(config, v.grid.points[1:]) * history
+    values[1:] = v.values[0] + phi(config, v.grid.points[1:]) * history
     return FractionalPath(v, Path(v.grid, values))
 
 
@@ -143,8 +137,8 @@ def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
     res, bh = np.hsplit(out, 2)
     if spec.regime is Regime.BELOW_HALF:
         diag = _kernel_grid(spec, times, mids)  # K(t_i, m_{i-1}) pairwise
-        cell = _singular_cell(spec, times, mids, widths, diag)[2]
-        res += b * (cell - diag * widths)[:, None] * vmid2
+        corr = _cell_correction(spec, times, mids, widths, diag)
+        res += b * corr[:, None] * vmid2
     return res.reshape(dv.shape), bh.reshape(dv.shape)
 
 
@@ -159,7 +153,7 @@ def transformed_langevin_residual(spec: KernelSpec, params: LangevinParams,
     """
     db = _checked_increments(v.grid, brownian_increments)
     res, _ = _residual_pass(spec, params, v.grid, np.diff(v.values),
-                            _midpoint_values(v), db)
+                            _midpoint_values(v.values), db)
     return Path(v.grid, np.concatenate(([0.0], res)))
 
 
@@ -168,7 +162,7 @@ def normalized_residual_max(spec: KernelSpec, params: LangevinParams,
     """max_t |r(t)| / (sigma * max_t |B^H_t|) for one driven path."""
     db = _checked_increments(v.grid, brownian_increments)
     res, bh = _residual_pass(spec, params, v.grid, np.diff(v.values),
-                             _midpoint_values(v), db)
+                             _midpoint_values(v.values), db)
     return float(np.max(np.abs(res)) / (params.sigma * np.max(np.abs(bh))))
 
 
@@ -195,9 +189,8 @@ def residual_refinement_study(spec: KernelSpec, params: LangevinParams,
         grid = uniform_grid(horizon, count)
         db = db_fine.reshape(count, n_max // count, -1).sum(axis=1)
         paths = _em_values(params, grid, db)
-        vmid = 0.5 * (paths[:-1] + paths[1:])
         res, bh = _residual_pass(spec, params, grid, np.diff(paths, axis=0),
-                                 vmid, db)
+                                 _midpoint_values(paths), db)
         out[count] = (np.abs(res).max(axis=0)
                       / (params.sigma * np.abs(bh).max(axis=0)))
     return out
@@ -214,7 +207,7 @@ def ah_ratios(spec: KernelSpec, observed: Path, v: Path) -> np.ndarray:
     """
     if observed.grid != v.grid:
         raise ValueError("observed and velocity paths must share a grid")
-    denominators = weight_matrix(spec, v.grid) @ _midpoint_values(v)
+    denominators = _kernel_integral(spec, v.grid, _midpoint_values(v.values))
     times = v.grid.points[1:]
     scale = 1e-12 * max(1.0, float(np.max(np.abs(v.values))))
     bad = np.abs(denominators) < scale

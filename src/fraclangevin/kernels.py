@@ -25,16 +25,19 @@ with f smooth on (0, inf) apart from a power-law term at q -> 0.  f is
 fitted once per H by polynomial interpolation at Chebyshev points on the
 dyadic panels [2^(e-1), 2^e) of q, graded geometrically toward s -> 0
 and toward s -> t, from quadrature values alone.  Every grid row (the
-kernel and weight matrices, kernel_weights, the residual certificate,
-the covariance identity) is one power plus a short Horner recurrence per
-entry, within 1e-11 relative of the quadrature: the fit is checked
-against it between the nodes when it is built.  Ratios outside the
-fitted panels fall back to the quadrature.
+kernel matrix, kernel_weights, the residual certificate, the covariance
+identity) is one power plus a short Horner recurrence per entry, within
+1e-11 relative of the quadrature: the fit is checked against it between
+the nodes when it is built.  Ratios outside the fitted panels fall back
+to the quadrature.
 
 Quadrature weights for integrals int_0^t K(t,s) f(s) ds use midpoint
 nodes, never endpoints: K blows up at s = 0 in both regimes, and for
 H < 1/2 also at s = t, where the leading (t-s)^(H-1/2) factor of the
-final cell is integrated analytically instead.
+final cell is integrated analytically instead.  So the weights are
+K(t, m_j) times the cell width plus a last-cell correction (zero unless
+H < 1/2), applied as K @ (widths f) + correction f from one cached
+kernel matrix: no weight matrix is kept.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import TimeGrid
+from .core import TimeGrid, uniform_grid
 
 __all__ = [
     "DenseSizeError",
@@ -381,11 +384,11 @@ def kernel_dt(spec: KernelSpec, t: float, s: float) -> float:
     return float(val)
 
 
-def fbm_covariance(hurst: float, s: float, t: float) -> float:
-    """R(t, s) = (t^2H + s^2H - |t-s|^2H) / 2, the fBm covariance."""
+def fbm_covariance(hurst: float, s, t):
+    """R(t, s) = (t^2H + s^2H - |t-s|^2H) / 2 for broadcasting s and t."""
     if not (0.0 < hurst < 1.0):
         raise ValueError(f"Hurst index must lie in (0, 1); got {hurst!r}")
-    if s < 0 or t < 0:
+    if np.any(np.less(s, 0)) or np.any(np.less(t, 0)):
         raise ValueError("covariance arguments must be nonnegative")
     two_h = 2.0 * hurst
     return 0.5 * (t**two_h + s**two_h - abs(t - s) ** two_h)
@@ -411,6 +414,14 @@ def _singular_cell(spec: KernelSpec, t, m: np.ndarray, delta: np.ndarray,
     return a, r, a * delta ** (h + 0.5) / (h + 0.5) + r * delta
 
 
+def _cell_correction(spec: KernelSpec, t, m: np.ndarray, delta: np.ndarray,
+                     k: np.ndarray) -> np.ndarray:
+    """Singular-cell weight minus K(t, m) delta; zero unless H < 1/2."""
+    if spec.regime is not Regime.BELOW_HALF:
+        return np.zeros_like(k)
+    return _singular_cell(spec, t, m, delta, k)[2] - k * delta
+
+
 def kernel_weights(spec: KernelSpec, t: float, grid: TimeGrid) -> QuadratureRule:
     """Quadrature rule for int_0^t K(t,s) f(s) ds on the grid's cells.
 
@@ -427,9 +438,8 @@ def kernel_weights(spec: KernelSpec, t: float, grid: TimeGrid) -> QuadratureRule
     widths = grid.widths[:i]
     kvals = _kernel_grid(spec, t, mids)
     weights = kvals * widths
-    if spec.regime is Regime.BELOW_HALF:
-        weights[-1:] = _singular_cell(spec, t, mids[-1:], widths[-1:],
-                                      kvals[-1:])[2]
+    weights[-1:] += _cell_correction(spec, t, mids[-1:], widths[-1:],
+                                     kvals[-1:])
     return QuadratureRule(mids, weights, t)
 
 
@@ -441,51 +451,51 @@ def kernel_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     returned array is cached and read-only, so it is shared between
     callers.  Raises :class:`DenseSizeError` beyond DENSE_BYTES_MAX.
     """
-    _check_dense(grid.n_cells)
-    return _kernel_matrix_cached(spec, grid)
+    return _kernel_operator(spec, grid)[0]
 
 
 @lru_cache(maxsize=4)
-def _kernel_matrix_cached(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
+def _kernel_operator(spec: KernelSpec, grid: TimeGrid):
+    """The read-only kernel matrix and its last-cell correction."""
     n = grid.n_cells
+    _check_dense(n)
     times = grid.points[1:]
     mids = grid.midpoints
     out = np.zeros((n, n))
     for i0, i1 in _row_blocks(n):
         out[i0:i1, :i1] = _kernel_rows(spec, times[i0:i1], mids[:i1])
-    out.flags.writeable = False
-    return out
+    corr = _cell_correction(spec, times, mids, grid.widths, out.diagonal())
+    for arr in (out, corr):
+        arr.flags.writeable = False
+    return out, corr
 
 
 def weight_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """Stacked kernel_weights rows: W[i, j] weights f(m_j) for t_{i+1}.
 
-    Cached and read-only, like :func:`kernel_matrix`.
+    Built on demand from the cached kernel matrix and not cached; the
+    library applies it through :func:`_kernel_integral` instead.
     """
-    _check_dense(grid.n_cells)
-    return _weight_matrix_cached(spec, grid)
-
-
-@lru_cache(maxsize=4)
-def _weight_matrix_cached(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    widths = grid.widths
-    kmat = _kernel_matrix_cached(spec, grid)
-    out = kmat * widths[None, :]
-    if spec.regime is Regime.BELOW_HALF:
-        diag = np.diag_indices(grid.n_cells)
-        out[diag] = _singular_cell(spec, grid.points[1:], grid.midpoints,
-                                   widths, kmat[diag])[2]
-    out.flags.writeable = False
+    kmat, corr = _kernel_operator(spec, grid)
+    out = kmat * grid.widths
+    out[np.diag_indices(grid.n_cells)] += corr
     return out
+
+
+def _kernel_integral(spec: KernelSpec, grid: TimeGrid, f: np.ndarray):
+    """weight_matrix(spec, grid) @ f without forming it; f is (n,) or (n, S)."""
+    kmat, corr = _kernel_operator(spec, grid)
+    col = (-1,) + (1,) * (f.ndim - 1)
+    return kmat @ (grid.widths.reshape(col) * f) + corr.reshape(col) * f
 
 
 def verify_covariance_identity(spec: KernelSpec, s: float, t: float, n: int) -> float:
     """Relative residual of int_0^(s^t) K(t,u) K(s,u) du against R(t,s).
 
-    Uses an n-cell midpoint product quadrature on [0, min(s,t)] with the
-    same singular-cell treatment as kernel_weights; the residual shrinks
-    as n grows, which is the numerical witness that the kernels really
-    reproduce the fBm covariance.
+    Applies the kernel_weights rule of n uniform cells on [0, min(s,t)]
+    to K(max(s,t), .), with the squared singular cell exact at s = t;
+    the residual shrinks as n grows, which is the numerical witness that
+    the kernels really reproduce the fBm covariance.
     """
     if spec.regime is Regime.STANDARD:
         raise ValueError("identity check applies to the fractional regimes only")
@@ -495,23 +505,18 @@ def verify_covariance_identity(spec: KernelSpec, s: float, t: float, n: int) -> 
     if n < 16:
         raise ValueError("need at least 16 quadrature cells")
     lo, hi = (s, t) if s <= t else (t, s)
-    edges = np.linspace(0.0, lo, n + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    delta = lo / n
-    k_lo = _kernel_grid(spec, lo, mids)
-    k_hi = k_lo if hi == lo else _kernel_grid(spec, hi, mids)
-    terms = k_lo * k_hi * delta
-    if spec.regime is Regime.BELOW_HALF:
+    grid = uniform_grid(lo, n)
+    rule = kernel_weights(spec, lo, grid)
+    k_hi = _kernel_grid(spec, hi, rule.nodes)
+    terms = k_hi * rule.weights
+    if hi == lo and spec.regime is Regime.BELOW_HALF:
+        # int (a x^(H-1/2) + r)^2 over the last cell; its cross term
+        # 2 a r delta^(H+1/2)/(H+1/2) equals 2 r (w - r delta)
         h = spec.hurst
-        a, r, w = _singular_cell(spec, lo, mids[-1:], np.full(1, delta),
-                                 k_lo[-1:])
-        if hi == lo:
-            # int (a x^(H-1/2) + r)^2 over the cell; its cross term
-            # 2 a r delta^(H+1/2)/(H+1/2) equals 2 r (w - r delta)
-            terms[-1:] = (a * a * delta ** (2 * h) / (2 * h)
-                          + 2 * r * w - r * r * delta)
-        else:
-            terms[-1:] = k_hi[-1:] * w
+        delta = grid.widths[-1:]
+        a, r, w = _singular_cell(spec, lo, rule.nodes[-1:], delta, k_hi[-1:])
+        terms[-1:] = (a * a * delta ** (2 * h) / (2 * h)
+                      + 2 * r * w - r * r * delta)
     quad = float(terms.sum())
     target = fbm_covariance(spec.hurst, s, t)
     return abs(quad - target) / target

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid
-from .kernels import KernelSpec, weight_matrix
+from .kernels import KernelSpec, _kernel_integral
 
 __all__ = [
     "StepKind",
@@ -147,5 +147,5 @@ def smoothed_fbm(spec: KernelSpec, epsilon: float, grid: TimeGrid,
     """
     theta = theta_epsilon_path(epsilon, grid.horizon, dist, stream)
     levels_at_mids = theta.value_at(grid.midpoints)
-    w = weight_matrix(spec, grid)
-    return Path(grid, np.concatenate(([0.0], w @ levels_at_mids)))
+    return Path(grid, np.concatenate(
+        ([0.0], _kernel_integral(spec, grid, levels_at_mids))))

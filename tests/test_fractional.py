@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,24 @@ def test_residual_study_improves_with_refinement():
     assert study[1024].max() <= 0.05
 
 
+@pytest.mark.parametrize("spec", [SPEC7, SPEC3])
+def test_residual_study_columns_match_single_path_runs(spec):
+    # the batched pass sums in another order than one path at a time
+    stream = NoiseStream(13)
+    study = residual_refinement_study(spec, PARAMS, 1.0, [64, 256], 4, stream)
+    db_fine = np.column_stack([
+        gaussian_increments(uniform_grid(1.0, 256), stream.substream(k))
+        for k in range(4)])
+    for count in (64, 256):
+        grid = uniform_grid(1.0, count)
+        db_all = db_fine.reshape(count, 256 // count, -1).sum(axis=1)
+        for k in range(4):
+            db = db_all[:, k].copy()
+            v = simulate_ou_em(PARAMS, grid, db)
+            single = normalized_residual_max(spec, PARAMS, v, db)
+            assert abs(study[count][k] - single) <= 1e-13 * single
+
+
 def test_residual_study_rejects_nondivisible_counts():
     with pytest.raises(ValueError):
         residual_refinement_study(SPEC7, PARAMS, 1.0, [100, 1024], 4,
@@ -183,3 +203,23 @@ def test_amplitude_rejects_grid_mismatch():
     observed = Path(uniform_grid(2.0, 16), np.ones(17))
     with pytest.raises(ValueError):
         estimate_ah(SPEC7, observed, v)
+
+
+def test_one_dense_operator_retained_per_grid():
+    n = 512
+    config = FractionalConfig(SPEC3, 1.0)
+    # fit the kernel profile on another grid first
+    fractional_velocity(config, simulate_ou_exact(
+        PARAMS, uniform_grid(1.0, 16), NoiseStream(12)))
+    # a grid no other test builds, so its operator is built while traced
+    grid = uniform_grid(0.8125, n)
+    v = simulate_ou_exact(PARAMS, grid, NoiseStream(12))
+    tracemalloc.start()
+    try:
+        observed = fractional_velocity(config, v).transformed
+        estimate_ah(SPEC3, observed, v)
+        del observed
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.1 * 8 * n * n

@@ -11,8 +11,8 @@ from fraclangevin import (DenseSizeError, Regime, TimeGrid, beta_fn,
                           uniform_grid, verify_covariance_identity,
                           weight_matrix)
 from fraclangevin import kernels
-from fraclangevin.kernels import (PROFILE_TOL, _kernel_grid, _kernel_values,
-                                  _profile, _singular_cell)
+from fraclangevin.kernels import (PROFILE_TOL, _kernel_grid, _kernel_integral,
+                                  _kernel_values, _profile, _singular_cell)
 
 # High-precision reference values (mpmath, 30 digits).  Kernel points come
 # from the exact closed form of the inner integral,
@@ -457,6 +457,43 @@ def test_singular_cell_matches_scalar_reference(hurst):
                                     float(grid.midpoints[i]),
                                     float(grid.widths[i]), float(kmat[i, i]))
         assert abs(w[0] - ref) <= 1e-15 * abs(ref), i
+
+
+# a dyadic grid, a non-dyadic one, and cells 1e-15 wide at both ends
+INTEGRAL_GRIDS = {
+    "dyadic": uniform_grid(1.0, 256),
+    "n1000": uniform_grid(1.0, 1000),
+    "thin_cells": TimeGrid(np.concatenate(
+        ([0.0, 1e-15], np.linspace(0.0, 1.0, 65)[1:-1], [1.0 - 1e-15, 1.0]))),
+}
+
+
+@pytest.mark.parametrize("grid_name", sorted(INTEGRAL_GRIDS))
+@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.45, 0.5, 0.7, 0.95])
+def test_kernel_integral_matches_weight_matrix(hurst, grid_name):
+    grid = INTEGRAL_GRIDS[grid_name]
+    spec = make_kernel_spec(hurst)
+    wmat = weight_matrix(spec, grid)
+    rng = np.random.default_rng(5)
+    for shape in [(grid.n_cells,), (grid.n_cells, 4)]:
+        f = rng.standard_normal(shape)
+        got = _kernel_integral(spec, grid, f)
+        assert got.shape == shape
+        bound = 1e-13 * (np.abs(wmat) @ np.abs(f))
+        assert np.all(np.abs(got - wmat @ f) <= bound)
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_kernel_integral_batch_columns_match_single_runs(hurst):
+    # gemm and gemv sum in different orders: close, not bit for bit
+    spec = make_kernel_spec(hurst)
+    grid = uniform_grid(1.0, 1024)
+    f = np.random.default_rng(6).standard_normal((grid.n_cells, 4))
+    batch = _kernel_integral(spec, grid, f)
+    scale = np.abs(weight_matrix(spec, grid)) @ np.abs(f)
+    for j in range(f.shape[1]):
+        single = _kernel_integral(spec, grid, f[:, j].copy())
+        assert np.all(np.abs(batch[:, j] - single) <= 1e-13 * scale[:, j])
 
 
 def test_weights_reject_off_grid_time():
