@@ -1,8 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import integrate, special
 
 from fraclangevin import (DenseSizeError, Regime, TimeGrid, beta_fn,
@@ -390,9 +391,20 @@ def test_covariance_symmetry(hurst, s, t):
        st.floats(min_value=0.01, max_value=10.0),
        st.floats(min_value=0.01, max_value=10.0),
        st.floats(min_value=0.01, max_value=8.0))
+@example(hurst=0.25, s=0.05, t=0.05000000000000001, a=3.0)
 def test_covariance_self_similarity(hurst, s, t, a):
-    left = fbm_covariance(hurst, a * s, a * t)
-    right = a ** (2 * hurst) * fbm_covariance(hurst, s, t)
+    # a*s and a*t round, and for 2H < 1 R has infinite slope on the
+    # diagonal: here a*s == a*t, while s and t are one ulp apart, which
+    # moves R(s, t) by ulp^(2H) ~ 1e-9.  So the right side scales back
+    # the points actually passed, exactly (40-digit decimals).
+    x, y = a * s, a * t
+    left = fbm_covariance(hurst, x, y)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        two_h, da = 2 * Decimal(hurst), Decimal(a)
+        xs, ys = Decimal(x) / da, Decimal(y) / da
+        cov = (xs**two_h + ys**two_h - abs(ys - xs) ** two_h) / 2
+        right = float(da**two_h * cov)
     assert left == pytest.approx(right, rel=1e-12)
 
 
