@@ -3,9 +3,12 @@
 Commands emit plain CSV (header row, first column t, shortest
 round-trip float formatting) so estimates can re-consume simulator
 output losslessly.  Every simulation command requires an explicit seed;
-there is no silent entropy anywhere.  Parameters may be preloaded from
-a JSON config file (``--config``); values given on the command line win
-over the file.
+there is no silent entropy anywhere.  Click alone parses, types and
+checks every parameter.  ``--config FILE`` makes a JSON object of
+parameter names (hyphens or underscores) the command's defaults, so any
+option or argument may come from the file and meets the same checks as
+on the command line; values given on the command line win, and unknown
+keys are refused.
 """
 from __future__ import annotations
 
@@ -39,7 +42,10 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path):
+def _load_config(ctx, _param, path):
+    """Make the config file's values the defaults that click checks like flags."""
+    if path is None:
+        return
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -47,52 +53,21 @@ def _load_config(path):
         raise click.ClickException(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise click.ClickException(f"config {path} must hold a JSON object")
-    return cfg
+    names = {p.name for p in ctx.command.params} - {"config"}
+    defaults = {}
+    for key, value in cfg.items():
+        name = key.replace("-", "_")
+        if name not in names:
+            raise click.ClickException(f"unknown config key {key!r}")
+        defaults[name] = value
+    ctx.default_map = defaults
 
 
-def _merged(ctx, config_path):
-    """Parameter values with config-file fallback (flags override file)."""
-    cfg = _load_config(config_path) if config_path else {}
-    params = dict(ctx.params)
-    by_name = {p.name: p for p in ctx.command.params}
-    for name, value in cfg.items():
-        key = name.replace("-", "_")
-        if key not in by_name or key == "config":
-            raise click.ClickException(f"unknown config key {name!r}")
-        src = ctx.get_parameter_source(key)
-        if src is not None and src.name == "COMMANDLINE":
-            continue
-        params[key] = by_name[key].type.convert(value, by_name[key], ctx)
-    return params
-
-
-def _require_seed(params):
-    if params.get("seed") is None:
-        raise click.UsageError(
-            "--seed is required for simulation commands (flag or config file)")
-    seed = int(params["seed"])
-    if not 0 <= seed < 2**64:
-        raise click.BadParameter("seed must fit in an unsigned 64-bit integer",
-                                 param_hint="--seed")
-    return seed
-
-
-def _check_hurst(hurst):
-    if hurst is None:
-        raise click.UsageError("--hurst is required (flag or config file)")
+def _check_hurst(_ctx, _param, hurst):
     if not 0.0 < hurst < 1.0:
         raise click.BadParameter(
-            f"Hurst index must lie in the open interval (0, 1); got {hurst}",
-            param_hint="--hurst")
-    return float(hurst)
-
-
-def _build_params(p):
-    try:
-        return LangevinParams(mass=p["mass"], friction=p["friction"],
-                              sigma=p["sigma"], v0=p["v0"])
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+            f"Hurst index must lie in the open interval (0, 1); got {hurst}")
+    return hurst
 
 
 def _write_csv(path, header, columns):
@@ -103,6 +78,15 @@ def _write_csv(path, header, columns):
             writer.writerow(header)
             for row in rows:
                 writer.writerow([repr(float(x)) for x in row])
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc}")
+
+
+def _write_json(path, data):
+    try:
+        with open(path, "w") as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
     except OSError as exc:
         raise click.ClickException(f"cannot write {path}: {exc}")
 
@@ -146,8 +130,10 @@ def _dense_budget(steps):
 
 
 _config_option = click.option(
-    "--config", type=click.Path(exists=True, dir_okay=False), default=None,
+    "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+    expose_value=False, callback=_load_config,
     help="JSON file with default parameter values; flags override it.")
+_seed_range = click.IntRange(0, 2**64 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,54 +148,49 @@ def main():
 
 
 @main.command("simulate-fbm")
-@click.option("--hurst", type=float, default=None, help="Hurst index in (0,1).")
+@click.option("--hurst", type=float, required=True, callback=_check_hurst,
+              help="Hurst index in (0,1).")
 @click.option("--horizon", type=float, default=1.0, show_default=True)
 @click.option("--steps", type=int, default=1024, show_default=True,
               help="Grid cells on [0, horizon].")
-@click.option("--paths", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=None, help="Mandatory RNG seed.")
+@click.option("--paths", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--seed", type=_seed_range, required=True, help="Mandatory RNG seed.")
 @click.option("--method", type=click.Choice(["exact", "kernel"]),
               default="exact", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--report", type=click.Choice(["variance"]), default=None,
               help="Print a Monte Carlo summary of the emitted paths.")
 @_config_option
-@click.pass_context
-def cmd_simulate_fbm(ctx, **_kwargs):
+def cmd_simulate_fbm(hurst, horizon, steps, paths, seed, method, out, report):
     """Sample fractional Brownian motion paths to CSV."""
-    p = _merged(ctx, ctx.params["config"])
-    hurst = _check_hurst(p["hurst"])
-    seed = _require_seed(p)
-    if p["paths"] < 1:
-        raise click.BadParameter("need at least one path", param_hint="--paths")
     try:
-        grid = uniform_grid(p["horizon"], p["steps"])
+        grid = uniform_grid(horizon, steps)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
     spec = make_kernel_spec(hurst)
     cols = []
-    with _dense_budget(p["steps"]):
-        for k in range(p["paths"]):
+    with _dense_budget(steps):
+        for k in range(paths):
             stream = NoiseStream(seed, k)
-            if p["method"] == "exact":
+            if method == "exact":
                 path = sample_fbm_exact(hurst, grid, stream)
             else:
                 path = sample_fbm_kernel(spec, grid, stream)
             cols.append(path.values)
-    header = ["t"] + [f"path{k}" for k in range(p["paths"])]
-    _write_csv(p["out"], header, [grid.points] + cols)
-    click.echo(f"wrote {p['paths']} path(s) on {p['steps']} cells to {p['out']}")
-    if p["report"] == "variance":
+    header = ["t"] + [f"path{k}" for k in range(paths)]
+    _write_csv(out, header, [grid.points] + cols)
+    click.echo(f"wrote {paths} path(s) on {steps} cells to {out}")
+    if report == "variance":
         terminal = np.array([c[-1] for c in cols])
         var = float(np.var(terminal))
         target = grid.horizon ** (2 * hurst)
-        se = target * math.sqrt(2.0 / max(1, p["paths"]))
+        se = target * math.sqrt(2.0 / paths)
         click.echo(f"var(B_T) = {var:.6g}  target T^2H = {target:.6g}  "
                    f"standard error ~ {se:.2g}")
 
 
 @main.command("simulate-velocity")
-@click.option("--hurst", type=float, default=None)
+@click.option("--hurst", type=float, required=True, callback=_check_hurst)
 @click.option("--ah", type=float, default=1.0, show_default=True,
               help="Amplitude of the transform normalization.")
 @click.option("--mass", type=float, default=1.0, show_default=True)
@@ -218,32 +199,28 @@ def cmd_simulate_fbm(ctx, **_kwargs):
 @click.option("--v0", type=float, default=1.0, show_default=True)
 @click.option("--horizon", type=float, default=1.0, show_default=True)
 @click.option("--steps", type=int, default=1024, show_default=True)
-@click.option("--seed", type=int, default=None, help="Mandatory RNG seed.")
+@click.option("--seed", type=_seed_range, required=True, help="Mandatory RNG seed.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_config_option
-@click.pass_context
-def cmd_simulate_velocity(ctx, **_kwargs):
+def cmd_simulate_velocity(hurst, ah, mass, friction, sigma, v0, horizon, steps,
+                          seed, out):
     """Exact OU velocity path plus its fractional transform to CSV."""
-    p = _merged(ctx, ctx.params["config"])
-    hurst = _check_hurst(p["hurst"])
-    seed = _require_seed(p)
-    params = _build_params(p)
     try:
-        grid = uniform_grid(p["horizon"], p["steps"])
+        params = LangevinParams(mass=mass, friction=friction, sigma=sigma, v0=v0)
+        grid = uniform_grid(horizon, steps)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
     v = simulate_ou_exact(params, grid, NoiseStream(seed))
     spec = make_kernel_spec(hurst)
     if spec.regime is Regime.STANDARD:
-        _write_csv(p["out"], ["t", "V"], [grid.points, v.values])
-        click.echo(f"wrote t,V to {p['out']} (H = 1/2 has no transform)")
+        _write_csv(out, ["t", "V"], [grid.points, v.values])
+        click.echo(f"wrote t,V to {out} (H = 1/2 has no transform)")
         return
-    config = FractionalConfig(spec, p["ah"])
-    with _dense_budget(p["steps"]):
-        fp = fractional_velocity(config, v)
-    _write_csv(p["out"], ["t", "V", "VH"],
+    with _dense_budget(steps):
+        fp = fractional_velocity(FractionalConfig(spec, ah), v)
+    _write_csv(out, ["t", "V", "VH"],
                [grid.points, v.values, fp.transformed.values])
-    click.echo(f"wrote t,V,VH to {p['out']}")
+    click.echo(f"wrote t,V,VH to {out}")
 
 
 @main.command("estimate-hurst")
@@ -255,23 +232,19 @@ def cmd_simulate_velocity(ctx, **_kwargs):
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Also write the report as JSON.")
 @_config_option
-@click.pass_context
-def cmd_estimate_hurst(ctx, **_kwargs):
+def cmd_estimate_hurst(input_csv, t_min, increments, out):
     """Rescaled-range Hurst estimate for each series column of a CSV."""
-    p = _merged(ctx, ctx.params["config"])
-    header, columns = _read_csv(p["input_csv"])
-    if len(columns) > 1:
-        names, series = header[1:], columns[1:]  # first column is t; ignored
-    else:
-        names, series = header, columns
-    if not p["increments"]:
+    header, columns = _read_csv(input_csv)
+    if len(columns) > 1 and header[0] == "t":
+        header, columns = header[1:], columns[1:]  # the time column is not a series
+    if not increments:
         click.echo("note: rescaled-range analysis assumes a stationary series; "
                    "use --increments for path-like data")
     reports = []
-    for name, values in zip(names, series):
-        data = np.diff(values) if p["increments"] else values
+    for name, values in zip(header, columns):
+        data = np.diff(values) if increments else values
         try:
-            est = estimate_hurst(data, t_min=p["t_min"])
+            est = estimate_hurst(data, t_min=t_min)
         except (DegenerateSeriesError, ValueError) as exc:
             raise click.ClickException(f"column {name!r}: {exc}")
         reports.append({"column": name, "hurst": est.hurst,
@@ -285,27 +258,22 @@ def cmd_estimate_hurst(ctx, **_kwargs):
         summary["mean_hurst"] = float(np.mean([r["hurst"] for r in reports]))
         click.echo(f"mean H over {len(reports)} columns = "
                    f"{summary['mean_hurst']:.6g}")
-    if p["out"]:
-        with open(p["out"], "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+    if out:
+        _write_json(out, summary)
 
 
 @main.command("estimate-ah")
 @click.argument("observed_csv", type=click.Path(exists=True, dir_okay=False))
 @click.argument("velocity_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--hurst", type=float, default=None,
+@click.option("--hurst", type=float, required=True, callback=_check_hurst,
               help="Hurst index of the kernel (estimate it first).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Also write the report as JSON.")
 @_config_option
-@click.pass_context
-def cmd_estimate_ah(ctx, **_kwargs):
+def cmd_estimate_ah(observed_csv, velocity_csv, hurst, out):
     """Amplitude estimate from measured transform values and a velocity path."""
-    p = _merged(ctx, ctx.params["config"])
-    hurst = _check_hurst(p["hurst"])
-    obs_header, obs_cols = _read_csv(p["observed_csv"])
-    vel_header, vel_cols = _read_csv(p["velocity_csv"])
+    obs_header, obs_cols = _read_csv(observed_csv)
+    vel_header, vel_cols = _read_csv(velocity_csv)
     for name, cols in (("observed", obs_cols), ("velocity", vel_cols)):
         if len(cols) < 2:
             raise click.ClickException(
@@ -324,7 +292,7 @@ def cmd_estimate_ah(ctx, **_kwargs):
         observed = obs_cols[obs_header.index("VH")]
     elif "V" in obs_header:
         raise click.ClickException(
-            f"{p['observed_csv']}: no VH column (it has V, which is the "
+            f"{observed_csv}: no VH column (it has V, which is the "
             "velocity, not its transform)")
     else:
         observed = obs_cols[-1]
@@ -344,12 +312,10 @@ def cmd_estimate_ah(ctx, **_kwargs):
         f"{name} = {float(x)!r}"
         for name, x in zip(("min", "p05", "p50", "p95", "max"), quantiles)))
     click.echo(f"A_H estimate = {amplitude!r}")
-    if p["out"]:
-        with open(p["out"], "w") as fh:
-            json.dump({"amplitude": amplitude,
-                       "ratios": [{"t": float(t), "ratio": float(r)}
-                                  for t, r in zip(times, ratios)]}, fh, indent=2)
-            fh.write("\n")
+    if out:
+        _write_json(out, {"amplitude": amplitude,
+                          "ratios": [{"t": float(t), "ratio": float(r)}
+                                     for t, r in zip(times, ratios)]})
 
 
 # ---------------------------------------------------------------------------
@@ -444,38 +410,37 @@ def _check_residual(n, seed):
 @click.option("--check", type=click.Choice(["all", "covariance", "qv",
                                             "donsker", "residual"]),
               default="all", show_default=True)
-@click.option("--n", "--steps", "n", type=int, default=None,
+@click.option("--n", "--steps", "n", type=click.IntRange(min=1), default=None,
               help="Override the check's grid/series size.")
-@click.option("--t", "--horizon", "horizon", type=float, default=None,
+@click.option("--t", "--horizon", "horizon",
+              type=click.FloatRange(min=0.0, min_open=True), default=None,
               help="Override the check's horizon (qv only).")
-@click.option("--seed", type=int, default=20200409, show_default=True)
+@click.option("--seed", type=_seed_range, default=20200409, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Also write the JSON summary to a file.")
 @_config_option
-@click.pass_context
-def cmd_validate(ctx, **_kwargs):
+def cmd_validate(check, n, horizon, seed, out):
     """Built-in diagnostic suite; fails with a nonzero exit code."""
-    p = _merged(ctx, ctx.params["config"])
-    which, n, seed = p["check"], p["n"], p["seed"]
     results = []
-    if which in ("all", "covariance"):
-        results += _check_covariance(n, seed)
-    if which in ("all", "qv"):
-        results += _check_qv(n, seed, p["horizon"])
-    if which in ("all", "donsker"):
-        results += _check_donsker(n, seed)
-    if which in ("all", "residual"):
-        results += _check_residual(n, seed)
+    try:
+        if check in ("all", "covariance"):
+            results += _check_covariance(n, seed)
+        if check in ("all", "qv"):
+            results += _check_qv(n, seed, horizon)
+        if check in ("all", "donsker"):
+            results += _check_donsker(n, seed)
+        if check in ("all", "residual"):
+            results += _check_residual(n, seed)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=["--n", "--t"])
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
         measured = "  ".join(f"{k}={v:.6g}" for k, v in r["measured"].items())
         click.echo(f"[{status}] {r['name']}: {measured} (threshold {r['threshold']:.3g})")
     summary = {"passed": all(r["passed"] for r in results), "checks": results}
     click.echo(json.dumps(summary))
-    if p["out"]:
-        with open(p["out"], "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+    if out:
+        _write_json(out, summary)
     if not summary["passed"]:
         sys.exit(1)
 

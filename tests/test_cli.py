@@ -315,3 +315,130 @@ def test_config_rejects_unknown_key(runner, tmp_path):
                                "--out", str(tmp_path / "x.csv")])
     assert res.exit_code != 0
     assert "bogus" in res.output
+
+
+# The options and arguments of each command, `--config` included.  A change
+# that adds or removes a knob has to edit this table.
+CLI_SURFACE = {
+    "estimate-ah": ["config", "hurst", "observed_csv", "out", "velocity_csv"],
+    "estimate-hurst": ["config", "increments", "input_csv", "out", "t_min"],
+    "simulate-fbm": ["config", "horizon", "hurst", "method", "out", "paths",
+                     "report", "seed", "steps"],
+    "simulate-velocity": ["ah", "config", "friction", "horizon", "hurst", "mass",
+                          "out", "seed", "sigma", "steps", "v0"],
+    "validate": ["check", "config", "horizon", "n", "out", "seed"],
+}
+
+
+def test_cli_surface_is_pinned():
+    surface = {name: sorted(p.name for p in cmd.params)
+               for name, cmd in main.commands.items()}
+    assert surface == CLI_SURFACE
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["--check", "residual", "--n", "50"], "cell counts must divide the largest count"),
+    (["--check", "covariance", "--n", "8"], "need at least 16 quadrature cells"),
+    (["--check", "qv", "--t", "-1"], "-1.0 is not in the range x>0"),
+    (["--check", "qv", "--n", "0"], "0 is not in the range x>=1"),
+    (["--check", "qv", "--seed", "-1"], "-1 is not in the range 0<=x<="),
+], ids=["residual-n50", "covariance-n8", "qv-t-1", "qv-n0", "seed-1"])
+def test_validate_bad_size_is_a_usage_error(runner, args, reason):
+    res = runner.invoke(main, ["validate", *args])
+    assert res.exit_code == 2, res.output
+    assert reason in res.output
+    assert "Invalid value for '--" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.fixture
+def velocity_csv(runner, tmp_path):
+    vel = tmp_path / "vel.csv"
+    res = runner.invoke(main, ["simulate-velocity", "--hurst", "0.7", "--steps",
+                               "32", "--seed", "4", "--out", str(vel)])
+    assert res.exit_code == 0, res.output
+    return vel
+
+
+@pytest.mark.parametrize("command", ["estimate-hurst", "estimate-ah", "validate"])
+def test_json_out_into_missing_directory(runner, tmp_path, velocity_csv, command):
+    out = tmp_path / "missing" / "report.json"
+    args = {"estimate-hurst": [str(velocity_csv), "--t-min", "4"],
+            "estimate-ah": [str(velocity_csv), str(velocity_csv), "--hurst", "0.7"],
+            "validate": ["--check", "qv", "--n", "1000"]}[command]
+    res = runner.invoke(main, [command, *args, "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"cannot write {out}: " in res.output
+    assert "Traceback" not in res.output
+
+
+def test_estimate_hurst_keeps_a_first_column_not_named_t(runner, tmp_path):
+    rng = np.random.default_rng(5)
+    f = tmp_path / "xy.csv"
+    rows = ["x,y"] + [f"{float(a)!r},{float(b)!r}"
+                      for a, b in rng.standard_normal((200, 2))]
+    f.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "rep.json"
+    res = runner.invoke(main, ["estimate-hurst", str(f), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert "mean H over 2 columns" in res.output
+    report = json.loads(out.read_text())
+    assert [c["column"] for c in report["columns"]] == ["x", "y"]
+    assert "mean_hurst" in report
+
+
+def test_config_alone_matches_flags(runner, tmp_path):
+    flags = {"hurst": 0.3, "ah": 0.5, "mass": 2.0, "friction": 1.5,
+             "sigma": 0.25, "v0": -1.0, "horizon": 2.0, "steps": 64, "seed": 7}
+    by_flags = tmp_path / "flags.csv"
+    args = [a for k, v in flags.items() for a in (f"--{k}", str(v))]
+    res = runner.invoke(main, ["simulate-velocity", *args, "--out", str(by_flags)])
+    assert res.exit_code == 0, res.output
+    by_config = tmp_path / "config.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**flags, "out": str(by_config)}))
+    res = runner.invoke(main, ["simulate-velocity", "--config", str(cfg)])
+    assert res.exit_code == 0, res.output
+    assert by_config.read_bytes() == by_flags.read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("hurst", 1.2), ("seed", -1)])
+def test_config_value_is_checked_like_the_flag(runner, tmp_path, key, value):
+    given = {"hurst": 0.7, "seed": 5, key: value}
+    out = str(tmp_path / "x.csv")
+    by_flags = runner.invoke(main, ["simulate-fbm", "--hurst", str(given["hurst"]),
+                                    "--seed", str(given["seed"]), "--out", out])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(given))
+    by_config = runner.invoke(main, ["simulate-fbm", "--config", str(cfg),
+                                     "--out", out])
+    assert by_config.exit_code == by_flags.exit_code == 2
+    assert f"Invalid value for '--{key}'" in by_config.output
+    assert by_config.output == by_flags.output
+
+
+def test_config_flag_and_hyphenated_key(runner, tmp_path):
+    rng = np.random.default_rng(2)
+    f = tmp_path / "walk.csv"
+    f.write_text("x\n" + "\n".join(repr(float(v))
+                                   for v in rng.standard_normal(300).cumsum()) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"increments": True, "t-min": 4}))
+    by_config = runner.invoke(main, ["estimate-hurst", str(f), "--config", str(cfg)])
+    by_flags = runner.invoke(main, ["estimate-hurst", str(f), "--increments",
+                                    "--t-min", "4"])
+    default = runner.invoke(main, ["estimate-hurst", str(f), "--increments"])
+    assert by_config.exit_code == by_flags.exit_code == default.exit_code == 0
+    assert by_config.output == by_flags.output
+    assert by_config.output != default.output
+    assert "note:" not in by_config.output
+
+
+def test_config_rejects_its_own_key(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hurst": 0.7, "seed": 5, "config": "other.json"}))
+    res = runner.invoke(main, ["simulate-fbm", "--config", str(cfg),
+                               "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code != 0
+    assert "unknown config key 'config'" in res.output
