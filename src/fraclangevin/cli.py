@@ -136,6 +136,21 @@ _config_option = click.option(
 _seed_range = click.IntRange(0, 2**64 - 1)
 
 
+class _Finite(click.FloatRange):
+    """A FloatRange that also refuses nan and inf (FloatRange lets nan by)."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return value
+
+
+_real = _Finite()
+_positive = _Finite(min=0.0, min_open=True)
+_cells = click.IntRange(min=1)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -150,10 +165,10 @@ def main():
 @main.command("simulate-fbm")
 @click.option("--hurst", type=float, required=True, callback=_check_hurst,
               help="Hurst index in (0,1).")
-@click.option("--horizon", type=float, default=1.0, show_default=True)
-@click.option("--steps", type=int, default=1024, show_default=True,
+@click.option("--horizon", type=_positive, default=1.0, show_default=True)
+@click.option("--steps", type=_cells, default=1024, show_default=True,
               help="Grid cells on [0, horizon].")
-@click.option("--paths", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--paths", type=_cells, default=1, show_default=True)
 @click.option("--seed", type=_seed_range, required=True, help="Mandatory RNG seed.")
 @click.option("--method", type=click.Choice(["exact", "kernel"]),
               default="exact", show_default=True)
@@ -163,10 +178,7 @@ def main():
 @_config_option
 def cmd_simulate_fbm(hurst, horizon, steps, paths, seed, method, out, report):
     """Sample fractional Brownian motion paths to CSV."""
-    try:
-        grid = uniform_grid(horizon, steps)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+    grid = uniform_grid(horizon, steps)
     spec = make_kernel_spec(hurst)
     cols = []
     with _dense_budget(steps):
@@ -191,25 +203,22 @@ def cmd_simulate_fbm(hurst, horizon, steps, paths, seed, method, out, report):
 
 @main.command("simulate-velocity")
 @click.option("--hurst", type=float, required=True, callback=_check_hurst)
-@click.option("--ah", type=float, default=1.0, show_default=True,
+@click.option("--ah", type=_real, default=1.0, show_default=True,
               help="Amplitude of the transform normalization.")
-@click.option("--mass", type=float, default=1.0, show_default=True)
-@click.option("--friction", type=float, default=1.0, show_default=True)
-@click.option("--sigma", type=float, default=1.0, show_default=True)
-@click.option("--v0", type=float, default=1.0, show_default=True)
-@click.option("--horizon", type=float, default=1.0, show_default=True)
-@click.option("--steps", type=int, default=1024, show_default=True)
+@click.option("--mass", type=_positive, default=1.0, show_default=True)
+@click.option("--friction", type=_positive, default=1.0, show_default=True)
+@click.option("--sigma", type=_Finite(min=0.0), default=1.0, show_default=True)
+@click.option("--v0", type=_real, default=1.0, show_default=True)
+@click.option("--horizon", type=_positive, default=1.0, show_default=True)
+@click.option("--steps", type=_cells, default=1024, show_default=True)
 @click.option("--seed", type=_seed_range, required=True, help="Mandatory RNG seed.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_config_option
 def cmd_simulate_velocity(hurst, ah, mass, friction, sigma, v0, horizon, steps,
                           seed, out):
     """Exact OU velocity path plus its fractional transform to CSV."""
-    try:
-        params = LangevinParams(mass=mass, friction=friction, sigma=sigma, v0=v0)
-        grid = uniform_grid(horizon, steps)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+    params = LangevinParams(mass=mass, friction=friction, sigma=sigma, v0=v0)
+    grid = uniform_grid(horizon, steps)
     v = simulate_ou_exact(params, grid, NoiseStream(seed))
     spec = make_kernel_spec(hurst)
     if spec.regime is Regime.STANDARD:
@@ -410,10 +419,9 @@ def _check_residual(n, seed):
 @click.option("--check", type=click.Choice(["all", "covariance", "qv",
                                             "donsker", "residual"]),
               default="all", show_default=True)
-@click.option("--n", "--steps", "n", type=click.IntRange(min=1), default=None,
+@click.option("--n", "--steps", "n", type=_cells, default=None,
               help="Override the check's grid/series size.")
-@click.option("--t", "--horizon", "horizon",
-              type=click.FloatRange(min=0.0, min_open=True), default=None,
+@click.option("--t", "--horizon", "horizon", type=_positive, default=None,
               help="Override the check's horizon (qv only).")
 @click.option("--seed", type=_seed_range, default=20200409, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,

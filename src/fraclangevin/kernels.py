@@ -8,14 +8,18 @@ motion, B^H_t = int_0^t K(t,s) dB_s.  Its form changes at H = 1/2:
                            - (H-1/2) s^(1/2-H) int_s^t u^(H-3/2) (u-s)^(H-1/2) du ]
 * H = 1/2:  K == 1 (plain Brownian motion).
 
-The inner integrals are weakly singular at u = s.  Substituting
-x = (u-s)^p with p the singular exponent plus one turns the integrand
-into the bounded function (s + x^(1/p))^g, which composite Gauss-
-Legendre panels (geometrically graded toward the endpoints) integrate
-to 1e-10 relative for s/t in [1/16384, 1 - 1/16384] and within the
-1e-6 contract down to s/t = 1e-7.  That quadrature (240 powers per
-value) serves the pointwise ``kernel_value`` and fits the kernel
-profile; it builds no grid rows.
+Both regimes meet in one closed form (Decreusefond & Ustunel, Potential
+Analysis 10, 1999, after a Pfaff transformation):
+
+    K(t,s) = C_H (t (t-s) / s)^(H-1/2) 2F1(1, 1/2-H; H+1/2; (t-s)/t),
+
+with C_H = sqrt(2H G(3/2-H) G(H+1/2) / G(2-2H)) / G(H+1/2).  The pointwise
+``kernel_value`` sums 60 terms of that series when s/t >= 1/2 and of its
+connection to s/t (Abramowitz & Stegun 15.3.6) below, so the argument
+never exceeds 1/2.  For H in [0.01, 0.99] values are within a few 1e-15
+relative of 40-digit references for every s/t in (0, 1); the two terms
+of the connected form cancel as H -> 1, by about eps / (2 - 2H)
+(1.3e-13 at H = 0.9999).
 
 Both regimes are homogeneous, K(t,s) = t^(H-1/2) K(1, s/t), so
 
@@ -24,12 +28,12 @@ Both regimes are homogeneous, K(t,s) = t^(H-1/2) K(1, s/t), so
 with f smooth on (0, inf) apart from a power-law term at q -> 0.  f is
 fitted once per H by polynomial interpolation at Chebyshev points on the
 dyadic panels [2^(e-1), 2^e) of q, graded geometrically toward s -> 0
-and toward s -> t, from quadrature values alone.  Every grid row (the
-kernel matrix, kernel_weights, the residual certificate, the covariance
-identity) is one power plus a short Horner recurrence per entry, within
-1e-11 relative of the quadrature: the fit is checked against it between
-the nodes when it is built.  Ratios outside the fitted panels fall back
-to the quadrature.
+and toward s -> t, from series values.  Every grid row (the kernel
+matrix, kernel_weights, the residual certificate, the covariance
+identity) is one power plus a short Horner recurrence per entry, cheaper
+than the series and within 1e-11 relative of it: the fit is checked
+against the series between the nodes when it is built.  Ratios outside
+the fitted panels fall back to the series.
 
 Quadrature weights for integrals int_0^t K(t,s) f(s) ds use midpoint
 nodes, never endpoints: K blows up at s = 0 in both regimes, and for
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
 from .core import TimeGrid, uniform_grid
 
@@ -168,79 +172,56 @@ def make_kernel_spec(hurst: float) -> KernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# graded composite Gauss-Legendre machinery for the regularized inner integral
+# the Gauss hypergeometric series for pointwise values
 # ---------------------------------------------------------------------------
 
-# 240 nodes: within 1e-10 of the hypergeometric closed forms for
-# s/t in [1/16384, 1 - 1/16384] and H in [0.01, 0.99]
-_GL_ORDER = 20
-_GL_PANELS = 12
-_GL_DECAY = 0.3  # geometric grading ratio of panel edges toward x = 0
-
-
-@lru_cache(maxsize=None)
-def _reference_rule(order: int, panels: int, decay: float, two_sided: bool):
-    """Composite GL nodes/weights on [0, 1], panels graded toward 0.
-
-    With ``two_sided`` the grading is mirrored about 1/2 so that sharp
-    transitions near either endpoint are resolved (the above-half
-    integrand steepens near x = 1 as H approaches 1/2).
-    """
-    x, w = leggauss(order)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    if two_sided:
-        half = 0.5 * decay ** np.arange(panels // 2 - 1, -1, -1, dtype=float)
-        edges = np.concatenate(([0.0], half, (1.0 - half)[::-1][1:], [1.0]))
-    else:
-        edges = np.concatenate(
-            ([0.0], decay ** np.arange(panels - 1, -1, -1, dtype=float)))
-    nodes = (edges[:-1, None] + np.diff(edges)[:, None] * x[None, :]).ravel()
-    weights = (np.diff(edges)[:, None] * w[None, :]).ravel()
-    return nodes, weights
+# arguments stay <= 1/2 and coefficients shrink after the first, so the
+# last term is below 2^-60 of the largest
+_SERIES_TERMS = 60
 
 
 @lru_cache(maxsize=64)
-def _inner_rule(hurst: float, regime: Regime):
-    """Transformed rule for int_s^t of the regime's singular integrand.
+def _series(hurst: float):
+    """C_H, A_1, A_2 and the coefficients of both 2F1(1, 1/2-H; c; .) series.
 
-    After x = (u-s)^p the integral becomes
-        (1/p) * int_0^X (s + x^(1/p))^g dx,      X = (t-s)^p,
-    with (p, g) = (H-1/2, H-1/2) above half and (H+1/2, H-3/2) below.
-    Scaling the reference nodes by X gives (X*nu)^(1/p) = (t-s)*nu^(1/p),
-    so only nu^(1/p) is precomputed here and a single power per node
-    remains at evaluation time.
+    The coefficients (1/2-H)_n / (c)_n, n < _SERIES_TERMS, are the Taylor
+    coefficients of 2F1(1, b; c; z), with c = H+1/2 for the series in
+    (t-s)/t and c = 2-2H for the connected one in s/t.
     """
-    if regime is Regime.ABOVE_HALF:
-        p = hurst - 0.5
-        g = hurst - 0.5
-        nodes, weights = _reference_rule(_GL_ORDER, _GL_PANELS, _GL_DECAY, True)
-    else:
-        p = hurst + 0.5
-        g = hurst - 1.5
-        nodes, weights = _reference_rule(_GL_ORDER, _GL_PANELS, _GL_DECAY, False)
-    return nodes ** (1.0 / p), weights.copy(), p, g
+    h = hurst
+    g = math.gamma
+    c_h = math.sqrt(2 * h * g(1.5 - h) * g(h + 0.5) / g(2 - 2 * h)) / g(h + 0.5)
+    a1 = g(h + 0.5) * g(2 * h - 1) / (g(h - 0.5) * g(2 * h))
+    a2 = g(h + 0.5) * g(1 - 2 * h) / g(0.5 - h)
+    n = np.arange(_SERIES_TERMS - 1)
+    near, far = (np.cumprod(np.concatenate(([1.0], (0.5 - h + n) / (c + n))))
+                 for c in (h + 0.5, 2 - 2 * h))
+    return c_h, a1, a2, near, far
 
 
 def _kernel_values(spec: KernelSpec, t, s: np.ndarray) -> np.ndarray:
-    """Vectorized K(t, s); ``t`` may be a scalar or an array matching s."""
+    """Vectorized K(t, s); ``t`` may be a scalar or an array matching s.
+
+    K = C_H (t (t-s) / s)^(H-1/2) 2F1(1, 1/2-H; H+1/2; x), x = (t-s)/t,
+    summed directly for x <= 1/2; for s/t < 1/2 the connection formula
+    (Abramowitz & Stegun 15.3.6) to y = s/t gives
+    K = C_H [A_1 (t (t-s) / s)^(H-1/2) 2F1(1, 1/2-H; 2-2H; y) + A_2 s^(H-1/2)].
+    """
     s = np.asarray(s, dtype=float)
     if spec.regime is Regime.STANDARD:
         return np.ones_like(s)
     h = spec.hurst
-    u, w, p, g = _inner_rule(h, spec.regime)
+    c_h, a1, a2, near, far = _series(h)
+    t = np.broadcast_to(t, s.shape)
     gap = t - s
-    core = np.multiply.outer(u, gap)
-    core += s
-    np.power(core, g, out=core)
-    inner = w @ core
-    inner *= gap ** p / p
-    s_pow = s ** (0.5 - h)  # s^(1/2-H)
-    if spec.regime is Regime.ABOVE_HALF:
-        return spec.c_h * s_pow * inner
-    first = t ** (h - 0.5) * s_pow * gap ** (h - 0.5)
-    inner *= (h - 0.5) * s_pow
-    return spec.c_h * (first - inner)
+    out = (t * gap / s) ** (h - 0.5)
+    x = gap / t
+    direct = x <= 0.5
+    out[direct] *= polyval(x[direct], near)
+    conn = ~direct
+    sc, tc = s[conn], t[conn]
+    out[conn] = a1 * out[conn] * polyval(sc / tc, far) + a2 * sc ** (h - 0.5)
+    return c_h * out
 
 
 def kernel_value(spec: KernelSpec, t: float, s: float) -> float:
@@ -256,7 +237,7 @@ def kernel_value(spec: KernelSpec, t: float, s: float) -> float:
 
 _PROFILE_NODES = 17          # interpolation points per panel (degree 16)
 _PROFILE_EXPONENTS = (-40, 41)  # panels [2^(e-1), 2^e) of q = s/(t-s)
-PROFILE_TOL = 1e-11          # relative deviation from the quadrature
+PROFILE_TOL = 1e-11          # relative deviation from the series
 _BLOCK_ELEMS = 1 << 14       # entries per row block: 128 KiB temporaries
 
 
@@ -267,7 +248,7 @@ class _Profile:
     ``table[k, e % panels]`` is the coefficient of y^(nodes-1-k) on the
     panel of exponent e, in the local variable y = 4 q 2^-e - 3.
     ``deviation`` is the largest relative difference from the
-    quadrature at points between the nodes and on the panel edges.
+    series at points between the nodes and on the panel edges.
     """
 
     table: np.ndarray
@@ -275,21 +256,20 @@ class _Profile:
 
 
 def _panel_samples(spec: KernelSpec, ys: np.ndarray):
-    """t, s and quadrature K(t, s) at local points ys (rows) of each panel.
+    """t, s and series K(t, s) at local points ys (rows) of each panel.
 
-    t = s + 1, so q = s up to rounding; one quadrature call per row
-    bounds the temporaries of the fit.
+    t = s + 1, so q = s up to rounding.
     """
     lo, hi = _PROFILE_EXPONENTS
     expo = np.arange(hi - lo + 1)
     expo[expo > hi] -= expo.size
     s = np.ldexp((ys[:, None] + 3.0) / 4.0, expo)
     t = s + 1.0
-    return t, s, np.array([_kernel_values(spec, *row) for row in zip(t, s)])
+    return t, s, _kernel_values(spec, t, s)
 
 
 def _profile_values(spec: KernelSpec, table: np.ndarray, t, s: np.ndarray):
-    """K(t, s) from the fitted panels; the quadrature outside them.
+    """K(t, s) from the fitted panels; the series outside them.
 
     ``t`` is a scalar or an array broadcasting against ``s``.  Where
     s > t the entry is finite filler, for callers to zero.
@@ -319,7 +299,7 @@ def _profile_values(spec: KernelSpec, table: np.ndarray, t, s: np.ndarray):
 
 @lru_cache(maxsize=64)
 def _profile(spec: KernelSpec) -> _Profile:
-    """Fit f on every panel from quadrature values; check between nodes."""
+    """Fit f on every panel from series values; check between nodes."""
     n = _PROFILE_NODES
     nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
     t, s, k = _panel_samples(spec, nodes)
@@ -332,7 +312,7 @@ def _profile(spec: KernelSpec) -> _Profile:
     if not deviation <= PROFILE_TOL:
         raise ArithmeticError(
             f"kernel profile at H={spec.hurst!r} deviates {deviation:.2e} "
-            f"from the quadrature (tolerance {PROFILE_TOL:g})")
+            f"from the series (tolerance {PROFILE_TOL:g})")
     return _Profile(table, deviation)
 
 

@@ -442,3 +442,32 @@ def test_config_rejects_its_own_key(runner, tmp_path):
                                "--out", str(tmp_path / "x.csv")])
     assert res.exit_code != 0
     assert "unknown config key 'config'" in res.output
+
+
+# Numeric options of the two simulate commands -> whether 0 and -1 are
+# accepted; nan never is.  A refusal names the option, never a traceback.
+NUMERIC_OPTIONS = {"steps": (False, False), "horizon": (False, False),
+                   "mass": (False, False), "friction": (False, False),
+                   "sigma": (True, False), "v0": (True, True),
+                   "ah": (True, True)}
+
+
+@pytest.mark.parametrize("option, value, accepted", [
+    (opt, value, ok)
+    for opt, (zero_ok, minus_ok) in NUMERIC_OPTIONS.items()
+    for value, ok in (("0", zero_ok), ("-1", minus_ok), ("nan", False))])
+def test_simulate_numeric_options_are_checked_by_click(runner, tmp_path,
+                                                       option, value, accepted):
+    commands = ["simulate-velocity"]
+    if option in ("steps", "horizon"):
+        commands.append("simulate-fbm")
+    for command in commands:
+        res = runner.invoke(main, [command, "--hurst", "0.7", "--steps", "8",
+                                   "--seed", "1", "--out", str(tmp_path / "x.csv"),
+                                   f"--{option}", value])
+        if accepted:
+            assert res.exit_code == 0, res.output
+        else:
+            assert res.exit_code == 2, res.output
+            assert f"Invalid value for '--{option}'" in res.output
+            assert "Traceback" not in res.output

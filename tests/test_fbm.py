@@ -167,3 +167,22 @@ def test_exact_sampler_refuses_oversized_grid():
     # checked before the 3.2 GB covariance matrix is allocated
     with pytest.raises(DenseSizeError):
         sample_fbm_exact(0.7, uniform_grid(1.0, 20000), NoiseStream(1))
+
+
+def test_substreams_drawn_in_any_order_give_identical_paths():
+    grid = uniform_grid(1.0, 64)
+    spec = make_kernel_spec(0.3)
+
+    def draw(k):
+        stream = NoiseStream(17, k)
+        return (gaussian_increments(grid, stream),
+                sample_fbm_exact(0.7, grid, stream).values,
+                sample_fbm_kernel(spec, grid, stream).values)
+
+    in_order = [draw(k) for k in range(8)]
+    order = np.random.default_rng(3).permutation(8)
+    assert not np.array_equal(order, np.arange(8))
+    shuffled = {int(k): draw(int(k)) for k in order}
+    for k in range(8):
+        for a, b in zip(in_order[k], shuffled[k]):
+            assert np.array_equal(a, b)

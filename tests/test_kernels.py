@@ -1,6 +1,7 @@
 import math
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -115,7 +116,7 @@ def beta_integral_oracle(a, b):
 def quad_kernel_oracle(hurst, t, s):
     """scipy adaptive quadrature of the raw inner integral using the
     algebraic-endpoint weight, fully independent of the package's
-    transformed fixed rule."""
+    hypergeometric series."""
     d = t - s
     if hurst > 0.5:
         inner, _ = integrate.quad(lambda w: (w + s) ** (hurst - 0.5), 0.0, d,
@@ -207,6 +208,30 @@ def test_kernel_golden_table():
         assert kernel_value(spec, t, s) == pytest.approx(ref, rel=1e-6), (hurst, t, s)
 
 
+def mpmath_kernel(hurst, t, s):
+    """Decreusefond-Ustunel at 40 digits, in their untransformed form:
+    C_H (t-s)^(H-1/2) 2F1(H-1/2, 1/2-H; H+1/2; 1-t/s), at the exact floats."""
+    with mpmath.workdps(40):
+        h, t, s = mpmath.mpf(hurst), mpmath.mpf(t), mpmath.mpf(s)
+        c = mpmath.sqrt(2 * h * mpmath.gamma(1.5 - h) * mpmath.gamma(h + 0.5)
+                        / mpmath.gamma(2 - 2 * h)) / mpmath.gamma(h + 0.5)
+        return float(c * (t - s) ** (h - 0.5)
+                     * mpmath.hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1 - t / s))
+
+
+@pytest.mark.parametrize("hurst", [0.01, 0.1, 0.3, 0.45, 0.499998, 0.500002,
+                                   0.51, 0.7, 0.99])
+def test_kernel_value_matches_mpmath(hurst):
+    # s/t on log sweeps toward both ends: 1e-14 ... 1/2 ... 1 - 1e-14
+    near_zero = np.logspace(-14, np.log10(0.5), 15)
+    ratios = np.concatenate((near_zero, 1.0 - near_zero[-2::-1]))
+    spec = make_kernel_spec(hurst)
+    for t in (1.0, 0.3):
+        for s in ratios * t:
+            ref = mpmath_kernel(hurst, t, s)
+            assert abs(kernel_value(spec, t, s) / ref - 1) <= 1e-13, (t, s)
+
+
 def test_kernel_against_runtime_quadrature_oracle():
     for hurst, t, s in [(0.7, 1.0, 0.5), (0.75, 1.0, 0.5), (0.3, 1.0, 0.25),
                         (0.25, 2.0, 1.3), (0.9, 0.5, 0.04)]:
@@ -237,7 +262,7 @@ def test_kernel_rows_match_hypergeometric_closed_form(hurst, t):
 
 
 def quadrature_kernel_matrix(spec, grid):
-    """The row-by-row construction from the graded quadrature alone."""
+    """The row-by-row construction from the pointwise series alone."""
     n = grid.n_cells
     out = np.zeros((n, n))
     for i in range(n):
