@@ -151,6 +151,14 @@ _positive = _Finite(min=0.0, min_open=True)
 _cells = click.IntRange(min=1)
 
 
+def _grid(horizon, steps):
+    """uniform_grid; a horizon too small for distinct points is a --horizon error."""
+    try:
+        return uniform_grid(horizon, steps)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=["--horizon"])
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -178,7 +186,7 @@ def main():
 @_config_option
 def cmd_simulate_fbm(hurst, horizon, steps, paths, seed, method, out, report):
     """Sample fractional Brownian motion paths to CSV."""
-    grid = uniform_grid(horizon, steps)
+    grid = _grid(horizon, steps)
     spec = make_kernel_spec(hurst)
     cols = []
     with _dense_budget(steps):
@@ -218,7 +226,7 @@ def cmd_simulate_velocity(hurst, ah, mass, friction, sigma, v0, horizon, steps,
                           seed, out):
     """Exact OU velocity path plus its fractional transform to CSV."""
     params = LangevinParams(mass=mass, friction=friction, sigma=sigma, v0=v0)
-    grid = uniform_grid(horizon, steps)
+    grid = _grid(horizon, steps)
     v = simulate_ou_exact(params, grid, NoiseStream(seed))
     spec = make_kernel_spec(hurst)
     if spec.regime is Regime.STANDARD:

@@ -9,17 +9,17 @@ motion, B^H_t = int_0^t K(t,s) dB_s.  Its form changes at H = 1/2:
 * H = 1/2:  K == 1 (plain Brownian motion).
 
 Both regimes meet in one closed form (Decreusefond & Ustunel, Potential
-Analysis 10, 1999, after a Pfaff transformation):
+Analysis 10, 1999, after a Pfaff transformation), with C_H = c_H below
+half and c_H / (H-1/2) above:
 
-    K(t,s) = C_H (t (t-s) / s)^(H-1/2) 2F1(1, 1/2-H; H+1/2; (t-s)/t),
+    K(t,s) = C_H (t (t-s) / s)^(H-1/2) 2F1(1, 1/2-H; H+1/2; (t-s)/t)
+           = (2s/t)^(H-1/2) K(t, t/2)
+             + (H-1/2) C_H s^(H-1/2) int_(s/t)^(1/2) (1-v)^(H-3/2) v^(-2H) dv.
 
-with C_H = sqrt(2H G(3/2-H) G(H+1/2) / G(2-2H)) / G(H+1/2).  The pointwise
-``kernel_value`` sums 60 terms of that series when s/t >= 1/2 and of its
-connection to s/t (Abramowitz & Stegun 15.3.6) below, so the argument
-never exceeds 1/2.  For H in [0.01, 0.99] values are within a few 1e-15
-relative of 40-digit references for every s/t in (0, 1); the two terms
-of the connected form cancel as H -> 1, by about eps / (2 - 2H)
-(1.3e-13 at H = 0.9999).
+``kernel_value`` sums 60 terms of the series for s/t >= 1/2, and of the
+binomial series of (1-v)^(H-3/2) below, whose two logarithmic terms (at
+H = 1/2 and H = 1) go through expm1: within 5e-15 relative of 40-digit
+references for H in [0.001, 1 - 1e-8] and s/t in [1e-14, 1 - 1e-14].
 
 Both regimes are homogeneous, K(t,s) = t^(H-1/2) K(1, s/t), so
 
@@ -175,52 +175,55 @@ def make_kernel_spec(hurst: float) -> KernelSpec:
 # the Gauss hypergeometric series for pointwise values
 # ---------------------------------------------------------------------------
 
-# arguments stay <= 1/2 and coefficients shrink after the first, so the
-# last term is below 2^-60 of the largest
+# arguments stay <= 1/2: the last term is below 2^-60 of the largest
 _SERIES_TERMS = 60
 
 
 @lru_cache(maxsize=64)
 def _series(hurst: float):
-    """C_H, A_1, A_2 and the coefficients of both 2F1(1, 1/2-H; c; .) series.
+    """Coefficients of both series of K, with a = H-1/2.
 
-    The coefficients (1/2-H)_n / (c)_n, n < _SERIES_TERMS, are the Taylor
-    coefficients of 2F1(1, b; c; z), with c = H+1/2 for the series in
-    (t-s)/t and c = 2-2H for the connected one in s/t.
+    ``near``: (-a)_n / (a+1)_n, the Taylor coefficients of 2F1(1, -a; a+1; x);
+    ``far``: (1-a)_k / (k! (k-2a)), zero for k < 2;
+    ``g`` = 2^a 2F1(1, -a; a+1; 1/2) + a 4^a sum_k far_k 2^-k.
     """
-    h = hurst
-    g = math.gamma
-    c_h = math.sqrt(2 * h * g(1.5 - h) * g(h + 0.5) / g(2 - 2 * h)) / g(h + 0.5)
-    a1 = g(h + 0.5) * g(2 * h - 1) / (g(h - 0.5) * g(2 * h))
-    a2 = g(h + 0.5) * g(1 - 2 * h) / g(0.5 - h)
+    a = hurst - 0.5
     n = np.arange(_SERIES_TERMS - 1)
-    near, far = (np.cumprod(np.concatenate(([1.0], (0.5 - h + n) / (c + n))))
-                 for c in (h + 0.5, 2 - 2 * h))
-    return c_h, a1, a2, near, far
+    near = np.cumprod(np.concatenate(([1.0], (n - a) / (n + a + 1))))
+    binom = np.cumprod(np.concatenate(([1.0], (n + 1 - a) / (n + 1))))
+    far = binom / (np.arange(_SERIES_TERMS) - 2 * a)
+    far[:2] = 0.0
+    g = 2**a * polyval(0.5, near) + a * 4**a * polyval(0.5, far)
+    return near, far, g
 
 
 def _kernel_values(spec: KernelSpec, t, s: np.ndarray) -> np.ndarray:
     """Vectorized K(t, s); ``t`` may be a scalar or an array matching s.
 
-    K = C_H (t (t-s) / s)^(H-1/2) 2F1(1, 1/2-H; H+1/2; x), x = (t-s)/t,
-    summed directly for x <= 1/2; for s/t < 1/2 the connection formula
-    (Abramowitz & Stegun 15.3.6) to y = s/t gives
-    K = C_H [A_1 (t (t-s) / s)^(H-1/2) 2F1(1, 1/2-H; 2-2H; y) + A_2 s^(H-1/2)].
+    The module docstring's two forms; below s/t = 1/2, with y = s/t,
+    l = log(2y), m = expm1(-2a l) and p = 1-2a, the integral's terms in
+    v^-2a and v^(1-2a) are m 4^a / 2a and (1-a) 2^-p expm1(p l) / -p.
     """
     s = np.asarray(s, dtype=float)
     if spec.regime is Regime.STANDARD:
         return np.ones_like(s)
-    h = spec.hurst
-    c_h, a1, a2, near, far = _series(h)
+    a = spec.hurst - 0.5
+    c_h = spec.c_h / a if spec.regime is Regime.ABOVE_HALF else spec.c_h
+    near, far, g = _series(spec.hurst)
     t = np.broadcast_to(t, s.shape)
-    gap = t - s
-    out = (t * gap / s) ** (h - 0.5)
-    x = gap / t
-    direct = x <= 0.5
-    out[direct] *= polyval(x[direct], near)
-    conn = ~direct
-    sc, tc = s[conn], t[conn]
-    out[conn] = a1 * out[conn] * polyval(sc / tc, far) + a2 * sc ** (h - 0.5)
+    out = np.empty_like(s)
+    direct = (t - s) / t <= 0.5
+    if direct.any():
+        sd, td = s[direct], t[direct]
+        out[direct] = (td * (td - sd) / sd) ** a * polyval((td - sd) / td, near)
+    if not direct.all():
+        sc = s[~direct]
+        y = sc / t[~direct]
+        lg = np.log(2 * y)
+        m = np.expm1(-2 * a * lg)
+        p = 1 - 2 * a
+        out[~direct] = sc**a * (g + 4**a * (m / 2 - a * (1 + m) * polyval(y, far))
+                             - a * (1 - a) * 2**-p * np.expm1(p * lg) / p)
     return c_h * out
 
 

@@ -455,7 +455,9 @@ NUMERIC_OPTIONS = {"steps": (False, False), "horizon": (False, False),
 @pytest.mark.parametrize("option, value, accepted", [
     (opt, value, ok)
     for opt, (zero_ok, minus_ok) in NUMERIC_OPTIONS.items()
-    for value, ok in (("0", zero_ok), ("-1", minus_ok), ("nan", False))])
+    for value, ok in (("0", zero_ok), ("-1", minus_ok), ("nan", False))]
+    # positive, but too small for 8 distinct grid cells
+    + [("horizon", "2e-323", False)])
 def test_simulate_numeric_options_are_checked_by_click(runner, tmp_path,
                                                        option, value, accepted):
     commands = ["simulate-velocity"]

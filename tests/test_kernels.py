@@ -220,7 +220,7 @@ def mpmath_kernel(hurst, t, s):
 
 
 @pytest.mark.parametrize("hurst", [0.01, 0.1, 0.3, 0.45, 0.499998, 0.500002,
-                                   0.51, 0.7, 0.99])
+                                   0.51, 0.7, 0.99, 1 - 1e-6, 1 - 1e-8])
 def test_kernel_value_matches_mpmath(hurst):
     # s/t on log sweeps toward both ends: 1e-14 ... 1/2 ... 1 - 1e-14
     near_zero = np.logspace(-14, np.log10(0.5), 15)
@@ -276,7 +276,8 @@ def max_rel_dev(a, b):
 
 
 @pytest.mark.parametrize("hurst", [0.01, 0.05, 0.1, 0.3, 0.45, 0.49, 0.499998,
-                                   0.500002, 0.51, 0.7, 0.95, 0.99])
+                                   0.500002, 0.51, 0.7, 0.95, 0.99, 1 - 1e-6,
+                                   1 - 1e-8])
 def test_kernel_matrix_matches_quadrature_rows(hurst):
     spec = make_kernel_spec(hurst)
     grid = uniform_grid(1.0, 1024)
@@ -300,7 +301,7 @@ def test_kernel_matrix_falls_back_beyond_profile_panels(hurst):
     assert not np.triu(kmat, 1).any()
 
 
-@pytest.mark.parametrize("hurst", [0.01, 0.3, 0.7, 0.99])
+@pytest.mark.parametrize("hurst", [0.01, 0.3, 0.7, 0.99, 1 - 1e-6, 1 - 1e-8])
 def test_profile_records_its_deviation(hurst):
     profile = _profile(make_kernel_spec(hurst))
     assert 0.0 < profile.deviation <= PROFILE_TOL
