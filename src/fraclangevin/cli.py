@@ -151,12 +151,20 @@ _positive = _Finite(min=0.0, min_open=True)
 _cells = click.IntRange(min=1)
 
 
-def _grid(horizon, steps):
-    """uniform_grid; a horizon too small for distinct points is a --horizon error."""
+def _grid(horizon, steps, hurst=None):
+    """uniform_grid; a --horizon error if too small for distinct points or,
+    given ``hurst``, if (horizon/steps)^2H or 2 horizon^2H is not normal."""
     try:
-        return uniform_grid(horizon, steps)
+        grid = uniform_grid(horizon, steps)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint=["--horizon"])
+    if hurst is not None and not (
+            2 * hurst * math.log(horizon / steps) >= math.log(sys.float_info.min)
+            and 2 * hurst * math.log(horizon) <= math.log(sys.float_info.max / 2)):
+        raise click.BadParameter(
+            f"the fBm variance horizon^(2H) = {horizon:g}^{2 * hurst:g} on "
+            f"{steps} cells leaves the float range", param_hint=["--horizon"])
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +194,7 @@ def main():
 @_config_option
 def cmd_simulate_fbm(hurst, horizon, steps, paths, seed, method, out, report):
     """Sample fractional Brownian motion paths to CSV."""
-    grid = _grid(horizon, steps)
+    grid = _grid(horizon, steps, hurst if method == "exact" or report else None)
     spec = make_kernel_spec(hurst)
     cols = []
     with _dense_budget(steps):
@@ -234,7 +242,10 @@ def cmd_simulate_velocity(hurst, ah, mass, friction, sigma, v0, horizon, steps,
         click.echo(f"wrote t,V to {out} (H = 1/2 has no transform)")
         return
     with _dense_budget(steps):
-        fp = fractional_velocity(FractionalConfig(spec, ah), v)
+        try:
+            fp = fractional_velocity(FractionalConfig(spec, ah), v)
+        except OverflowError as exc:
+            raise click.BadParameter(str(exc), param_hint=["--horizon"])
     _write_csv(out, ["t", "V", "VH"],
                [grid.points, v.values, fp.transformed.values])
     click.echo(f"wrote t,V,VH to {out}")

@@ -54,7 +54,7 @@ class TimeGrid:
 
     @property
     def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.points[:-1] + self.points[1:])
+        return 0.5 * self.points[:-1] + 0.5 * self.points[1:]  # no overflow
 
     def index_of(self, t: float) -> int:
         """Index of the grid point equal to ``t`` (tiny fp slack allowed)."""

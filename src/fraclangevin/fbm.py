@@ -71,7 +71,7 @@ def cholesky_factor(cov: CovMatrix) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _cholesky_cached(hurst: float, grid: TimeGrid) -> np.ndarray:
-    _check_dense(grid.n_cells)
+    _check_dense(grid.n_cells, 3)  # cholesky's input, LAPACK copy, output
     ell = cholesky_factor(covariance_matrix(hurst, grid))
     ell.flags.writeable = False
     return ell

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid, uniform_grid
-from .kernels import (KernelSpec, Regime, _cell_correction, _kernel_grid,
-                      _kernel_integral, _kernel_rows, _row_blocks,
+from .kernels import (KernelSpec, Regime, _cell_correction, _kernel_integral,
+                      _kernel_rows, _kernel_values, _row_blocks,
                       kernel_weights)
 from .langevin import LangevinParams, _checked_increments, _em_values
 from .noise import gaussian_increments
@@ -94,6 +94,8 @@ def fractional_velocity(config: FractionalConfig, v: Path) -> FractionalPath:
     values = np.empty_like(v.values)
     values[0] = v.values[0]
     values[1:] = v.values[0] + phi(config, v.grid.points[1:]) * history
+    if not np.isfinite(values).all():
+        raise OverflowError("the transform V^H overflows (it grows like t |V|)")
     return FractionalPath(v, Path(v.grid, values))
 
 
@@ -136,7 +138,7 @@ def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
         out[i0:i1] = _kernel_rows(spec, times[i0:i1], mids[:i1]) @ rhs[:i1]
     res, bh = np.hsplit(out, 2)
     if spec.regime is Regime.BELOW_HALF:
-        diag = _kernel_grid(spec, times, mids)  # K(t_i, m_{i-1}) pairwise
+        diag = _kernel_values(spec, times, mids)  # K(t_i, m_{i-1}) pairwise
         corr = _cell_correction(spec, times, mids, widths, diag)
         res += b * corr[:, None] * vmid2
     return res.reshape(dv.shape), bh.reshape(dv.shape)

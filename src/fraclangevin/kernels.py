@@ -10,30 +10,19 @@ motion, B^H_t = int_0^t K(t,s) dB_s.  Its form changes at H = 1/2:
 
 Both regimes meet in one closed form (Decreusefond & Ustunel, Potential
 Analysis 10, 1999, after a Pfaff transformation), with C_H = c_H below
-half and c_H / (H-1/2) above:
+half, c_H / (H-1/2) above, a = H-1/2, p = 1-2a and y = s/t:
 
-    K(t,s) = C_H (t (t-s) / s)^(H-1/2) 2F1(1, 1/2-H; H+1/2; (t-s)/t)
-           = (2s/t)^(H-1/2) K(t, t/2)
-             + (H-1/2) C_H s^(H-1/2) int_(s/t)^(1/2) (1-v)^(H-3/2) v^(-2H) dv.
+    K(t,s) = C_H t^a ((t-s)/s)^a F((t-s)/t),   F(x) = 2F1(1, -a; a+1; x),
+           = C_H t^a [y^-a Q(y) + y^a D(y)]    for y < 1/2,
 
-``kernel_value`` sums 60 terms of the series for s/t >= 1/2, and of the
-binomial series of (1-v)^(H-3/2) below, whose two logarithmic terms (at
-H = 1/2 and H = 1) go through expm1: within 5e-15 relative of 40-digit
-references for H in [0.001, 1 - 1e-8] and s/t in [1e-14, 1 - 1e-14].
-
-Both regimes are homogeneous, K(t,s) = t^(H-1/2) K(1, s/t), so
-
-    K(t,s) = (t (t-s) / s)^(H-1/2) f(q),    q = s / (t-s),
-
-with f smooth on (0, inf) apart from a power-law term at q -> 0.  f is
-fitted once per H by polynomial interpolation at Chebyshev points on the
-dyadic panels [2^(e-1), 2^e) of q, graded geometrically toward s -> 0
-and toward s -> t, from series values.  Every grid row (the kernel
-matrix, kernel_weights, the residual certificate, the covariance
-identity) is one power plus a short Horner recurrence per entry, cheaper
-than the series and within 1e-11 relative of it: the fit is checked
-against the series between the nodes when it is built.  Ratios outside
-the fitted panels fall back to the series.
+Q(y) = 1/2 - a sum_(k>=2) (1-a)_k y^k / (k! (k-2a)) and D(y) = g - 4^a/2
+- a (1-a) 2^-p expm1(p log 2y) / p come from the binomial series of the
+integral in K(t,s) = (2y)^a K(t,t/2) + a C_H s^a int_y^(1/2) (1-v)^(a-1)
+v^(-2a-1) dv; g makes both forms meet at y = 1/2.  Once per H, 60 Taylor
+terms of F and of Q are economized to degree 20 on [0, 1/2], checking the
+dropped tail (<= 2.8e-16 for H in [0.001, 1 - 1e-8]).  Values are within
+2.2e-15 relative of 40-digit references for s/t in [1e-14, 1 - 1e-14],
+at t = 1 and at t = 1e200 alike (t (t-s) / s overflows: it is not formed).
 
 Quadrature weights for integrals int_0^t K(t,s) f(s) ds use midpoint
 nodes, never endpoints: K blows up at s = 0 in both regimes, and for
@@ -51,6 +40,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import Chebyshev, Polynomial
+from numpy.polynomial.chebyshev import cheb2poly
 from numpy.polynomial.polynomial import polyval
 
 from .core import TimeGrid, uniform_grid
@@ -71,25 +62,26 @@ __all__ = [
     "weight_matrix",
 ]
 
-# |H - 1/2| below this is treated as standard Bm: the c_H formulas are
-# numerically explosive in that band (both divide by a vanishing factor).
+# |H - 1/2| below this is treated as standard Bm, though c_H and K stay within
+# 2.2e-15 of 40-digit references down to |H - 1/2| = 1e-13 on both sides.
 HALF_GUARD = 1e-6
 
-# Largest dense n x n float64 operator built (n <= 11585).
+# Bytes of dense n x n float64 matrices one build may hold at once: one
+# kernel matrix (n <= 11585) or the three of a Cholesky factor (n <= 6688).
 DENSE_BYTES_MAX = 1 << 30
 
 
 class DenseSizeError(ValueError):
-    """A dense n x n operator would exceed DENSE_BYTES_MAX."""
+    """Dense n x n operators would exceed DENSE_BYTES_MAX."""
 
 
-def _check_dense(n: int) -> None:
-    """Raise DenseSizeError before an n x n float64 matrix is allocated."""
-    need = 8 * n * n
+def _check_dense(n: int, count: int = 1) -> None:
+    """Raise DenseSizeError before ``count`` n x n float64 matrices are held."""
+    need = 8 * n * n * count
     if need > DENSE_BYTES_MAX:
         raise DenseSizeError(
-            f"a dense {n}x{n} matrix needs {need / 2**30:.1f} GiB, over the "
-            f"{DENSE_BYTES_MAX / 2**30:g} GiB budget")
+            f"{count} dense {n}x{n} matrix(es) need {need / 2**30:.1f} GiB, "
+            f"over the {DENSE_BYTES_MAX / 2**30:g} GiB budget")
 
 
 class Regime(enum.Enum):
@@ -172,59 +164,90 @@ def make_kernel_spec(hurst: float) -> KernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# the Gauss hypergeometric series for pointwise values
+# the Gauss hypergeometric series, economized once per H
 # ---------------------------------------------------------------------------
 
-# arguments stay <= 1/2: the last term is below 2^-60 of the largest
-_SERIES_TERMS = 60
+_SERIES_TERMS = 60      # Taylor terms: at arguments <= 1/2 the last is < 2^-60
+_SERIES_DEGREE = 20     # Chebyshev degree kept on [0, 1/2]
+SERIES_TOL = 1e-11      # largest dropped Chebyshev tail accepted
+_BLOCK_ELEMS = 1 << 14  # entries per row block: 128 KiB temporaries
+
+
+@dataclass(frozen=True, eq=False)
+class _Series:
+    """Degree-20 F and 2^a Q in u = 4z - 1, and 2^-a D = d0 + d1 expm1(p log 2y);
+    ``deviation``, the larger dropped Chebyshev tail, bounds both moves."""
+
+    near: np.ndarray
+    far: np.ndarray
+    d0: float
+    d1: float
+    deviation: float
 
 
 @lru_cache(maxsize=64)
-def _series(hurst: float):
-    """Coefficients of both series of K, with a = H-1/2.
-
-    ``near``: (-a)_n / (a+1)_n, the Taylor coefficients of 2F1(1, -a; a+1; x);
-    ``far``: (1-a)_k / (k! (k-2a)), zero for k < 2;
-    ``g`` = 2^a 2F1(1, -a; a+1; 1/2) + a 4^a sum_k far_k 2^-k.
-    """
+def _series(hurst: float) -> _Series:
+    """Economize the Taylor series of F and 2^a Q; check the dropped tails."""
     a = hurst - 0.5
     n = np.arange(_SERIES_TERMS - 1)
-    near = np.cumprod(np.concatenate(([1.0], (n - a) / (n + a + 1))))
+    f = np.cumprod(np.concatenate(([1.0], (n - a) / (n + a + 1))))
     binom = np.cumprod(np.concatenate(([1.0], (n + 1 - a) / (n + 1))))
-    far = binom / (np.arange(_SERIES_TERMS) - 2 * a)
-    far[:2] = 0.0
-    g = 2**a * polyval(0.5, near) + a * 4**a * polyval(0.5, far)
-    return near, far, g
+    pk = binom / (np.arange(_SERIES_TERMS) - 2 * a)  # P(y) = sum pk y^k
+    pk[:2] = 0.0
+    g = 2**a * polyval(0.5, f) + a * 4**a * polyval(0.5, pk)
+    q = -a * 2**a * pk
+    q[0] = 2**a / 2
+    kept, tail = [], 0.0
+    for taylor in (f, q):
+        cheb = Polynomial(taylor).convert(kind=Chebyshev, domain=[0.0, 0.5]).coef
+        kept.append(cheb2poly(cheb[:_SERIES_DEGREE + 1])[::-1])
+        tail = max(tail, float(np.abs(cheb[_SERIES_DEGREE + 1:]).sum()))
+    if not tail <= SERIES_TOL:
+        raise ArithmeticError(
+            f"kernel series at H={hurst!r} deviates {tail:.2e} from its "
+            f"{_SERIES_TERMS}-term sum (tolerance {SERIES_TOL:g})")
+    return _Series(*kept, 2**-a * (g - 4**a / 2),
+                   -a * (1 - a) * 2**(a - 1) / (1 - 2 * a), tail)
+
+
+def _horner(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The economized polynomial at z in [0, 1/2]; z is overwritten."""
+    z *= 4.0
+    z -= 1.0
+    f = coef[0] * z + coef[1]
+    for c in coef[2:]:
+        f *= z
+        f += c
+    return f
 
 
 def _kernel_values(spec: KernelSpec, t, s: np.ndarray) -> np.ndarray:
-    """Vectorized K(t, s); ``t`` may be a scalar or an array matching s.
-
-    The module docstring's two forms; below s/t = 1/2, with y = s/t,
-    l = log(2y), m = expm1(-2a l) and p = 1-2a, the integral's terms in
-    v^-2a and v^(1-2a) are m 4^a / 2a and (1-a) 2^-p expm1(p l) / -p.
-    """
+    """K(t, s) for a scalar or column ``t`` against nodes ``s``; finite filler
+    where s > t.  The one evaluator: a value, a row and a block of rows run
+    the same elementwise operations, so they agree bit for bit."""
     s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
     if spec.regime is Regime.STANDARD:
-        return np.ones_like(s)
+        return np.ones(np.broadcast_shapes(t.shape, s.shape))
     a = spec.hurst - 0.5
-    c_h = spec.c_h / a if spec.regime is Regime.ABOVE_HALF else spec.c_h
-    near, far, g = _series(spec.hurst)
-    t = np.broadcast_to(t, s.shape)
-    out = np.empty_like(s)
-    direct = (t - s) / t <= 0.5
-    if direct.any():
-        sd, td = s[direct], t[direct]
-        out[direct] = (td * (td - sd) / sd) ** a * polyval((td - sd) / td, near)
-    if not direct.all():
-        sc = s[~direct]
-        y = sc / t[~direct]
+    series = _series(spec.hurst)
+    y = s / t
+    out = np.empty_like(y)
+    near = y >= 0.5
+    if near.any():
+        d = (np.abs(t - s) / s)[near]  # (t - s) / s: t (t - s) / s overflows
+        x = np.minimum(y[near] * d, 0.5)  # (t - s) / t; filler past s = 3t/2
+        out[near] = _horner(series.near, x) * np.power(d, a, out=d)
+    if not near.all():
+        y = y[~near]
         lg = np.log(2 * y)
-        m = np.expm1(-2 * a * lg)
-        p = 1 - 2 * a
-        out[~direct] = sc**a * (g + 4**a * (m / 2 - a * (1 + m) * polyval(y, far))
-                             - a * (1 - a) * 2**-p * np.expm1(p * lg) / p)
-    return c_h * out
+        r = np.exp(a * lg)  # (2y)^a
+        e = np.expm1((1 - 2 * a) * lg)
+        out[~near] = _horner(series.far, y) / r + r * (series.d0 + series.d1 * e)
+    c_h = spec.c_h / a if spec.regime is Regime.ABOVE_HALF else spec.c_h
+    # t^a without the rounding of H - 1/2, which costs |log t| ulps
+    out *= c_h * (np.power(t, spec.hurst) / np.sqrt(t))
+    return out
 
 
 def kernel_value(spec: KernelSpec, t: float, s: float) -> float:
@@ -232,102 +255,6 @@ def kernel_value(spec: KernelSpec, t: float, s: float) -> float:
     if not (0.0 < s < t):
         raise ValueError("kernel_value requires 0 < s < t")
     return float(_kernel_values(spec, float(t), np.array([s]))[0])
-
-
-# ---------------------------------------------------------------------------
-# the kernel profile: K(t,s) = (t (t-s) / s)^(H-1/2) f(s / (t-s))
-# ---------------------------------------------------------------------------
-
-_PROFILE_NODES = 17          # interpolation points per panel (degree 16)
-_PROFILE_EXPONENTS = (-40, 41)  # panels [2^(e-1), 2^e) of q = s/(t-s)
-PROFILE_TOL = 1e-11          # relative deviation from the series
-_BLOCK_ELEMS = 1 << 14       # entries per row block: 128 KiB temporaries
-
-
-@dataclass(frozen=True, eq=False)
-class _Profile:
-    """Panel coefficients of f and their checked deviation.
-
-    ``table[k, e % panels]`` is the coefficient of y^(nodes-1-k) on the
-    panel of exponent e, in the local variable y = 4 q 2^-e - 3.
-    ``deviation`` is the largest relative difference from the
-    series at points between the nodes and on the panel edges.
-    """
-
-    table: np.ndarray
-    deviation: float
-
-
-def _panel_samples(spec: KernelSpec, ys: np.ndarray):
-    """t, s and series K(t, s) at local points ys (rows) of each panel.
-
-    t = s + 1, so q = s up to rounding.
-    """
-    lo, hi = _PROFILE_EXPONENTS
-    expo = np.arange(hi - lo + 1)
-    expo[expo > hi] -= expo.size
-    s = np.ldexp((ys[:, None] + 3.0) / 4.0, expo)
-    t = s + 1.0
-    return t, s, _kernel_values(spec, t, s)
-
-
-def _profile_values(spec: KernelSpec, table: np.ndarray, t, s: np.ndarray):
-    """K(t, s) from the fitted panels; the series outside them.
-
-    ``t`` is a scalar or an array broadcasting against ``s``.  Where
-    s > t the entry is finite filler, for callers to zero.
-    """
-    gap = t - s
-    np.abs(gap, out=gap)
-    q = s / gap
-    y, expo = np.frexp(q)
-    expo = expo.astype(np.intp)  # take() would convert it on every call
-    y *= 4.0
-    y -= 3.0
-    f = np.take(table[0], expo, mode="wrap")
-    term = np.empty_like(f)
-    for row in table[1:]:
-        f *= y
-        f += np.take(row, expo, mode="wrap", out=term)
-    np.divide(t, q, out=q)  # t (t-s) / s
-    np.power(q, spec.hurst - 0.5, out=q)
-    q *= f
-    lo, hi = _PROFILE_EXPONENTS
-    if expo.min() < lo or expo.max() > hi:
-        far = ((expo < lo) | (expo > hi)) & (s < t)
-        q[far] = _kernel_values(spec, np.broadcast_to(t, q.shape)[far],
-                                np.broadcast_to(s, q.shape)[far])
-    return q
-
-
-@lru_cache(maxsize=64)
-def _profile(spec: KernelSpec) -> _Profile:
-    """Fit f on every panel from series values; check between nodes."""
-    n = _PROFILE_NODES
-    nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-    t, s, k = _panel_samples(spec, nodes)
-    table = np.linalg.solve(np.vander(nodes),
-                            k / (t / (s / (t - s))) ** (spec.hurst - 0.5))
-    table.flags.writeable = False
-    t, s, k = _panel_samples(spec, np.cos(np.pi * np.arange(1, n + 1) / n))
-    fitted = _profile_values(spec, table, t, s)
-    deviation = float(np.max(np.abs(fitted / k - 1)))
-    if not deviation <= PROFILE_TOL:
-        raise ArithmeticError(
-            f"kernel profile at H={spec.hurst!r} deviates {deviation:.2e} "
-            f"from the series (tolerance {PROFILE_TOL:g})")
-    return _Profile(table, deviation)
-
-
-def _kernel_grid(spec: KernelSpec, t, s: np.ndarray) -> np.ndarray:
-    """K(t, s) for a scalar or column ``t`` against nodes ``s``.
-
-    Filler where s > t.  The one row builder: a single row and a block of
-    rows run the same elementwise operations, so they agree bit for bit.
-    """
-    if spec.regime is Regime.STANDARD:
-        return np.ones(np.broadcast_shapes(np.shape(t), s.shape))
-    return _profile_values(spec, _profile(spec).table, t, s)
 
 
 def _row_blocks(n: int):
@@ -345,7 +272,7 @@ def _kernel_rows(spec: KernelSpec, times: np.ndarray, mids: np.ndarray):
     The last row pairs with the last node; entries right of each row's
     diagonal, j > r + mids.size - times.size, are zero.
     """
-    k = _kernel_grid(spec, times[:, None], mids)
+    k = _kernel_values(spec, times[:, None], mids)
     k *= np.tri(times.size, mids.size, mids.size - times.size)
     return k
 
@@ -419,7 +346,7 @@ def kernel_weights(spec: KernelSpec, t: float, grid: TimeGrid) -> QuadratureRule
     t = float(t)
     mids = grid.midpoints[:i]
     widths = grid.widths[:i]
-    kvals = _kernel_grid(spec, t, mids)
+    kvals = _kernel_values(spec, t, mids)
     weights = kvals * widths
     weights[-1:] += _cell_correction(spec, t, mids[-1:], widths[-1:],
                                      kvals[-1:])
@@ -490,7 +417,7 @@ def verify_covariance_identity(spec: KernelSpec, s: float, t: float, n: int) -> 
     lo, hi = (s, t) if s <= t else (t, s)
     grid = uniform_grid(lo, n)
     rule = kernel_weights(spec, lo, grid)
-    k_hi = _kernel_grid(spec, hi, rule.nodes)
+    k_hi = _kernel_values(spec, hi, rule.nodes)
     terms = k_hi * rule.weights
     if hi == lo and spec.regime is Regime.BELOW_HALF:
         # int (a x^(H-1/2) + r)^2 over the last cell; its cross term

@@ -473,3 +473,32 @@ def test_simulate_numeric_options_are_checked_by_click(runner, tmp_path,
             assert res.exit_code == 2, res.output
             assert f"Invalid value for '--{option}'" in res.output
             assert "Traceback" not in res.output
+
+
+# Horizons at the edges of the float range: each run either writes finite
+# paths or exits 2 naming --horizon, never with a traceback.
+@pytest.mark.parametrize("command, horizon, extra, accepted", [
+    ("simulate-fbm", "1e-300", [], False),        # T^2H underflows
+    ("simulate-fbm", "1e308", [], False),         # T^2H overflows
+    ("simulate-fbm", "1e308", ["--method", "kernel"], True),
+    ("simulate-fbm", "1e-300", ["--method", "kernel"], True),
+    ("simulate-fbm", "1e308", ["--method", "kernel", "--report", "variance"],
+     False),
+    ("simulate-fbm", "1e-216", ["--steps", "1024"], True),
+    ("simulate-velocity", "1e308", [], False),    # the transform overflows
+    ("simulate-velocity", "1e-300", [], True),
+])
+def test_simulate_horizon_at_float_range_edges(runner, tmp_path, command,
+                                               horizon, extra, accepted):
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, [command, "--hurst", "0.7", "--seed", "1",
+                               "--steps", "8", "--horizon", horizon,
+                               "--out", str(out), *extra])
+    assert "Traceback" not in res.output
+    if accepted:
+        assert res.exit_code == 0, res.output
+        _, data = read_csv(out)
+        assert np.isfinite(data).all()
+    else:
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--horizon'" in res.output

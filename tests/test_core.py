@@ -29,6 +29,16 @@ def test_uniform_grid_mesh_is_step():
     assert grid.mesh == pytest.approx(3.0 / 7, rel=1e-15)
 
 
+def test_midpoints_do_not_overflow():
+    for grid in (uniform_grid(1.0, 1024), uniform_grid(0.8125, 512),
+                 TimeGrid(np.array([0.0, 1e-15, 0.5, 1.0 - 1e-15, 1.0]))):
+        pts = grid.points
+        assert np.array_equal(grid.midpoints, 0.5 * (pts[:-1] + pts[1:]))
+    mids = uniform_grid(1e308, 8).midpoints
+    assert np.isfinite(mids).all()
+    assert mids[-1] == 0.9375e308
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0]))

@@ -6,6 +6,7 @@ from fraclangevin import (CovMatrix, DecompositionError, DenseSizeError,
                           fbm_covariance, gaussian_increments,
                           make_kernel_spec, sample_fbm_exact,
                           sample_fbm_kernel, uniform_grid)
+from fraclangevin import kernels
 
 
 def grid_012():
@@ -164,9 +165,14 @@ def test_increment_stationarity():
 
 
 def test_exact_sampler_refuses_oversized_grid():
-    # checked before the 3.2 GB covariance matrix is allocated
+    # checked before the 3.2 GB covariance matrix is allocated; at n = 8000
+    # one matrix is 0.5 GiB, but the factorization holds three
+    for n in (20000, 8000):
+        with pytest.raises(DenseSizeError, match=f"3 dense {n}x{n}"):
+            sample_fbm_exact(0.7, uniform_grid(1.0, n), NoiseStream(1))
+    kernels._check_dense(6688, 3)
     with pytest.raises(DenseSizeError):
-        sample_fbm_exact(0.7, uniform_grid(1.0, 20000), NoiseStream(1))
+        kernels._check_dense(6689, 3)
 
 
 def test_substreams_drawn_in_any_order_give_identical_paths():

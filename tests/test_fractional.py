@@ -208,7 +208,7 @@ def test_amplitude_rejects_grid_mismatch():
 def test_one_dense_operator_retained_per_grid():
     n = 512
     config = FractionalConfig(SPEC3, 1.0)
-    # fit the kernel profile on another grid first
+    # build the kernel series on another grid first
     fractional_velocity(config, simulate_ou_exact(
         PARAMS, uniform_grid(1.0, 16), NoiseStream(12)))
     # a grid no other test builds, so its operator is built while traced

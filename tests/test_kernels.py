@@ -13,8 +13,8 @@ from fraclangevin import (DenseSizeError, Regime, TimeGrid, beta_fn,
                           uniform_grid, verify_covariance_identity,
                           weight_matrix)
 from fraclangevin import kernels
-from fraclangevin.kernels import (PROFILE_TOL, _kernel_grid, _kernel_integral,
-                                  _kernel_values, _profile, _singular_cell)
+from fraclangevin.kernels import (SERIES_TOL, _kernel_integral, _kernel_values,
+                                  _series, _singular_cell)
 
 # High-precision reference values (mpmath, 30 digits).  Kernel points come
 # from the exact closed form of the inner integral,
@@ -226,7 +226,7 @@ def test_kernel_value_matches_mpmath(hurst):
     near_zero = np.logspace(-14, np.log10(0.5), 15)
     ratios = np.concatenate((near_zero, 1.0 - near_zero[-2::-1]))
     spec = make_kernel_spec(hurst)
-    for t in (1.0, 0.3):
+    for t in (1.0, 0.3, 1e200):
         for s in ratios * t:
             ref = mpmath_kernel(hurst, t, s)
             assert abs(kernel_value(spec, t, s) / ref - 1) <= 1e-13, (t, s)
@@ -261,13 +261,37 @@ def test_kernel_rows_match_hypergeometric_closed_form(hurst, t):
     assert np.max(np.abs(kvals / ref - 1)) <= 1e-8
 
 
-def quadrature_kernel_matrix(spec, grid):
-    """The row-by-row construction from the pointwise series alone."""
+def series60_kernel(spec, t, s):
+    """K(t, s) for a row s < t from the 60-term 2F1 sums themselves, as
+    the library evaluated it before economizing: in x = (t-s)/t for
+    s/t >= 1/2, below as the rescaled value at s/t = 1/2 plus the
+    binomial series of the integral to s/t."""
+    a = spec.hurst - 0.5
+    c_h = spec.c_h / a if spec.regime is Regime.ABOVE_HALF else spec.c_h
+    k = np.arange(59)
+    near = np.cumprod(np.concatenate(([1.0], (k - a) / (k + a + 1))))
+    binom = np.cumprod(np.concatenate(([1.0], (k + 1 - a) / (k + 1))))
+    far = binom / (np.arange(60) - 2 * a)
+    far[:2] = 0.0
+    g = (2**a * np.polynomial.polynomial.polyval(0.5, near)
+         + a * 4**a * np.polynomial.polynomial.polyval(0.5, far))
+    x, y = (t - s) / t, s / t
+    lg = np.log(2 * y)
+    m, p = np.expm1(-2 * a * lg), 1 - 2 * a
+    direct = (t * (t - s) / s) ** a * np.polynomial.polynomial.polyval(x, near)
+    connected = s**a * (g + 4**a * (m / 2 - a * (1 + m)
+                                    * np.polynomial.polynomial.polyval(y, far))
+                        - a * (1 - a) * 2**-p * np.expm1(p * lg) / p)
+    return c_h * np.where(x <= 0.5, direct, connected)
+
+
+def series_kernel_matrix(spec, grid):
+    """The row-by-row construction from the 60-term series alone."""
     n = grid.n_cells
     out = np.zeros((n, n))
     for i in range(n):
-        out[i, : i + 1] = _kernel_values(spec, float(grid.points[i + 1]),
-                                         grid.midpoints[: i + 1])
+        out[i, : i + 1] = series60_kernel(spec, float(grid.points[i + 1]),
+                                          grid.midpoints[: i + 1])
     return out
 
 
@@ -282,7 +306,7 @@ def test_kernel_matrix_matches_quadrature_rows(hurst):
     spec = make_kernel_spec(hurst)
     grid = uniform_grid(1.0, 1024)
     kmat = kernel_matrix(spec, grid)
-    ref = quadrature_kernel_matrix(spec, grid)
+    ref = series_kernel_matrix(spec, grid)
     lower = np.tril_indices(grid.n_cells)
     assert max_rel_dev(kmat[lower], ref[lower]) <= 1e-11
     assert not np.triu(kmat, 1).any()
@@ -295,22 +319,67 @@ def test_kernel_matrix_falls_back_beyond_profile_panels(hurst):
     grid = TimeGrid(np.concatenate(([0.0, 1e-15], inner, [1.0 - 1e-15, 1.0])))
     spec = make_kernel_spec(hurst)
     kmat = kernel_matrix(spec, grid)
-    ref = quadrature_kernel_matrix(spec, grid)
+    ref = series_kernel_matrix(spec, grid)
     lower = np.tril_indices(grid.n_cells)
     assert max_rel_dev(kmat[lower], ref[lower]) <= 1e-11
     assert not np.triu(kmat, 1).any()
 
 
+@pytest.mark.parametrize("hurst", [0.001, 0.01, 0.1, 0.3, 0.45, 0.499998,
+                                   0.500002, 0.51, 0.7, 0.99, 1 - 1e-6, 1 - 1e-8])
+def test_economized_series_matches_60_term_sums(hurst):
+    # degree 20 in place of 60 terms moves no value by more than 1e-14
+    near_zero = np.logspace(-14, np.log10(0.5), 40)
+    ratios = np.concatenate((near_zero, 1.0 - near_zero[-2::-1]))
+    spec = make_kernel_spec(hurst)
+    for t in (1.0, 0.3):
+        ref = series60_kernel(spec, t, ratios * t)
+        assert max_rel_dev(_kernel_values(spec, t, ratios * t), ref) <= 1e-14
+
+
+# kernel_matrix(make_kernel_spec(H), uniform_grid(1.0, 1024))[i, j] as the
+# 82-panel Chebyshev profile gave it, before the economized series replaced
+# it: the entries that moved most, then the corner and the last diagonal one
+PROFILE_KERNEL_MATRIX = [
+    (0.001, 952, 0, 1.418627300090175),
+    (0.001, 662, 0, 1.4187927348108844),
+    (0.001, 1023, 0, 1.418601069266978),
+    (0.001, 1023, 1023, 1.4225266540812562),
+    (0.3, 1015, 0, 1.9672713823667287),
+    (0.3, 507, 0, 1.9927640527350896),
+    (0.3, 1023, 0, 1.9670215296019278),
+    (0.3, 1023, 1023, 3.3555811709531436),
+    (0.7, 737, 664, 0.6470020362446723),
+    (0.7, 727, 649, 0.6557873041504819),
+    (0.7, 1023, 0, 2.647201087027726),
+    (0.7, 1023, 1023, 0.237622632445613),
+    (0.99999999, 421, 375, 6.149465558351131e-05),
+    (0.99999999, 584, 520, 7.242633902273662e-05),
+    (0.99999999, 1023, 0, 0.006412515951175131),
+    (0.99999999, 1023, 1023, 6.250509274359579e-06),
+]
+
+
+def test_kernel_matrix_moved_from_profile_within_bound():
+    grid = uniform_grid(1.0, 1024)
+    for hurst, i, j, old in PROFILE_KERNEL_MATRIX:
+        new = kernel_matrix(make_kernel_spec(hurst), grid)[i, j]
+        assert abs(new / old - 1) <= 2.5e-13, (hurst, i, j)
+        if hurst >= 0.3:
+            assert abs(new / old - 1) <= 2e-14, (hurst, i, j)
+
+
 @pytest.mark.parametrize("hurst", [0.01, 0.3, 0.7, 0.99, 1 - 1e-6, 1 - 1e-8])
 def test_profile_records_its_deviation(hurst):
-    profile = _profile(make_kernel_spec(hurst))
-    assert 0.0 < profile.deviation <= PROFILE_TOL
+    # the economized series records its dropped Chebyshev tail
+    series = _series(make_kernel_spec(hurst).hurst)
+    assert 0.0 < series.deviation <= SERIES_TOL
 
 
 def test_profile_fit_over_tolerance_raises(monkeypatch):
-    monkeypatch.setattr(kernels, "PROFILE_TOL", 1e-18)
+    monkeypatch.setattr(kernels, "SERIES_TOL", 1e-18)
     with pytest.raises(ArithmeticError, match="deviates"):
-        _profile.__wrapped__(make_kernel_spec(0.3))
+        _series.__wrapped__(make_kernel_spec(0.3).hurst)
 
 
 @given(st.floats(min_value=0.01, max_value=0.99).filter(
@@ -321,8 +390,8 @@ def test_profile_fit_over_tolerance_raises(monkeypatch):
 def test_kernel_rows_homogeneous(hurst, t, c, n):
     spec = make_kernel_spec(hurst)
     mids = uniform_grid(t, n).midpoints
-    scaled = _kernel_grid(spec, c * t, c * mids)
-    row = _kernel_grid(spec, t, mids)
+    scaled = _kernel_values(spec, c * t, c * mids)
+    row = _kernel_values(spec, t, mids)
     assert max_rel_dev(scaled, c ** (hurst - 0.5) * row) <= 1e-12
 
 

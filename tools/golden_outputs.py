@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python tools/golden_outputs.py OUTDIR
+    python tools/golden_outputs.py OUTDIR [--against OTHER_OUTDIR]
 
 The commands run with ``python -m fraclangevin.cli`` against ``./src``
 of the current directory, so the same script hashes any checkout.  For
@@ -15,11 +15,19 @@ stdout is kept as ``out_<name>.txt`` next to its CSV or JSON file, and one
 ``sha256  file`` line is printed per file (28 in all), sorted by name.
 A refactor meant to leave results unchanged leaves every line alone.
 The hashes depend on the platform (CPU, Python and numpy build).
+
+``--against OTHER_OUTDIR`` compares with the outputs an earlier run left
+there, for instance from another checkout: for each file whose hash
+moved it prints the largest absolute and relative change of the numbers
+in the file, read in order (relative to the larger magnitude of each
+pair), or says that the files hold different numbers of numbers.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,28 +59,53 @@ def commands():
             "--out", "validate_residual.json"))
 
 
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def largest_change(new: bytes, old: bytes) -> str:
+    """Largest absolute and relative change between the numbers of two files."""
+    a = [float(x) for x in NUMBER.findall(new)]
+    b = [float(x) for x in NUMBER.findall(old)]
+    if len(a) != len(b):
+        return f"{len(a)} numbers against {len(b)}"
+    diff = [(abs(x - y), max(abs(x), abs(y))) for x, y in zip(a, b) if x != y]
+    if not diff:
+        return "same numbers, other bytes"
+    return (f"max abs {max(d for d, _ in diff):.2g}, "
+            f"max rel {max(d / m for d, m in diff):.2g}")
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/golden_outputs.py OUTDIR", file=sys.stderr)
-        return 2
-    out = Path(argv[0]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--against", type=Path, metavar="OTHER_OUTDIR",
+                        help="report how far each moved file's numbers moved")
+    args = parser.parse_args(argv)
+    out = args.outdir.resolve()
     out.mkdir(parents=True, exist_ok=True)
     src = str(Path("src").resolve())
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     files = []
-    for name, args in commands():
-        proc = subprocess.run([sys.executable, "-m", "fraclangevin.cli", *args],
+    for name, cli_args in commands():
+        proc = subprocess.run([sys.executable, "-m", "fraclangevin.cli", *cli_args],
                               cwd=out, env=env, capture_output=True)
         (out / f"out_{name}.txt").write_bytes(proc.stdout)
         if proc.returncode:
             sys.stderr.write(proc.stderr.decode())
             print(f"{name}: exit status {proc.returncode}", file=sys.stderr)
             return 1
-        files += [f"out_{name}.txt", args[args.index("--out") + 1]]
+        files += [f"out_{name}.txt", cli_args[cli_args.index("--out") + 1]]
     for name in sorted(files):
-        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        print(f"{digest}  {name}")
+        data = (out / name).read_bytes()
+        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+    for name in sorted(files) if args.against is not None else ():
+        other = args.against / name
+        old = other.read_bytes() if other.exists() else None
+        new = (out / name).read_bytes()
+        if old != new:
+            change = "missing" if old is None else largest_change(new, old)
+            print(f"moved  {name}: {change}")
     return 0
 
 
