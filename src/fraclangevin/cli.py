@@ -23,10 +23,9 @@ import numpy as np
 
 from . import __version__
 from .core import NoiseStream, Path, TimeGrid, uniform_grid
-from .fractional import (DegenerateDenominatorError, FractionalConfig,
-                         ah_ratios, fractional_velocity,
-                         residual_refinement_study)
-from .hurst import DegenerateSeriesError, estimate_hurst
+from .fractional import (FractionalConfig, ah_ratios, estimate_ah,
+                         fractional_velocity, residual_refinement_study)
+from .hurst import estimate_hurst
 from .kernels import (DenseSizeError, Regime, make_kernel_spec,
                       verify_covariance_identity)
 from .langevin import LangevinParams, simulate_ou_exact
@@ -241,11 +240,11 @@ def cmd_simulate_velocity(hurst, ah, mass, friction, sigma, v0, horizon, steps,
         _write_csv(out, ["t", "V"], [grid.points, v.values])
         click.echo(f"wrote t,V to {out} (H = 1/2 has no transform)")
         return
-    with _dense_budget(steps):
+    with _dense_budget(steps), np.errstate(over="ignore", invalid="ignore"):
         try:
             fp = fractional_velocity(FractionalConfig(spec, ah), v)
         except OverflowError as exc:
-            raise click.BadParameter(str(exc), param_hint=["--horizon"])
+            raise click.BadParameter(str(exc), param_hint=["--horizon", "--v0", "--ah"])
     _write_csv(out, ["t", "V", "VH"],
                [grid.points, v.values, fp.transformed.values])
     click.echo(f"wrote t,V,VH to {out}")
@@ -253,7 +252,7 @@ def cmd_simulate_velocity(hurst, ah, mass, friction, sigma, v0, horizon, steps,
 
 @main.command("estimate-hurst")
 @click.argument("input_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--t-min", type=int, default=16, show_default=True,
+@click.option("--t-min", type=click.IntRange(min=2), default=16, show_default=True,
               help="Smallest prefix length used in the log-log fit.")
 @click.option("--increments", is_flag=True,
               help="Difference each series before the analysis.")
@@ -273,7 +272,7 @@ def cmd_estimate_hurst(input_csv, t_min, increments, out):
         data = np.diff(values) if increments else values
         try:
             est = estimate_hurst(data, t_min=t_min)
-        except (DegenerateSeriesError, ValueError) as exc:
+        except ValueError as exc:
             raise click.ClickException(f"column {name!r}: {exc}")
         reports.append({"column": name, "hurst": est.hurst,
                         "amplitude": est.amplitude,
@@ -328,11 +327,11 @@ def cmd_estimate_ah(observed_csv, velocity_csv, hurst, out):
     spec = make_kernel_spec(hurst)
     try:
         grid = TimeGrid(t_vel)
-        v_path = Path(grid, velocity)
-        ratios = ah_ratios(spec, Path(grid, observed), v_path)
-    except (DegenerateDenominatorError, ValueError) as exc:
+        v_path, o_path = Path(grid, velocity), Path(grid, observed)
+        ratios = ah_ratios(spec, o_path, v_path)
+    except ValueError as exc:
         raise click.ClickException(str(exc))
-    amplitude = float(ratios.mean())
+    amplitude = estimate_ah(spec, o_path, v_path)
     times = grid.points[1:]
     quantiles = np.quantile(ratios, [0.0, 0.05, 0.5, 0.95, 1.0])
     click.echo(f"per-time ratios: count = {ratios.size}")

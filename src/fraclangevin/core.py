@@ -15,6 +15,11 @@ import numpy as np
 __all__ = ["TimeGrid", "Path", "NoiseStream", "uniform_grid", "increments"]
 
 
+def _midpoints(values: np.ndarray) -> np.ndarray:
+    """Means of consecutive rows, halved first so that no sum overflows."""
+    return 0.5 * values[:-1] + 0.5 * values[1:]
+
+
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing mesh 0 = t_0 < t_1 < ... < t_n = T."""
@@ -54,7 +59,7 @@ class TimeGrid:
 
     @property
     def midpoints(self) -> np.ndarray:
-        return 0.5 * self.points[:-1] + 0.5 * self.points[1:]  # no overflow
+        return _midpoints(self.points)
 
     def index_of(self, t: float) -> int:
         """Index of the grid point equal to ``t`` (tiny fp slack allowed)."""

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseStream, Path, TimeGrid, uniform_grid
-from .kernels import (KernelSpec, Regime, _cell_correction, _kernel_integral,
-                      _kernel_rows, _kernel_values, _row_blocks,
-                      kernel_weights)
+from .core import NoiseStream, Path, TimeGrid, _midpoints, uniform_grid
+from .kernels import (KernelSpec, Regime, _cell_correction, _kernel_blocks,
+                      _kernel_integral, kernel_weights)
 from .langevin import LangevinParams, _checked_increments, _em_values
 from .noise import gaussian_increments
 
@@ -83,14 +82,9 @@ def phi(config: FractionalConfig, t):
     return config.amplitude * t ** (0.5 - config.spec.hurst)
 
 
-def _midpoint_values(values: np.ndarray) -> np.ndarray:
-    # linear interpolation at the cell midpoints; rows are grid points
-    return 0.5 * (values[:-1] + values[1:])
-
-
 def fractional_velocity(config: FractionalConfig, v: Path) -> FractionalPath:
     """Transform a velocity path: V_0 + phi(t_i) * <weights(t_i), V at nodes>."""
-    history = _kernel_integral(config.spec, v.grid, _midpoint_values(v.values))
+    history = _kernel_integral(config.spec, v.grid, _midpoints(v.values))
     values = np.empty_like(v.values)
     values[0] = v.values[0]
     values[1:] = v.values[0] + phi(config, v.grid.points[1:]) * history
@@ -116,32 +110,27 @@ def expected_fractional_velocity(config: FractionalConfig, params: LangevinParam
 
 
 def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
-                   dv: np.ndarray, vmid: np.ndarray, db: np.ndarray):
-    """Block-streamed residuals r(t_i) and kernel-sampled B^H(t_i).
+                   values: np.ndarray, db: np.ndarray):
+    """Residuals r(t_i) and kernel-sampled B^H(t_i) of the paths ``values``
+    (grid points by rows, one path per column of ``db``), shaped like ``db``.
 
-    r(t_i) = sum_j K(t_i, m_j) (m dV_j + b w_j V_j - sigma dB_j), plus the
-    singular-cell weight correction below half.  The column dimension
-    batches independent paths, and each block of kernel rows is applied
-    to all of them at once; no dense n x n matrix is held.
+    r(t_i) = sum_j K(t_i, m_j) (m dV_j + b w_j V_j - sigma dB_j), V_j at the
+    midpoints, plus the kernel's last-cell correction.  Rows stream from
+    :func:`_kernel_blocks`; no dense n x n matrix is held.
     """
     n = grid.n_cells
-    times = grid.points[1:]
-    mids = grid.midpoints
-    widths = grid.widths
     m, b, sig = params.mass, params.friction, params.sigma
-    vmid2 = vmid.reshape(n, -1)
+    values = values.reshape(n + 1, -1)
+    vmid = _midpoints(values)
     db2 = db.reshape(n, -1)
-    cells = m * dv.reshape(n, -1) + b * widths[:, None] * vmid2 - sig * db2
+    cells = m * np.diff(values, axis=0) + b * grid.widths[:, None] * vmid - sig * db2
     rhs = np.hstack((cells, db2))
     out = np.empty_like(rhs)
-    for i0, i1 in _row_blocks(n):
-        out[i0:i1] = _kernel_rows(spec, times[i0:i1], mids[:i1]) @ rhs[:i1]
+    for i0, i1, block in _kernel_blocks(spec, grid):
+        out[i0:i1] = block @ rhs[:i1]
     res, bh = np.hsplit(out, 2)
-    if spec.regime is Regime.BELOW_HALF:
-        diag = _kernel_values(spec, times, mids)  # K(t_i, m_{i-1}) pairwise
-        corr = _cell_correction(spec, times, mids, widths, diag)
-        res += b * corr[:, None] * vmid2
-    return res.reshape(dv.shape), bh.reshape(dv.shape)
+    res += b * _cell_correction(spec, grid)[:, None] * vmid
+    return res.reshape(db.shape), bh.reshape(db.shape)
 
 
 def transformed_langevin_residual(spec: KernelSpec, params: LangevinParams,
@@ -154,8 +143,7 @@ def transformed_langevin_residual(spec: KernelSpec, params: LangevinParams,
     is exact given a common driving Brownian path.
     """
     db = _checked_increments(v.grid, brownian_increments)
-    res, _ = _residual_pass(spec, params, v.grid, np.diff(v.values),
-                            _midpoint_values(v.values), db)
+    res, _ = _residual_pass(spec, params, v.grid, v.values, db)
     return Path(v.grid, np.concatenate(([0.0], res)))
 
 
@@ -163,8 +151,7 @@ def normalized_residual_max(spec: KernelSpec, params: LangevinParams,
                             v: Path, brownian_increments) -> float:
     """max_t |r(t)| / (sigma * max_t |B^H_t|) for one driven path."""
     db = _checked_increments(v.grid, brownian_increments)
-    res, bh = _residual_pass(spec, params, v.grid, np.diff(v.values),
-                             _midpoint_values(v.values), db)
+    res, bh = _residual_pass(spec, params, v.grid, v.values, db)
     return float(np.max(np.abs(res)) / (params.sigma * np.max(np.abs(bh))))
 
 
@@ -190,9 +177,8 @@ def residual_refinement_study(spec: KernelSpec, params: LangevinParams,
     for count in counts:
         grid = uniform_grid(horizon, count)
         db = db_fine.reshape(count, n_max // count, -1).sum(axis=1)
-        paths = _em_values(params, grid, db)
-        res, bh = _residual_pass(spec, params, grid, np.diff(paths, axis=0),
-                                 _midpoint_values(paths), db)
+        res, bh = _residual_pass(spec, params, grid,
+                                 _em_values(params, grid, db), db)
         out[count] = (np.abs(res).max(axis=0)
                       / (params.sigma * np.abs(bh).max(axis=0)))
     return out
@@ -209,7 +195,7 @@ def ah_ratios(spec: KernelSpec, observed: Path, v: Path) -> np.ndarray:
     """
     if observed.grid != v.grid:
         raise ValueError("observed and velocity paths must share a grid")
-    denominators = _kernel_integral(spec, v.grid, _midpoint_values(v.values))
+    denominators = _kernel_integral(spec, v.grid, _midpoints(v.values))
     times = v.grid.points[1:]
     scale = 1e-12 * max(1.0, float(np.max(np.abs(v.values))))
     bad = np.abs(denominators) < scale

@@ -30,7 +30,9 @@ H < 1/2 also at s = t, where the leading (t-s)^(H-1/2) factor of the
 final cell is integrated analytically instead.  So the weights are
 K(t, m_j) times the cell width plus a last-cell correction (zero unless
 H < 1/2), applied as K @ (widths f) + correction f from one cached
-kernel matrix: no weight matrix is kept.
+kernel matrix: no weight matrix is kept.  Only this module builds the
+operator: rows come from ``_kernel_blocks`` and the correction from
+``_cell_correction``, which the residual pass streams uncached.
 """
 from __future__ import annotations
 
@@ -257,24 +259,21 @@ def kernel_value(spec: KernelSpec, t: float, s: float) -> float:
     return float(_kernel_values(spec, float(t), np.array([s]))[0])
 
 
-def _row_blocks(n: int):
-    """(i0, i1) row ranges with (i1 - i0) * i1 <= _BLOCK_ELEMS (or one row)."""
+def _kernel_blocks(spec: KernelSpec, grid: TimeGrid):
+    """(i0, i1, K[i0:i1, :i1]) blocks of the kernel matrix, zero right of the
+    diagonal, with (i1 - i0) * i1 <= _BLOCK_ELEMS entries (or one row): the
+    cached operator stores them, the residual pass streams them."""
+    n = grid.n_cells
+    times = grid.points[1:, None]
+    mids = grid.midpoints
     i0 = 0
     while i0 < n:
         rows = max(1, (math.isqrt(i0 * i0 + 4 * _BLOCK_ELEMS) - i0) // 2)
-        yield i0, min(n, i0 + rows)
-        i0 += rows
-
-
-def _kernel_rows(spec: KernelSpec, times: np.ndarray, mids: np.ndarray):
-    """Rows K(times[r], mids[j]) of a lower-triangular block.
-
-    The last row pairs with the last node; entries right of each row's
-    diagonal, j > r + mids.size - times.size, are zero.
-    """
-    k = _kernel_values(spec, times[:, None], mids)
-    k *= np.tri(times.size, mids.size, mids.size - times.size)
-    return k
+        i1 = min(n, i0 + rows)
+        k = _kernel_values(spec, times[i0:i1], mids[:i1])
+        k *= np.tri(i1 - i0, i1, i0)
+        yield i0, i1, k
+        i0 = i1
 
 
 def kernel_dt(spec: KernelSpec, t: float, s: float) -> float:
@@ -324,11 +323,13 @@ def _singular_cell(spec: KernelSpec, t, m: np.ndarray, delta: np.ndarray,
     return a, r, a * delta ** (h + 0.5) / (h + 0.5) + r * delta
 
 
-def _cell_correction(spec: KernelSpec, t, m: np.ndarray, delta: np.ndarray,
-                     k: np.ndarray) -> np.ndarray:
-    """Singular-cell weight minus K(t, m) delta; zero unless H < 1/2."""
+def _cell_correction(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
+    """Singular-cell weight minus K(t, m) delta per positive grid point t,
+    m and delta its last cell's midpoint and width; zero unless H < 1/2."""
     if spec.regime is not Regime.BELOW_HALF:
-        return np.zeros_like(k)
+        return np.zeros(grid.n_cells)
+    t, m, delta = grid.points[1:], grid.midpoints, grid.widths
+    k = _kernel_values(spec, t, m)
     return _singular_cell(spec, t, m, delta, k)[2] - k * delta
 
 
@@ -345,11 +346,8 @@ def kernel_weights(spec: KernelSpec, t: float, grid: TimeGrid) -> QuadratureRule
         raise ValueError("t must be a positive grid point")
     t = float(t)
     mids = grid.midpoints[:i]
-    widths = grid.widths[:i]
-    kvals = _kernel_values(spec, t, mids)
-    weights = kvals * widths
-    weights[-1:] += _cell_correction(spec, t, mids[-1:], widths[-1:],
-                                     kvals[-1:])
+    weights = _kernel_values(spec, t, mids) * grid.widths[:i]
+    weights[-1] += _cell_correction(spec, grid)[i - 1]
     return QuadratureRule(mids, weights, t)
 
 
@@ -369,12 +367,10 @@ def _kernel_operator(spec: KernelSpec, grid: TimeGrid):
     """The read-only kernel matrix and its last-cell correction."""
     n = grid.n_cells
     _check_dense(n)
-    times = grid.points[1:]
-    mids = grid.midpoints
     out = np.zeros((n, n))
-    for i0, i1 in _row_blocks(n):
-        out[i0:i1, :i1] = _kernel_rows(spec, times[i0:i1], mids[:i1])
-    corr = _cell_correction(spec, times, mids, grid.widths, out.diagonal())
+    for i0, i1, block in _kernel_blocks(spec, grid):
+        out[i0:i1, :i1] = block
+    corr = _cell_correction(spec, grid)
     for arr in (out, corr):
         arr.flags.writeable = False
     return out, corr

@@ -124,6 +124,19 @@ def test_estimate_hurst_exact_regression(runner, tmp_path):
     assert reported == pytest.approx(slope, abs=1e-10)
 
 
+@pytest.mark.parametrize("value", [0, 1])
+def test_estimate_hurst_t_min_is_checked_by_click(runner, tmp_path, value):
+    f = tmp_path / "series.csv"
+    f.write_text("x\n" + "\n".join(str(float(v)) for v in range(40)) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t-min": value}))
+    by_flag = runner.invoke(main, ["estimate-hurst", str(f), "--t-min", str(value)])
+    by_config = runner.invoke(main, ["estimate-hurst", str(f), "--config", str(cfg)])
+    for res in (by_flag, by_config):
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--t-min'" in res.output
+
+
 def test_estimate_hurst_constant_column_fails(runner, tmp_path):
     f = tmp_path / "flat.csv"
     f.write_text("x\n" + "5.0\n" * 40)
@@ -475,8 +488,9 @@ def test_simulate_numeric_options_are_checked_by_click(runner, tmp_path,
             assert "Traceback" not in res.output
 
 
-# Horizons at the edges of the float range: each run either writes finite
-# paths or exits 2 naming --horizon, never with a traceback.
+# Horizons and velocities at the edges of the float range: each run either
+# writes finite paths or exits 2 naming --horizon (and, for the transform,
+# --v0 and --ah), never with a traceback or a numpy warning.
 @pytest.mark.parametrize("command, horizon, extra, accepted", [
     ("simulate-fbm", "1e-300", [], False),        # T^2H underflows
     ("simulate-fbm", "1e308", [], False),         # T^2H overflows
@@ -487,6 +501,9 @@ def test_simulate_numeric_options_are_checked_by_click(runner, tmp_path,
     ("simulate-fbm", "1e-216", ["--steps", "1024"], True),
     ("simulate-velocity", "1e308", [], False),    # the transform overflows
     ("simulate-velocity", "1e-300", [], True),
+    ("simulate-velocity", "1", ["--v0", "1e308", "--ah", "0"], True),
+    ("simulate-velocity", "1", ["--v0", "1e308", "--ah", "1e-3"], True),
+    ("simulate-velocity", "1", ["--v0", "1e308", "--ah", "10"], False),
 ])
 def test_simulate_horizon_at_float_range_edges(runner, tmp_path, command,
                                                horizon, extra, accepted):
@@ -495,6 +512,7 @@ def test_simulate_horizon_at_float_range_edges(runner, tmp_path, command,
                                "--steps", "8", "--horizon", horizon,
                                "--out", str(out), *extra])
     assert "Traceback" not in res.output
+    assert "RuntimeWarning" not in res.output
     if accepted:
         assert res.exit_code == 0, res.output
         _, data = read_csv(out)
@@ -502,3 +520,5 @@ def test_simulate_horizon_at_float_range_edges(runner, tmp_path, command,
     else:
         assert res.exit_code == 2, res.output
         assert "Invalid value for '--horizon'" in res.output
+        if command == "simulate-velocity":
+            assert "'--v0' / '--ah'" in res.output

@@ -47,6 +47,14 @@ def test_transform_zero_amplitude_is_flat():
     assert np.array_equal(out.transformed.values, np.full(65, v.values[0]))
 
 
+@pytest.mark.parametrize("spec", [SPEC7, SPEC3])
+def test_transform_zero_amplitude_at_float_max(spec):
+    # the midpoints of a 1e308 path do not overflow, so A = 0 gives V^H = V_0
+    v = Path(uniform_grid(1.0, 8), np.full(9, 1e308))
+    out = fractional_velocity(FractionalConfig(spec, 0.0), v)
+    assert np.array_equal(out.transformed.values, v.values)
+
+
 def test_transform_zero_velocity_is_zero():
     grid = uniform_grid(1.0, 64)
     v = Path(grid, np.zeros(65))

@@ -313,7 +313,7 @@ def test_kernel_matrix_matches_quadrature_rows(hurst):
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.7])
-def test_kernel_matrix_falls_back_beyond_profile_panels(hurst):
+def test_kernel_matrix_at_cells_near_both_ends(hurst):
     # cells 1e-15 wide at both ends: s/t and (t-s)/t fall below 2^-41
     inner = np.linspace(0.0, 1.0, 65)[1:-1]
     grid = TimeGrid(np.concatenate(([0.0, 1e-15], inner, [1.0 - 1e-15, 1.0])))
@@ -376,7 +376,7 @@ def test_profile_records_its_deviation(hurst):
     assert 0.0 < series.deviation <= SERIES_TOL
 
 
-def test_profile_fit_over_tolerance_raises(monkeypatch):
+def test_series_over_tolerance_raises(monkeypatch):
     monkeypatch.setattr(kernels, "SERIES_TOL", 1e-18)
     with pytest.raises(ArithmeticError, match="deviates"):
         _series.__wrapped__(make_kernel_spec(0.3).hurst)
