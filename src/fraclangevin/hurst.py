@@ -11,10 +11,16 @@ Centering each prefix by its own mean (rather than centering once by
 the full-series mean) is what keeps the estimator consistent: a global
 center turns the largest prefixes into pinned bridges with suppressed
 ranges and drags the fitted slope well below the true index.
+
+All n prefix ranges cost O(n log n), not O(n^2): with S the partial
+sums and d_t the prefix mean, Z_j = S_j - d_t j, so the extremes of Z
+are two queries against the upper and lower convex hulls of the points
+(j, S_j), which grow by one point per prefix.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +81,18 @@ def rs_series(series) -> RSSeries:
     Entries whose standard deviation or range vanishes are excluded
     (they carry no information and would break the log fit); if nothing
     remains, e.g. for a constant series, a DegenerateSeriesError is
-    raised.  O(n^2): each prefix is recentered by its own mean.
+    raised.  O(n log n): each prefix's range is read off the convex
+    hulls of the partial sums (see _hull_argmax).
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a one-dimensional series of length >= 2")
     n = x.size
+    # R/S is scale-free and scaling by a power of two is exact, so bring
+    # max|x| into [1/2, 1): the mean and the squares below cannot overflow
+    peak = float(np.abs(x).max())
+    if peak > 0.0:
+        x = np.ldexp(x, -math.frexp(peak)[1])
     # work on globally centered values so large offsets cost no precision;
     # per-prefix recentering below makes this mathematically neutral
     y = x - x.mean()
@@ -88,15 +100,52 @@ def rs_series(series) -> RSSeries:
     t = np.arange(1, n + 1, dtype=float)
     drift = sums / t
     std = np.sqrt(np.clip(np.cumsum(y * y) / t - drift * drift, 0.0, None))
-    ranges = np.empty(n)
-    for i in range(n):
-        z = sums[: i + 1] - drift[i] * t[: i + 1]
-        ranges[i] = z.max() - z.min()
+    ranges = _prefix_ranges(sums, drift, t)
     keep = (std > 0) & (ranges > 0)
     keep[0] = False
     if not keep.any():
         raise DegenerateSeriesError("series has no positive rescaled-range entries")
     return RSSeries(np.nonzero(keep)[0] + 1, ranges[keep] / std[keep])
+
+
+def _prefix_ranges(sums, drift, t) -> np.ndarray:
+    """R_i = max_j Z_ij - min_j Z_ij, Z_ij = S_j - d_i t_j over j <= i.
+
+    Z is evaluated only at the argmax and the argmin that the convex
+    hulls give, with the same two roundings as a direct pass over every
+    j, so the ranges agree with that pass bit for bit unless two Z_ij
+    tie to rounding.
+    """
+    hi = _hull_argmax(sums, drift)
+    lo = _hull_argmax(-sums, -drift)  # -Z is Z of the mirrored points
+    return (sums[hi] - drift * t[hi]) - (sums[lo] - drift * t[lo])
+
+
+def _hull_argmax(sums, drift) -> np.ndarray:
+    """For every i, a j <= i maximizing S_j - d_i t_j (t_j = j + 1).
+
+    The maximum lies on the upper convex hull of the points (t_j, S_j),
+    at the vertex where the hull's edge slopes cross d_i.  The points
+    arrive in order of t, so Andrew's monotone chain keeps the hull as a
+    stack (amortized O(1) per point) and one bisection finds the vertex.
+    """
+    s = sums.tolist()
+    hull, neg_slopes = [0], []  # vertices j; their edge slopes, negated to ascend
+    best = np.zeros(len(s), dtype=np.intp)
+    for i, d in enumerate(drift.tolist()[1:], start=1):
+        si = s[i]
+        # orientation test by edge slopes: pop the last vertex while it is
+        # not strictly convex, so the slope list stays strictly sorted
+        g = (si - s[hull[-1]]) / (i - hull[-1])
+        while neg_slopes and -neg_slopes[-1] <= g:
+            hull.pop()
+            neg_slopes.pop()
+            g = (si - s[hull[-1]]) / (i - hull[-1])
+        hull.append(i)
+        neg_slopes.append(-g)
+        # S_j - d t_j rises along an edge while its slope exceeds d
+        best[i] = hull[bisect_left(neg_slopes, -d)]
+    return best
 
 
 def loglog_regression(lengths, ratios) -> tuple[float, float, float]:

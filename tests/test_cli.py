@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fraclangevin import estimate_hurst
 from fraclangevin.cli import main
 
 
@@ -178,6 +179,26 @@ def test_estimate_hurst_batch_mean_and_increments(runner, tmp_path):
     assert "mean H over 3 columns" in res.output
     report = json.loads((tmp_path / "rep.json").read_text())
     assert len(report["columns"]) == 3 and "mean_hurst" in report
+
+
+def test_estimate_hurst_near_float_max(runner, tmp_path):
+    # increments near 1e307 square past the float range unless R/S works
+    # at unit scale; the 8 increments need --t-min below the default 16
+    vel = tmp_path / "v3.csv"
+    res = runner.invoke(main, ["simulate-velocity", "--hurst", "0.3", "--seed", "1",
+                               "--steps", "8", "--v0", "1e308", "--ah", "1e-3",
+                               "--out", str(vel)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["estimate-hurst", str(vel), "--increments"])
+    assert res.exit_code == 1
+    assert "fewer than two rescaled-range entries at t >= 16" in res.output
+    res = runner.invoke(main, ["estimate-hurst", str(vel), "--increments",
+                               "--t-min", "2"])
+    assert res.exit_code == 0, res.output
+    assert "RuntimeWarning" not in res.output
+    _, data = read_csv(vel)
+    hurst = estimate_hurst(np.diff(data[:, 1]) * 2.0**-1000, t_min=2).hurst
+    assert f"V: H = {hurst!r} " in res.output
 
 
 def test_estimate_ah_round_trip(runner, tmp_path):

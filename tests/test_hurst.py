@@ -5,6 +5,88 @@ from hypothesis import given, strategies as st
 from fraclangevin import (DegenerateSeriesError, NoiseStream, estimate_hurst,
                           loglog_regression, rs_series, sample_fbm_exact,
                           uniform_grid)
+from fraclangevin.hurst import _prefix_ranges
+
+EPS = np.finfo(float).eps
+
+
+def loop_terms(series):
+    """Partial sums S, prefix means d, lengths t and standard deviations
+    of the globally centred series, formed as rs_series forms them (less
+    its exact power-of-two scaling)."""
+    y = series - series.mean()
+    sums = np.cumsum(y)
+    t = np.arange(1, y.size + 1, dtype=float)
+    drift = sums / t
+    std = np.sqrt(np.clip(np.cumsum(y * y) / t - drift * drift, 0.0, None))
+    return sums, drift, t, std
+
+
+def loop_ranges(sums, drift, t):
+    """The O(n^2) reference: R_i from one pass over every j <= i."""
+    ranges = np.empty(t.size)
+    for i in range(t.size):
+        z = sums[: i + 1] - drift[i] * t[: i + 1]
+        ranges[i] = z.max() - z.min()
+    return ranges
+
+
+def fgn(hurst, n):
+    grid = uniform_grid(1.0, n)
+    return np.diff(sample_fbm_exact(hurst, grid, NoiseStream(8, 0)).values)
+
+
+# The hull keeps every point (noise) or many collinear ones (arange, the
+# alternating and squared series): the ranges must be the loop's, bit for bit.
+@pytest.mark.parametrize("make", [
+    lambda: fgn(0.3, 2048),
+    lambda: fgn(0.7, 2048),
+    lambda: fgn(0.3, 4096),
+    lambda: fgn(0.7, 4096),
+    lambda: NoiseStream(36).generator().standard_normal(3000),
+    lambda: np.arange(1000.0),
+    lambda: np.array([1.0, -1.0] * 500),
+    lambda: np.arange(1000.0) ** 2,
+], ids=["fgn-0.3-2048", "fgn-0.7-2048", "fgn-0.3-4096", "fgn-0.7-4096",
+        "iid", "arange", "alternating", "squares"])
+def test_hull_ranges_bit_equal_to_loop(make):
+    x = make()
+    sums, drift, t, std = loop_terms(x)
+    ranges = loop_ranges(sums, drift, t)
+    assert np.array_equal(_prefix_ranges(sums, drift, t), ranges)
+    keep = (std > 0) & (ranges > 0)
+    keep[0] = False
+    rs = rs_series(x)
+    assert np.array_equal(rs.lengths, np.nonzero(keep)[0] + 1)
+    assert np.array_equal(rs.ratios, ranges[keep] / std[keep])
+
+
+# Rounded values, constant runs and collinear partial sums: the hull may
+# pick another argmax among values that tie to rounding, so R_t may move
+# by a few ulps of the partial sums it is formed from (not of R_t, which
+# is itself rounding noise when it nearly vanishes).
+@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 12)),
+                min_size=1, max_size=20),
+       st.sampled_from([1.0, 0.1, 1e-3, 7.0]),
+       st.integers(-1000, 1000))
+def test_hull_ranges_match_loop_to_rounding(runs, unit, offset):
+    x = np.repeat([v / 10 * unit + offset / 10 for v, _ in runs],
+                  [k for _, k in runs])
+    if x.size < 2:
+        return
+    sums, drift, t, std = loop_terms(x)
+    ranges = loop_ranges(sums, drift, t)
+    bound = 8 * EPS * (np.maximum.accumulate(np.abs(sums)) + np.abs(drift) * t)
+    assert (np.abs(_prefix_ranges(sums, drift, t) - ranges) <= bound).all()
+    keep = (std > 0) & (ranges > 0)
+    keep[0] = False
+    got = np.zeros(x.size, dtype=bool)
+    try:
+        got[rs_series(x).lengths - 1] = True
+    except DegenerateSeriesError:
+        pass
+    sure = ranges > bound
+    assert np.array_equal(got[sure], keep[sure])
 
 
 def test_rs_series_hand_example():
@@ -104,6 +186,17 @@ def test_estimate_affine_invariance_bitwise_for_doubling():
     a = estimate_hurst(x)
     b = estimate_hurst(2.0 * x)
     assert (a.hurst, a.amplitude, a.r_squared) == (b.hurst, b.amplitude, b.r_squared)
+
+
+@pytest.mark.parametrize("k", [-600, 1, 600])
+def test_rs_series_bitwise_invariant_under_powers_of_two(k):
+    # at 2^600 the squares overflow and at 2^-600 they underflow unless
+    # the series is first brought to unit scale
+    x = NoiseStream(35).generator().standard_normal(512)
+    a = rs_series(x)
+    b = rs_series(x * 2.0**k)
+    assert np.array_equal(a.lengths, b.lengths)
+    assert np.array_equal(a.ratios, b.ratios)
 
 
 def test_estimate_affine_invariance_general():
