@@ -418,6 +418,8 @@ def _check_donsker(n, seed):
 def _check_residual(n, seed):
     n = n or 1024
     coarse = max(16, n // 4)
+    if coarse >= n:
+        raise ValueError(f"need more than {coarse} cells to refine a coarser grid")
     spec = make_kernel_spec(0.7)
     params = LangevinParams(mass=1.0, friction=2.0, sigma=0.5, v0=1.0)
     study = residual_refinement_study(spec, params, 1.0, [coarse, n], 8,

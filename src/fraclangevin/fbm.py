@@ -10,12 +10,11 @@ mesh shrinks and reduces to plain Bm partial sums at H = 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid
-from .kernels import (KernelSpec, Regime, _check_dense, fbm_covariance,
+from .kernels import (KernelSpec, Regime, _dense_cached, fbm_covariance,
                       kernel_matrix)
 from .noise import gaussian_increments
 
@@ -69,17 +68,12 @@ def cholesky_factor(cov: CovMatrix) -> np.ndarray:
         raise DecompositionError(f"covariance is not positive definite: {exc}") from exc
 
 
-@lru_cache(maxsize=4)
-def _cholesky_cached(hurst: float, grid: TimeGrid) -> np.ndarray:
-    _check_dense(grid.n_cells, 3)  # cholesky's input, LAPACK copy, output
-    ell = cholesky_factor(covariance_matrix(hurst, grid))
-    ell.flags.writeable = False
-    return ell
-
-
 def sample_fbm_exact(hurst: float, grid: TimeGrid, stream: NoiseStream) -> Path:
     """Draw one fBm path with the exact finite-dimensional law N(0, R)."""
-    ell = _cholesky_cached(float(hurst), grid)
+    hurst = float(hurst)
+    # three matrices at once: cholesky's input, its LAPACK copy and its output
+    ell, = _dense_cached(("cholesky", hurst, grid), grid.n_cells, 3,
+                         lambda: (cholesky_factor(covariance_matrix(hurst, grid)),))
     z = stream.generator().standard_normal(grid.n_cells)
     return Path(grid, np.concatenate(([0.0], ell @ z)))
 

@@ -166,6 +166,10 @@ def residual_refinement_study(spec: KernelSpec, params: LangevinParams,
     the largest one.
     """
     counts = sorted(int(c) for c in cell_counts)
+    if not (counts and counts[0] >= 1):
+        raise ValueError("cell_counts must be one or more positive counts")
+    if int(n_seeds) < 1:
+        raise ValueError("n_seeds must be at least 1")
     n_max = counts[-1]
     if any(n_max % c for c in counts):
         raise ValueError("cell counts must divide the largest count")

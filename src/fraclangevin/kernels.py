@@ -29,15 +29,19 @@ nodes, never endpoints: K blows up at s = 0 in both regimes, and for
 H < 1/2 also at s = t, where the leading (t-s)^(H-1/2) factor of the
 final cell is integrated analytically instead.  So the weights are
 K(t, m_j) times the cell width plus a last-cell correction (zero unless
-H < 1/2), applied as K @ (widths f) + correction f from one cached
-kernel matrix: no weight matrix is kept.  Only this module builds the
-operator: rows come from ``_kernel_blocks`` and the correction from
+H < 1/2), applied as K @ (widths f) + correction f from one kernel
+matrix: no weight matrix is kept.  Only this module builds the operator:
+rows come from ``_kernel_blocks`` and the correction from
 ``_cell_correction``, which the residual pass streams uncached.
+
+One store, ``_dense_cached``, keeps kernel matrices and the exact sampler's
+Cholesky factors within DENSE_BYTES_MAX, least recently used first out.
 """
 from __future__ import annotations
 
 import enum
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,22 +72,53 @@ __all__ = [
 # 2.2e-15 of 40-digit references down to |H - 1/2| = 1e-13 on both sides.
 HALF_GUARD = 1e-6
 
-# Bytes of dense n x n float64 matrices one build may hold at once: one
-# kernel matrix (n <= 11585) or the three of a Cholesky factor (n <= 6688).
+# Bytes of dense n x n float64 matrices that the store keeps and one build
+# holds at once: one kernel matrix (n <= 11585) or the three of a Cholesky
+# factor (n <= 6688).
 DENSE_BYTES_MAX = 1 << 30
+
+# The dense store: key -> read-only arrays, least recently used first.
+_DENSE: OrderedDict = OrderedDict()
 
 
 class DenseSizeError(ValueError):
     """Dense n x n operators would exceed DENSE_BYTES_MAX."""
 
 
-def _check_dense(n: int, count: int = 1) -> None:
+def _check_dense(n: int, count: int) -> None:
     """Raise DenseSizeError before ``count`` n x n float64 matrices are held."""
     need = 8 * n * n * count
     if need > DENSE_BYTES_MAX:
         raise DenseSizeError(
             f"{count} dense {n}x{n} matrix(es) need {need / 2**30:.1f} GiB, "
             f"over the {DENSE_BYTES_MAX / 2**30:g} GiB budget")
+
+
+def _dense_held() -> int:
+    """Bytes of the n x n matrices in the store (not the kernel's n-vectors)."""
+    return sum(a.nbytes for arrays in _DENSE.values() for a in arrays
+               if a.ndim == 2)
+
+
+def _dense_cached(key, n: int, count: int, build):
+    """The read-only arrays ``build()`` returned for ``key``, from the store.
+
+    A hit becomes the most recently used entry.  A miss is refused by
+    :func:`_check_dense` when the ``count`` n x n matrices its build holds
+    do not fit alone; otherwise least recently used entries go until they
+    fit beside the rest, and the result is kept.
+    """
+    if key in _DENSE:
+        _DENSE.move_to_end(key)
+        return _DENSE[key]
+    _check_dense(n, count)
+    while _DENSE and _dense_held() + 8 * n * n * count > DENSE_BYTES_MAX:
+        _DENSE.popitem(last=False)
+    arrays = build()
+    for arr in arrays:
+        arr.flags.writeable = False
+    _DENSE[key] = arrays
+    return arrays
 
 
 class Regime(enum.Enum):
@@ -356,24 +391,25 @@ def kernel_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
 
     Row i discretizes integrals up to the positive grid point t_{i+1}
     against cell midpoints; the strict upper triangle is zero.  The
-    returned array is cached and read-only, so it is shared between
-    callers.  Raises :class:`DenseSizeError` beyond DENSE_BYTES_MAX.
+    returned array is read-only and shared between callers: it stays in
+    the dense store (with the Cholesky factors of the exact sampler)
+    until DENSE_BYTES_MAX needs its bytes, least recently used first.
+    Raises :class:`DenseSizeError` when it alone exceeds DENSE_BYTES_MAX.
     """
     return _kernel_operator(spec, grid)[0]
 
 
-@lru_cache(maxsize=4)
 def _kernel_operator(spec: KernelSpec, grid: TimeGrid):
     """The read-only kernel matrix and its last-cell correction."""
     n = grid.n_cells
-    _check_dense(n)
-    out = np.zeros((n, n))
-    for i0, i1, block in _kernel_blocks(spec, grid):
-        out[i0:i1, :i1] = block
-    corr = _cell_correction(spec, grid)
-    for arr in (out, corr):
-        arr.flags.writeable = False
-    return out, corr
+
+    def build():
+        out = np.zeros((n, n))
+        for i0, i1, block in _kernel_blocks(spec, grid):
+            out[i0:i1, :i1] = block
+        return out, _cell_correction(spec, grid)
+
+    return _dense_cached(("kernel", spec, grid), n, 1, build)
 
 
 def weight_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:

@@ -376,7 +376,10 @@ def test_cli_surface_is_pinned():
     (["--check", "qv", "--t", "-1"], "-1.0 is not in the range x>0"),
     (["--check", "qv", "--n", "0"], "0 is not in the range x>=1"),
     (["--check", "qv", "--seed", "-1"], "-1 is not in the range 0<=x<="),
-], ids=["residual-n50", "covariance-n8", "qv-t-1", "qv-n0", "seed-1"])
+    (["--check", "residual", "--n", "16"], "need more than 16 cells"),
+    (["--check", "residual", "--n", "8"], "need more than 16 cells"),
+], ids=["residual-n50", "covariance-n8", "qv-t-1", "qv-n0", "seed-1",
+        "residual-n16", "residual-n8"])
 def test_validate_bad_size_is_a_usage_error(runner, args, reason):
     res = runner.invoke(main, ["validate", *args])
     assert res.exit_code == 2, res.output

@@ -166,6 +166,17 @@ def test_residual_study_rejects_nondivisible_counts():
                                   NoiseStream(0))
 
 
+@pytest.mark.parametrize("counts, n_seeds, name", [
+    ([64, 256], 0, "n_seeds"),
+    ([0, 256], 4, "cell_counts"),
+    ([], 4, "cell_counts"),
+], ids=["no-seeds", "zero-count", "no-counts"])
+def test_residual_study_names_bad_argument(counts, n_seeds, name):
+    with pytest.raises(ValueError, match=name):
+        residual_refinement_study(SPEC7, PARAMS, 1.0, counts, n_seeds,
+                                  NoiseStream(0))
+
+
 @pytest.mark.parametrize("spec", [SPEC7, SPEC3])
 def test_amplitude_round_trip(spec):
     grid = uniform_grid(1.0, 256)

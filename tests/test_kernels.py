@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 from decimal import Decimal, localcontext
 
 import mpmath
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate, special
 
-from fraclangevin import (DenseSizeError, Regime, TimeGrid, beta_fn,
-                          fbm_covariance, kernel_dt, kernel_matrix,
+from fraclangevin import (DenseSizeError, NoiseStream, Regime, TimeGrid,
+                          beta_fn, fbm_covariance, kernel_dt, kernel_matrix,
                           kernel_value, kernel_weights, make_kernel_spec,
-                          uniform_grid, verify_covariance_identity,
-                          weight_matrix)
+                          sample_fbm_exact, uniform_grid,
+                          verify_covariance_identity, weight_matrix)
 from fraclangevin import kernels
 from fraclangevin.kernels import (SERIES_TOL, _kernel_integral, _kernel_values,
                                   _series, _singular_cell)
@@ -401,6 +402,58 @@ def test_dense_operators_refuse_oversized_grids():
     for build in (kernel_matrix, weight_matrix):
         with pytest.raises(DenseSizeError, match="20000x20000"):
             build(spec, grid)
+
+
+def test_dense_store_is_bounded_by_bytes(monkeypatch):
+    # a fresh store with room for three n = 64 matrices: a kernel matrix
+    # needs one, a Cholesky build holds three at once
+    n = 64
+    budget = 3 * 8 * n * n
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", budget)
+    grid = uniform_grid(1.0, n)
+
+    def kmat(h):
+        out = kernel_matrix(make_kernel_spec(h), grid)
+        assert kernels._dense_held() <= budget
+        return out
+
+    def exact(h):
+        path = sample_fbm_exact(h, grid, NoiseStream(1))
+        assert kernels._dense_held() <= budget
+        return path.values
+
+    def kept():
+        return [(k[0], getattr(k[1], "hurst", k[1])) for k in kernels._DENSE]
+
+    k3, k7 = kmat(0.3), kmat(0.7)
+    assert kmat(0.3) is k3  # a hit, now the most recently used
+    k4 = kmat(0.4)
+    assert kept() == [("kernel", 0.7), ("kernel", 0.3), ("kernel", 0.4)]
+    kmat(0.6)  # no room: the least recently used, H = 0.7, goes
+    assert kept() == [("kernel", 0.3), ("kernel", 0.4), ("kernel", 0.6)]
+    b7 = exact(0.7)  # three matrices at once: everything else goes
+    assert kept() == [("cholesky", 0.7)]
+    factor = kernels._DENSE[("cholesky", 0.7, grid)][0]
+    assert not factor.flags.writeable
+    again = kmat(0.7)  # evicted, rebuilt bit for bit
+    assert again is not k7 and np.array_equal(again, k7)
+    assert not again.flags.writeable
+    assert np.array_equal(exact(0.7), b7)
+    assert kernels._DENSE[("cholesky", 0.7, grid)][0] is factor
+    assert np.array_equal(kmat(0.4), k4)
+    assert kept() == [("kernel", 0.7), ("cholesky", 0.7), ("kernel", 0.4)]
+    kmat(0.3)
+    assert kept() == [("cholesky", 0.7), ("kernel", 0.4), ("kernel", 0.3)]
+    kmat(0.2)  # the Cholesky factor is now the least recently used
+    assert kept() == [("kernel", 0.4), ("kernel", 0.3), ("kernel", 0.2)]
+
+    # one build over the budget is refused and evicts nothing
+    with pytest.raises(DenseSizeError, match="1 dense 111x111"):
+        kernel_matrix(make_kernel_spec(0.3), uniform_grid(1.0, 111))
+    with pytest.raises(DenseSizeError, match="3 dense 65x65"):
+        sample_fbm_exact(0.7, uniform_grid(1.0, 65), NoiseStream(1))
+    assert kept() == [("kernel", 0.4), ("kernel", 0.3), ("kernel", 0.2)]
 
 
 def test_kernel_rejects_bad_domain():
