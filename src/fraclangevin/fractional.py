@@ -14,7 +14,9 @@ when V and B^H are driven by one Brownian path; its discretized
 residual is the falsifiable certificate that the transform, the kernel
 quadrature and the samplers all fit together.  Finally the amplitude A
 is recovered from measured transform values by averaging the per-time
-ratios t^(H-1/2) (V^H_t - V_0) / int_0^t K(t,s) V_s ds.
+ratios t^(H-1/2) (V^H_t - V_0) / int_0^t K(t,s) V_s ds.  The transform
+and the fit share that kernel integral: it is computed once per
+(kernel spec, velocity path) and lives as long as the path does.
 
 The t -> 0 boundary of the transform is defined by continuity: below
 half both factors vanish, above half the integral vanishes faster than
@@ -22,6 +24,7 @@ phi diverges, so V^H(0) = V_0 and phi is never evaluated at 0.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +85,26 @@ def phi(config: FractionalConfig, t):
     return config.amplitude * t ** (0.5 - config.spec.hurst)
 
 
+_HISTORIES = weakref.WeakKeyDictionary()  # Path -> {KernelSpec: int K V ds}
+
+
+def _history(spec: KernelSpec, v: Path) -> np.ndarray:
+    """Read-only int_0^(t_i) K(t_i,s) V_s ds at t_1..t_n, once per (spec, path).
+
+    Keyed by value (an O(n) hash, small against the n x n mat-vec it
+    saves); an entry dies with its path.
+    """
+    per_spec = _HISTORIES.setdefault(v, {})
+    if spec not in per_spec:
+        out = _kernel_integral(spec, v.grid, _midpoints(v.values))
+        out.flags.writeable = False
+        per_spec[spec] = out
+    return per_spec[spec]
+
+
 def fractional_velocity(config: FractionalConfig, v: Path) -> FractionalPath:
     """Transform a velocity path: V_0 + phi(t_i) * <weights(t_i), V at nodes>."""
-    history = _kernel_integral(config.spec, v.grid, _midpoints(v.values))
+    history = _history(config.spec, v)
     values = np.empty_like(v.values)
     values[0] = v.values[0]
     values[1:] = v.values[0] + phi(config, v.grid.points[1:]) * history
@@ -191,15 +211,16 @@ def residual_refinement_study(spec: KernelSpec, params: LangevinParams,
 def ah_ratios(spec: KernelSpec, observed: Path, v: Path) -> np.ndarray:
     """Per-time amplitude ratios t_i^(H-1/2) (V^H_i - V_0) / int_0^(t_i) K V.
 
-    One ratio per positive grid time.  The denominators use the same
-    kernel weights as the forward transform, so each ratio of a
-    noiseless transform is the amplitude to floating-point accuracy.
+    One ratio per positive grid time.  The denominators are the path's
+    kernel integral that the forward transform shares (computed once per
+    (spec, path)), so each ratio of a noiseless transform is the
+    amplitude to floating-point accuracy.
     Raises :class:`DegenerateDenominatorError` where a denominator
     vanishes relative to the velocity's scale.
     """
     if observed.grid != v.grid:
         raise ValueError("observed and velocity paths must share a grid")
-    denominators = _kernel_integral(spec, v.grid, _midpoints(v.values))
+    denominators = _history(spec, v)
     times = v.grid.points[1:]
     scale = 1e-12 * max(1.0, float(np.max(np.abs(v.values))))
     bad = np.abs(denominators) < scale

@@ -82,7 +82,7 @@ def rs_series(series) -> RSSeries:
     (they carry no information and would break the log fit); if nothing
     remains, e.g. for a constant series, a DegenerateSeriesError is
     raised.  O(n log n): each prefix's range is read off the convex
-    hulls of the partial sums (see _hull_argmax).
+    hulls of the partial sums (see _prefix_ranges).
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -111,41 +111,40 @@ def rs_series(series) -> RSSeries:
 def _prefix_ranges(sums, drift, t) -> np.ndarray:
     """R_i = max_j Z_ij - min_j Z_ij, Z_ij = S_j - d_i t_j over j <= i.
 
-    Z is evaluated only at the argmax and the argmin that the convex
-    hulls give, with the same two roundings as a direct pass over every
-    j, so the ranges agree with that pass bit for bit unless two Z_ij
-    tie to rounding.
-    """
-    hi = _hull_argmax(sums, drift)
-    lo = _hull_argmax(-sums, -drift)  # -Z is Z of the mirrored points
-    return (sums[hi] - drift * t[hi]) - (sums[lo] - drift * t[lo])
-
-
-def _hull_argmax(sums, drift) -> np.ndarray:
-    """For every i, a j <= i maximizing S_j - d_i t_j (t_j = j + 1).
-
-    The maximum lies on the upper convex hull of the points (t_j, S_j),
-    at the vertex where the hull's edge slopes cross d_i.  The points
-    arrive in order of t, so Andrew's monotone chain keeps the hull as a
-    stack (amortized O(1) per point) and one bisection finds the vertex.
+    The extremes lie on the upper and lower convex hulls of the points
+    (t_j, S_j), where the hull's edge slopes cross d_i.  The points come
+    in order of t, so Andrew's monotone chain keeps each hull as a stack
+    and one bisection finds each vertex.  Z is evaluated there with the
+    same two roundings as a direct pass over every j, so the ranges agree
+    with that pass bit for bit unless two Z_ij tie to rounding.
     """
     s = sums.tolist()
-    hull, neg_slopes = [0], []  # vertices j; their edge slopes, negated to ascend
-    best = np.zeros(len(s), dtype=np.intp)
+    # vertices j of each hull and their edge slopes, kept ascending: the
+    # upper hull's slopes fall, so they are stored negated
+    upper, up_neg, lower, lo_slopes = [0], [], [0], []
+    hi, lo = np.zeros((2, len(s)), dtype=np.intp)  # argmax and argmin of Z
     for i, d in enumerate(drift.tolist()[1:], start=1):
         si = s[i]
         # orientation test by edge slopes: pop the last vertex while it is
-        # not strictly convex, so the slope list stays strictly sorted
-        g = (si - s[hull[-1]]) / (i - hull[-1])
-        while neg_slopes and -neg_slopes[-1] <= g:
-            hull.pop()
-            neg_slopes.pop()
-            g = (si - s[hull[-1]]) / (i - hull[-1])
-        hull.append(i)
-        neg_slopes.append(-g)
-        # S_j - d t_j rises along an edge while its slope exceeds d
-        best[i] = hull[bisect_left(neg_slopes, -d)]
-    return best
+        # not strictly convex, so each slope list stays strictly sorted
+        g = (si - s[upper[-1]]) / (i - upper[-1])
+        while up_neg and -up_neg[-1] <= g:
+            upper.pop()
+            up_neg.pop()
+            g = (si - s[upper[-1]]) / (i - upper[-1])
+        upper.append(i)
+        up_neg.append(-g)
+        g = (si - s[lower[-1]]) / (i - lower[-1])
+        while lo_slopes and lo_slopes[-1] >= g:
+            lower.pop()
+            lo_slopes.pop()
+            g = (si - s[lower[-1]]) / (i - lower[-1])
+        lower.append(i)
+        lo_slopes.append(g)
+        # Z rises along an upper edge of slope > d, falls along a lower one < d
+        hi[i] = upper[bisect_left(up_neg, -d)]
+        lo[i] = lower[bisect_left(lo_slopes, d)]
+    return (sums[hi] - drift * t[hi]) - (sums[lo] - drift * t[lo])
 
 
 def loglog_regression(lengths, ratios) -> tuple[float, float, float]:

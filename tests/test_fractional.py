@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,9 @@ from fraclangevin import (DegenerateDenominatorError, FractionalConfig,
                           residual_refinement_study, simulate_ou_em,
                           simulate_ou_exact, transformed_langevin_residual,
                           uniform_grid)
+from fraclangevin import fractional
+from fraclangevin.core import _midpoints
+from fraclangevin.kernels import _kernel_integral
 
 SPEC7 = make_kernel_spec(0.7)
 SPEC3 = make_kernel_spec(0.3)
@@ -242,3 +246,38 @@ def test_one_dense_operator_retained_per_grid():
     finally:
         tracemalloc.stop()
     assert retained <= 1.1 * 8 * n * n
+
+
+def test_kernel_integral_computed_once_per_spec_and_path(monkeypatch):
+    calls = []
+
+    def counted(spec, grid, f):
+        calls.append(spec)
+        return _kernel_integral(spec, grid, f)
+
+    monkeypatch.setattr(fractional, "_kernel_integral", counted)
+    grid = uniform_grid(1.0, 64)
+    v = simulate_ou_exact(PARAMS, grid, NoiseStream(13))
+    observed = fractional_velocity(FractionalConfig(SPEC7, 1.0), v).transformed
+    estimate_ah(SPEC7, observed, v)
+    estimate_ah(SPEC7, Path(grid, 1.01 * observed.values), v)
+    assert calls == [SPEC7]
+    history = fractional._history(SPEC7, v)
+    assert np.array_equal(history, _kernel_integral(SPEC7, grid, _midpoints(v.values)))
+    assert not history.flags.writeable
+    assert calls == [SPEC7]
+    fractional_velocity(FractionalConfig(SPEC3, 1.0), v)
+    assert calls == [SPEC7, SPEC3]
+    fractional._history(SPEC7, Path(grid, v.values + 1.0))
+    assert calls == [SPEC7, SPEC3, SPEC7]
+
+
+def test_kernel_integral_entry_dies_with_its_path():
+    grid = uniform_grid(1.0, 32)
+    v = simulate_ou_exact(PARAMS, grid, NoiseStream(14))
+    fractional_velocity(FractionalConfig(SPEC3, 1.0), v)
+    twin = Path(grid, v.values)  # equal values: it finds v's entry
+    assert twin in fractional._HISTORIES
+    del v
+    gc.collect()
+    assert twin not in fractional._HISTORIES

@@ -6,6 +6,7 @@ from fraclangevin import (NoiseStream, Path, StepDistribution, StepKind,
                           donsker_path, gaussian_increments, make_kernel_spec,
                           quadratic_variation, smoothed_fbm,
                           theta_epsilon_path, uniform_grid, weight_matrix)
+from fraclangevin.kernels import _kernel_integral
 
 RADEMACHER = StepDistribution(StepKind.RADEMACHER)
 
@@ -151,11 +152,18 @@ def test_smoothed_fbm_zero_levels_gives_zero_path():
 def test_smoothed_fbm_variance_approaches_fbm():
     spec = make_kernel_spec(0.7)
     grid = uniform_grid(1.0, 2500)  # cells aligned with eps^2 = 4e-4
-    vals = [
-        smoothed_fbm(spec, 0.02, grid, NoiseStream(7, k)).values[-1]
+    gaussian = StepDistribution(StepKind.GAUSSIAN)
+    # the 2000 streams of smoothed_fbm, one kernel integral over all columns
+    levels = np.column_stack([
+        theta_epsilon_path(0.02, 1.0, gaussian, NoiseStream(7, k)).value_at(
+            grid.midpoints)
         for k in range(2000)
-    ]
-    assert np.var(vals) == pytest.approx(1.0, rel=0.10)
+    ])
+    paths = _kernel_integral(spec, grid, levels)
+    for k in (0, 1, 1999):
+        one = smoothed_fbm(spec, 0.02, grid, NoiseStream(7, k)).values[1:]
+        assert np.abs(paths[:, k] - one).max() <= 1e-13 * np.abs(one).max()
+    assert np.var(paths[-1]) == pytest.approx(1.0, rel=0.10)
 
 
 def test_step_distribution_moments():
