@@ -8,7 +8,7 @@ that (seed, stream_index) fully determines every variate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +85,8 @@ class Path:
 
     grid: TimeGrid
     values: np.ndarray
+    # per-KernelSpec kernel integrals of these values (see fractional._history)
+    _histories: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)

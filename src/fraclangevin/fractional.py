@@ -24,7 +24,6 @@ phi diverges, so V^H(0) = V_0 and phi is never evaluated at 0.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +63,8 @@ class FractionalConfig:
     def __post_init__(self):
         if self.spec.regime is Regime.STANDARD:
             raise ValueError("the fractional transform needs H != 1/2")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite; got {self.amplitude!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,21 +86,17 @@ def phi(config: FractionalConfig, t):
     return config.amplitude * t ** (0.5 - config.spec.hurst)
 
 
-_HISTORIES = weakref.WeakKeyDictionary()  # Path -> {KernelSpec: int K V ds}
-
-
 def _history(spec: KernelSpec, v: Path) -> np.ndarray:
     """Read-only int_0^(t_i) K(t_i,s) V_s ds at t_1..t_n, once per (spec, path).
 
-    Keyed by value (an O(n) hash, small against the n x n mat-vec it
-    saves); an entry dies with its path.
+    The entry is kept on the path object itself (not keyed by value), so
+    a lookup costs no hash and the entry dies with its path.
     """
-    per_spec = _HISTORIES.setdefault(v, {})
-    if spec not in per_spec:
+    if spec not in v._histories:
         out = _kernel_integral(spec, v.grid, _midpoints(v.values))
         out.flags.writeable = False
-        per_spec[spec] = out
-    return per_spec[spec]
+        v._histories[spec] = out
+    return v._histories[spec]
 
 
 def fractional_velocity(config: FractionalConfig, v: Path) -> FractionalPath:

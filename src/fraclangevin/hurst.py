@@ -87,6 +87,10 @@ def rs_series(series) -> RSSeries:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a one-dimensional series of length >= 2")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"series value at index {i} is not finite: {float(x[i])!r}")
     n = x.size
     # R/S is scale-free and scaling by a power of two is exact, so bring
     # max|x| into [1/2, 1): the mean and the squares below cannot overflow

@@ -60,7 +60,6 @@ __all__ = [
     "beta_fn",
     "make_kernel_spec",
     "kernel_value",
-    "kernel_dt",
     "fbm_covariance",
     "kernel_weights",
     "verify_covariance_identity",
@@ -309,23 +308,6 @@ def _kernel_blocks(spec: KernelSpec, grid: TimeGrid):
         k *= np.tri(i1 - i0, i1, i0)
         yield i0, i1, k
         i0 = i1
-
-
-def kernel_dt(spec: KernelSpec, t: float, s: float) -> float:
-    """Closed-form time derivative of the kernel, 0 < s < t.
-
-    c_H (t/s)^(H-1/2) (t-s)^(H-3/2), carrying an extra (H-1/2) factor
-    below half; identically 0 in the standard regime.
-    """
-    if not (0.0 < s < t):
-        raise ValueError("kernel_dt requires 0 < s < t (it diverges at s = t)")
-    if spec.regime is Regime.STANDARD:
-        return 0.0
-    h = spec.hurst
-    val = spec.c_h * (t / s) ** (h - 0.5) * (t - s) ** (h - 1.5)
-    if spec.regime is Regime.BELOW_HALF:
-        val *= h - 0.5
-    return float(val)
 
 
 def fbm_covariance(hurst: float, s, t):

