@@ -70,13 +70,12 @@ def _check_hurst(_ctx, _param, hurst):
 
 
 def _write_csv(path, header, columns):
-    rows = zip(*columns)
+    rows = np.column_stack(columns).tolist()
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
+            fh.write(",".join(header) + "\n")
             for row in rows:
-                writer.writerow([repr(float(x)) for x in row])
+                fh.write(",".join(map(repr, row)) + "\n")
     except OSError as exc:
         raise click.ClickException(f"cannot write {path}: {exc}")
 

@@ -20,6 +20,13 @@ def _midpoints(values: np.ndarray) -> np.ndarray:
     return 0.5 * values[:-1] + 0.5 * values[1:]
 
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values`` as an array of ``dtype``."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing mesh 0 = t_0 < t_1 < ... < t_n = T."""
@@ -27,7 +34,7 @@ class TimeGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _frozen(self.points)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("a time grid needs at least two points")
         if not np.isfinite(pts).all():
@@ -36,8 +43,6 @@ class TimeGrid:
             raise ValueError("a time grid must start at t=0")
         if not (np.diff(pts) > 0.0).all():
             raise ValueError("grid points must be strictly increasing")
-        pts = pts.copy()
-        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
@@ -81,7 +86,9 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class Path:
-    """Real-valued sample path: one value per grid point, all finite."""
+    """Real-valued sample path: one value per grid point, all finite.
+
+    Compared by identity: each path carries its own kernel-integral memo."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -89,22 +96,12 @@ class Path:
     _histories: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _frozen(self.values)
         if vals.shape != self.grid.points.shape:
             raise ValueError("path values must align with the grid points")
         if not np.isfinite(vals).all():
             raise ValueError("path values must be finite")
-        vals = vals.copy()
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def __eq__(self, other):
-        if not isinstance(other, Path):
-            return NotImplemented
-        return self.grid == other.grid and np.array_equal(self.values, other.values)
-
-    def __hash__(self):
-        return hash((self.grid, self.values.tobytes()))
 
 
 @dataclass(frozen=True)

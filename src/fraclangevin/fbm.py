@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseStream, Path, TimeGrid
+from .core import NoiseStream, Path, TimeGrid, _frozen
 from .kernels import (KernelSpec, Regime, _dense_cached, fbm_covariance,
                       kernel_matrix)
 from .noise import gaussian_increments
@@ -41,12 +41,10 @@ class CovMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
+        m = _frozen(self.entries)
         k = self.grid.points.size - 1
         if m.shape != (k, k):
             raise ValueError("entries must be square over the positive grid points")
-        m = m.copy()
-        m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
 

@@ -167,6 +167,8 @@ def transformed_langevin_residual(spec: KernelSpec, params: LangevinParams,
 def normalized_residual_max(spec: KernelSpec, params: LangevinParams,
                             v: Path, brownian_increments) -> float:
     """max_t |r(t)| / (sigma * max_t |B^H_t|) for one driven path."""
+    if not params.sigma > 0:
+        raise ValueError("sigma must be positive: the residual is normalized by it")
     db = _checked_increments(v.grid, brownian_increments)
     res, bh = _residual_pass(spec, params, v.grid, v.values, db)
     return float(np.max(np.abs(res)) / (params.sigma * np.max(np.abs(bh))))
@@ -187,6 +189,8 @@ def residual_refinement_study(spec: KernelSpec, params: LangevinParams,
         raise ValueError("cell_counts must be one or more positive counts")
     if int(n_seeds) < 1:
         raise ValueError("n_seeds must be at least 1")
+    if not params.sigma > 0:
+        raise ValueError("sigma must be positive: the residual is normalized by it")
     n_max = counts[-1]
     if any(n_max % c for c in counts):
         raise ValueError("cell counts must divide the largest count")

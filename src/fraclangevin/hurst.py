@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _frozen
+
 __all__ = [
     "RSSeries",
     "HurstEstimate",
@@ -49,16 +51,13 @@ class RSSeries:
     ratios: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.lengths, dtype=int)
-        rs = np.asarray(self.ratios, dtype=float)
+        t, rs = _frozen(self.lengths, int), _frozen(self.ratios)
         if t.shape != rs.shape:
             raise ValueError("lengths and ratios must align")
         if t.size and ((np.diff(t) <= 0).any() or t[0] < 2):
             raise ValueError("prefix lengths must be >= 2 and strictly increasing")
         if not (rs > 0).all():
             raise ValueError("rescaled ranges must be positive")
-        for arr in (t, rs):
-            arr.flags.writeable = False
         object.__setattr__(self, "lengths", t)
         object.__setattr__(self, "ratios", rs)
 

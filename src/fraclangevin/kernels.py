@@ -42,7 +42,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -50,7 +50,7 @@ from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial.chebyshev import cheb2poly
 from numpy.polynomial.polynomial import polyval
 
-from .core import TimeGrid, uniform_grid
+from .core import TimeGrid, _frozen, uniform_grid
 
 __all__ = [
     "DenseSizeError",
@@ -140,22 +140,33 @@ def beta_fn(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Hurst index with its regime tag and normalizing constant.
+    """Hurst index H with the regime tag and normalizing constant it fixes.
 
-    ``c_h`` is None exactly for the STANDARD regime (it is never used
-    there and the defining formulas are singular at H = 1/2).
+    Built from H alone: ``regime`` and ``c_h`` are derived, never passed.
+    |H - 1/2| < HALF_GUARD is stored as H = 1/2 in the STANDARD regime,
+    where ``c_h`` is None (the defining formulas are singular there).
+    Equality, hash and repr cover all three fields.
     """
 
     hurst: float
-    regime: Regime
-    c_h: float | None
+    regime: Regime = field(init=False)
+    c_h: float | None = field(init=False)
 
     def __post_init__(self):
-        if self.regime is Regime.STANDARD:
-            if self.c_h is not None:
-                raise ValueError("standard regime carries no c_h")
-        elif not (self.c_h is not None and self.c_h > 0):
-            raise ValueError("c_h must be positive outside the standard regime")
+        h = self.hurst
+        if not (0.0 < h < 1.0):
+            raise ValueError(f"Hurst index must lie in (0, 1); got {h!r}")
+        if abs(h - 0.5) < HALF_GUARD:
+            h, regime, c = 0.5, Regime.STANDARD, None
+        elif h > 0.5:
+            regime = Regime.ABOVE_HALF
+            c = math.sqrt(h * (2 * h - 1) / beta_fn(2 - 2 * h, h - 0.5))
+        else:
+            regime = Regime.BELOW_HALF
+            c = math.sqrt(2 * h / ((1 - 2 * h) * beta_fn(1 - 2 * h, h + 0.5)))
+        object.__setattr__(self, "hurst", h)
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "c_h", c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +178,7 @@ class QuadratureRule:
     target_time: float
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes, weights = _frozen(self.nodes), _frozen(self.weights)
         if nodes.shape != weights.shape:
             raise ValueError("nodes and weights must have equal length")
         if nodes.size and not ((nodes > 0) & (nodes < self.target_time)).all():
@@ -177,8 +187,6 @@ class QuadratureRule:
             raise ValueError("nodes must be strictly increasing")
         if not np.isfinite(weights).all():
             raise ValueError("weights must be finite")
-        for arr in (nodes, weights):
-            arr.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -187,16 +195,8 @@ class QuadratureRule:
 
 
 def make_kernel_spec(hurst: float) -> KernelSpec:
-    """Classify H and compute the regime's normalizing constant."""
-    if not (0.0 < hurst < 1.0):
-        raise ValueError(f"Hurst index must lie in (0, 1); got {hurst!r}")
-    if abs(hurst - 0.5) < HALF_GUARD:
-        return KernelSpec(0.5, Regime.STANDARD, None)
-    if hurst > 0.5:
-        c = math.sqrt(hurst * (2 * hurst - 1) / beta_fn(2 - 2 * hurst, hurst - 0.5))
-        return KernelSpec(hurst, Regime.ABOVE_HALF, c)
-    c = math.sqrt(2 * hurst / ((1 - 2 * hurst) * beta_fn(1 - 2 * hurst, hurst + 0.5)))
-    return KernelSpec(hurst, Regime.BELOW_HALF, c)
+    """The :class:`KernelSpec` of H, i.e. ``KernelSpec(hurst)``."""
+    return KernelSpec(hurst)
 
 
 # ---------------------------------------------------------------------------

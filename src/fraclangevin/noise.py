@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseStream, Path, TimeGrid
+from .core import NoiseStream, Path, TimeGrid, _frozen
 from .kernels import KernelSpec, _kernel_integral
 
 __all__ = [
@@ -59,23 +59,19 @@ class StepDistribution:
 
 @dataclass(frozen=True, eq=False)
 class StepFunction:
-    """Right-open piecewise-constant function on [0, support_end]."""
+    """Right-open piecewise-constant function on the breakpoints' span."""
 
     breakpoints: np.ndarray
     levels: np.ndarray
-    support_end: float
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        lv = np.asarray(self.levels, dtype=float)
+        bp, lv = _frozen(self.breakpoints), _frozen(self.levels)
         if bp.size != lv.size + 1:
             raise ValueError("need one level per interval between breakpoints")
         if not (np.diff(bp) > 0).all():
             raise ValueError("breakpoints must be strictly increasing")
         if not np.isfinite(lv).all():
             raise ValueError("levels must be finite")
-        for arr in (bp, lv):
-            arr.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "levels", lv)
 
@@ -133,7 +129,7 @@ def theta_epsilon_path(epsilon: float, horizon: float, dist: StepDistribution,
     cell = epsilon * epsilon
     count = max(1, math.ceil(horizon / cell - 1e-12))
     steps = dist.sample(stream.generator(), count)
-    return StepFunction(np.arange(count + 1) * cell, steps / epsilon, horizon)
+    return StepFunction(np.arange(count + 1) * cell, steps / epsilon)
 
 
 def smoothed_fbm(spec: KernelSpec, epsilon: float, grid: TimeGrid,

@@ -149,23 +149,24 @@ def test_c08_expected_fractional_velocity():
     probes = [0.25, 0.5, 1.0]
     ok = True
     details = []
-    for hurst in (0.3, 0.7):
-        spec = make_kernel_spec(hurst)
-        config = FractionalConfig(spec, 1.0)
-        rules = {t: kernel_weights(spec, t, grid) for t in probes}
-        samples = {t: np.empty(m) for t in probes}
-        for k in range(m):
-            v = simulate_ou_exact(OU, grid, NoiseStream(6, k))
-            vmid = 0.5 * (v.values[:-1] + v.values[1:])
-            for t, rule in rules.items():
-                n_t = rule.weights.size
-                samples[t][k] = v.values[0] + phi(config, t) * (
-                    rule.weights @ vmid[:n_t])
+    configs = {h: FractionalConfig(make_kernel_spec(h), 1.0) for h in (0.3, 0.7)}
+    rules = {(h, t): kernel_weights(c.spec, t, grid)
+             for h, c in configs.items() for t in probes}
+    samples = {key: np.empty(m) for key in rules}
+    # one simulated path serves the probe rules of both Hurst indices
+    for k in range(m):
+        v = simulate_ou_exact(OU, grid, NoiseStream(6, k))
+        vmid = 0.5 * (v.values[:-1] + v.values[1:])
+        for (h, t), rule in rules.items():
+            n_t = rule.weights.size
+            samples[h, t][k] = v.values[0] + phi(configs[h], t) * (
+                rule.weights @ vmid[:n_t])
+    for hurst, config in configs.items():
         for t in probes:
             expected = expected_fractional_velocity(
                 config, OU, t, int(round(4096 * t)))
-            se = samples[t].std() / math.sqrt(m)
-            gap = abs(samples[t].mean() - expected)
+            se = samples[hurst, t].std() / math.sqrt(m)
+            gap = abs(samples[hurst, t].mean() - expected)
             ok &= gap <= 3 * se
             details.append(f"H={hurst} t={t}: gap={gap:.5f} 3SE={3*se:.5f}")
     # the probe evaluation above is definitionally the transform; tie it

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fraclangevin
-from fraclangevin import (NoiseStream, Path, TimeGrid, core, fbm, fractional,
-                          hurst, increments, kernels, langevin, noise,
-                          uniform_grid)
+from fraclangevin import (CovMatrix, NoiseStream, Path, QuadratureRule,
+                          RSSeries, StepFunction, TimeGrid, core, fbm,
+                          fractional, hurst, increments, kernels, langevin,
+                          noise, uniform_grid)
 
 
 def test_uniform_grid_points():
@@ -118,6 +119,37 @@ def test_grids_and_paths_are_immutable():
     path = Path(grid, np.zeros(5))
     with pytest.raises(ValueError):
         path.values[0] = 1.0
+    # every value type holds a read-only copy and leaves its inputs writeable
+    small = TimeGrid(np.array([0.0, 0.5, 1.0]))
+    cases = [
+        (TimeGrid, (np.array([0.0, 0.5, 1.0]),), ("points",)),
+        (Path, (small, np.array([0.0, 1.0, 2.0])), ("values",)),
+        (CovMatrix, (small, np.eye(2)), ("entries",)),
+        (StepFunction, (np.array([0.0, 0.5, 1.0]), np.array([1.0, -1.0])),
+         ("breakpoints", "levels")),
+        (QuadratureRule, (np.array([0.25, 0.75]), np.array([0.5, 0.5]), 1.0),
+         ("nodes", "weights")),
+        (RSSeries, (np.array([2, 3]), np.array([1.0, 2.0])),
+         ("lengths", "ratios")),
+    ]
+    for cls, args, names in cases:
+        value = cls(*args)
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        for name, given in zip(names, arrays):
+            held = getattr(value, name)
+            assert given.flags.writeable, (cls.__name__, name)
+            assert not held.flags.writeable, (cls.__name__, name)
+            assert not np.shares_memory(held, given), (cls.__name__, name)
+            before = held.copy()
+            given[-1] += 1
+            assert np.array_equal(held, before), (cls.__name__, name)
+
+
+def test_paths_compare_by_identity():
+    grid = uniform_grid(1.0, 4)
+    a, b = Path(grid, np.arange(5.0)), Path(grid, np.arange(5.0))
+    assert a != b and a == a
+    assert len({a, b}) == 2
 
 
 def test_public_api_is_the_module_lists():

@@ -171,6 +171,19 @@ def test_residual_study_columns_match_single_path_runs(spec):
             assert abs(study[count][k] - single) <= 1e-13 * single
 
 
+def test_residual_certificate_refuses_zero_sigma():
+    # sigma * max|B^H| normalizes both; the raw residual accepts sigma = 0
+    quiet = LangevinParams(mass=1.0, friction=2.0, sigma=0.0, v0=1.0)
+    grid = uniform_grid(1.0, 64)
+    db = gaussian_increments(grid, NoiseStream(7))
+    v = simulate_ou_em(quiet, grid, db)
+    with pytest.raises(ValueError, match="sigma"):
+        normalized_residual_max(SPEC7, quiet, v, db)
+    with pytest.raises(ValueError, match="sigma"):
+        residual_refinement_study(SPEC7, quiet, 1.0, [16, 64], 2, NoiseStream(0))
+    transformed_langevin_residual(SPEC7, quiet, v, db)
+
+
 def test_residual_study_rejects_nondivisible_counts():
     with pytest.raises(ValueError):
         residual_refinement_study(SPEC7, PARAMS, 1.0, [100, 1024], 4,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import OrderedDict
 from decimal import Decimal, localcontext
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate, special
 
-from fraclangevin import (DenseSizeError, NoiseStream, Regime, TimeGrid,
+from fraclangevin import (DenseSizeError, KernelSpec, NoiseStream, Regime,
+                          TimeGrid,
                           beta_fn, fbm_covariance, kernel_matrix,
                           kernel_value, kernel_weights, make_kernel_spec,
                           sample_fbm_exact, uniform_grid,
@@ -179,10 +181,46 @@ def test_spec_guard_band_near_half():
     assert make_kernel_spec(0.5 + 1e-5).regime is Regime.ABOVE_HALF
 
 
+# (H, stored H, regime, c_h) as the three-argument spec stored them
+SPEC_FIELDS = [
+    (1e-3, 1e-3, Regime.BELOW_HALF, 0.03166659342762825),
+    (0.1, 0.1, Regime.BELOW_HALF, 0.3576857734223353),
+    (0.3, 0.3, Regime.BELOW_HALF, 0.7302829340799232),
+    (0.5 - 2e-6, 0.5 - 2e-6, Regime.BELOW_HALF, 0.9999979999914198),
+    (0.5 + 2e-6, 0.5 + 2e-6, Regime.ABOVE_HALF, 2.00000399992933e-06),
+    (0.5 - 5e-7, 0.5, Regime.STANDARD, None),
+    (0.5 + 5e-7, 0.5, Regime.STANDARD, None),
+    (0.5, 0.5, Regime.STANDARD, None),
+    (0.7, 0.7, Regime.ABOVE_HALF, 0.21836182617678243),
+    (0.9, 0.9, Regime.ABOVE_HALF, 0.32448825925734104),
+    (1 - 1e-8, 1 - 1e-8, Regime.ABOVE_HALF, 0.00014142135251077716),
+]
+
+
+@pytest.mark.parametrize("hurst, stored, regime, c_h", SPEC_FIELDS)
+def test_spec_is_built_from_hurst_alone(hurst, stored, regime, c_h):
+    spec = KernelSpec(hurst)
+    assert (spec.hurst, spec.regime, spec.c_h) == (stored, regime, c_h)
+    assert make_kernel_spec(hurst) == spec
+    assert hash(make_kernel_spec(hurst)) == hash(spec)
+    assert repr(spec) == (f"KernelSpec(hurst={stored!r}, regime={regime!r}, "
+                          f"c_h={c_h!r})")
+
+
+def test_spec_takes_only_the_hurst_index():
+    assert [f.name for f in dataclasses.fields(KernelSpec) if f.init] == ["hurst"]
+    with pytest.raises(TypeError):
+        KernelSpec(0.3, Regime.ABOVE_HALF, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        KernelSpec(0.3).c_h = 1.0
+
+
 @pytest.mark.parametrize("hurst", [0.0, 1.0, -0.2, 1.7])
 def test_spec_rejects_out_of_range(hurst):
     with pytest.raises(ValueError):
         make_kernel_spec(hurst)
+    with pytest.raises(ValueError, match="Hurst index"):
+        KernelSpec(hurst)
 
 
 # ---------------------------------------------------------------------------
