@@ -67,12 +67,11 @@ class TimeGrid:
         return _midpoints(self.points)
 
     def index_of(self, t: float) -> int:
-        """Index of the grid point equal to ``t`` (tiny fp slack allowed)."""
-        i = int(np.searchsorted(self.points, t))
-        tol = 1e-12 * max(1.0, self.horizon)
-        for j in (i - 1, i):
-            if 0 <= j < self.points.size and abs(self.points[j] - t) <= tol:
-                return j
+        """Index of the grid point nearest ``t``, if within 1e-12 * horizon."""
+        lo = max(int(np.searchsorted(self.points, t)) - 1, 0)
+        j = lo + int(np.argmin(np.abs(self.points[lo:lo + 2] - t)))
+        if abs(self.points[j] - t) <= 1e-12 * self.horizon:
+            return j
         raise ValueError(f"t={t!r} is not a grid point")
 
     def __eq__(self, other):

@@ -216,15 +216,15 @@ def ah_ratios(spec: KernelSpec, observed: Path, v: Path) -> np.ndarray:
     kernel integral that the forward transform shares (computed once per
     (spec, path)), so each ratio of a noiseless transform is the
     amplitude to floating-point accuracy.
-    Raises :class:`DegenerateDenominatorError` where a denominator
-    vanishes relative to the velocity's scale.
+    Raises :class:`DegenerateDenominatorError` where a denominator is at
+    most 1e-12 max|V|, so rescaling V and V^H together leaves the ratios
+    unchanged and V == 0 always raises.
     """
     if observed.grid != v.grid:
         raise ValueError("observed and velocity paths must share a grid")
     denominators = _history(spec, v)
     times = v.grid.points[1:]
-    scale = 1e-12 * max(1.0, float(np.max(np.abs(v.values))))
-    bad = np.abs(denominators) < scale
+    bad = np.abs(denominators) <= 1e-12 * float(np.max(np.abs(v.values)))
     if bad.any():
         t_bad = float(times[int(np.argmax(bad))])
         raise DegenerateDenominatorError(

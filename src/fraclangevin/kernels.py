@@ -67,10 +67,6 @@ __all__ = [
     "weight_matrix",
 ]
 
-# |H - 1/2| below this is treated as standard Bm, though c_H and K stay within
-# 2.2e-15 of 40-digit references down to |H - 1/2| = 1e-13 on both sides.
-HALF_GUARD = 1e-6
-
 # Bytes of dense n x n float64 matrices that the store keeps and one build
 # holds at once: one kernel matrix (n <= 11585) or the three of a Cholesky
 # factor (n <= 6688).
@@ -143,8 +139,9 @@ class KernelSpec:
     """Hurst index H with the regime tag and normalizing constant it fixes.
 
     Built from H alone: ``regime`` and ``c_h`` are derived, never passed.
-    |H - 1/2| < HALF_GUARD is stored as H = 1/2 in the STANDARD regime,
-    where ``c_h`` is None (the defining formulas are singular there).
+    H is kept as given.  Only H = 1/2 exactly is the STANDARD regime (plain
+    Brownian motion), where ``c_h`` is None; every other H, however near
+    1/2, keeps its ABOVE_HALF or BELOW_HALF regime and constant.
     Equality, hash and repr cover all three fields.
     """
 
@@ -156,15 +153,14 @@ class KernelSpec:
         h = self.hurst
         if not (0.0 < h < 1.0):
             raise ValueError(f"Hurst index must lie in (0, 1); got {h!r}")
-        if abs(h - 0.5) < HALF_GUARD:
-            h, regime, c = 0.5, Regime.STANDARD, None
+        if h == 0.5:
+            regime, c = Regime.STANDARD, None
         elif h > 0.5:
             regime = Regime.ABOVE_HALF
             c = math.sqrt(h * (2 * h - 1) / beta_fn(2 - 2 * h, h - 0.5))
         else:
             regime = Regime.BELOW_HALF
             c = math.sqrt(2 * h / ((1 - 2 * h) * beta_fn(1 - 2 * h, h + 0.5)))
-        object.__setattr__(self, "hurst", h)
         object.__setattr__(self, "regime", regime)
         object.__setattr__(self, "c_h", c)
 

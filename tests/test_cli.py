@@ -217,7 +217,7 @@ def test_estimate_ah_round_trip(runner, tmp_path):
 
 
 def test_estimate_ah_report_mean_is_amplitude(runner, tmp_path):
-    # within the 1e-6 guard band the ratios use the standard-regime H
+    # the ratios use H = 0.5000001 as given, on a velocity made with H = 0.7
     vel = tmp_path / "v.csv"
     out = tmp_path / "ah.json"
     args = ["simulate-velocity", "--hurst", "0.7", "--friction", "2.0",
@@ -232,15 +232,32 @@ def test_estimate_ah_report_mean_is_amplitude(runner, tmp_path):
 
 
 def test_estimate_ah_rejects_velocity_as_transform(runner, tmp_path):
-    # within the 1e-6 guard band simulate-velocity writes t,V only
+    # at H = 1/2 simulate-velocity writes t,V only
     vel = tmp_path / "v.csv"
-    args = ["simulate-velocity", "--hurst", "0.5000001", "--steps", "64",
+    args = ["simulate-velocity", "--hurst", "0.5", "--steps", "64",
             "--seed", "4", "--out", str(vel)]
     assert runner.invoke(main, args).exit_code == 0
     res = runner.invoke(main, ["estimate-ah", str(vel), str(vel),
-                               "--hurst", "0.5000001"])
+                               "--hurst", "0.5"])
     assert res.exit_code != 0
     assert f"{vel}: no VH column" in res.output
+
+
+def test_velocity_next_to_half_has_a_transform(runner, tmp_path):
+    # H = 1/2 + 1e-7 is not Brownian motion: its transform is written and
+    # estimate-ah recovers the amplitude from it
+    vel = tmp_path / "v.csv"
+    args = ["simulate-velocity", "--hurst", "0.5000001", "--ah", "1.5",
+            "--steps", "128", "--seed", "4", "--out", str(vel)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.output == f"wrote t,V,VH to {vel}\n"
+    assert vel.read_text().splitlines()[0] == "t,V,VH"
+    res = runner.invoke(main, ["estimate-ah", str(vel), str(vel),
+                               "--hurst", "0.5000001"])
+    assert res.exit_code == 0, res.output
+    amp = float(res.output.split("A_H estimate = ")[1].split()[0])
+    assert amp == pytest.approx(1.5, abs=1e-12)
 
 
 def test_estimate_ah_stdout_is_a_fixed_summary(runner, tmp_path):

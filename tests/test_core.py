@@ -57,6 +57,12 @@ def test_grid_index_of():
     assert grid.index_of(0.0) == 0
     with pytest.raises(ValueError):
         grid.index_of(0.3)
+    # the nearest point wins, with slack relative to the horizon
+    assert uniform_grid(1e-9, 4096).index_of(1e-9) == 4096
+    assert uniform_grid(1e-9, 4096).index_of(0.5e-9) == 2048
+    assert TimeGrid(np.array([0.0, 1e-15, 1.0])).index_of(1e-15) == 1
+    with pytest.raises(ValueError):
+        uniform_grid(1e-9, 4).index_of(0.3e-9)
 
 
 def test_grid_equality_and_hash():

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from fraclangevin import (DegenerateDenominatorError, FractionalConfig,
-                          LangevinParams, NoiseStream, Path, estimate_ah,
-                          expected_fractional_velocity, fractional_velocity,
-                          gaussian_increments, kernel_weights,
-                          make_kernel_spec, normalized_residual_max, phi,
+                          LangevinParams, NoiseStream, Path, ah_ratios,
+                          estimate_ah, expected_fractional_velocity,
+                          fractional_velocity, gaussian_increments,
+                          kernel_weights, make_kernel_spec,
+                          normalized_residual_max, phi,
                           residual_refinement_study, simulate_ou_em,
                           simulate_ou_exact, transformed_langevin_residual,
                           uniform_grid)
@@ -201,7 +202,9 @@ def test_residual_study_names_bad_argument(counts, n_seeds, name):
                                   NoiseStream(0))
 
 
-@pytest.mark.parametrize("spec", [SPEC7, SPEC3])
+# only H = 1/2 itself lacks a transform: H = 1/2 -+ 1e-7 have one
+@pytest.mark.parametrize("spec", [SPEC7, SPEC3, make_kernel_spec(0.5 - 1e-7),
+                                  make_kernel_spec(0.5 + 1e-7)])
 def test_amplitude_round_trip(spec):
     grid = uniform_grid(1.0, 256)
     v = simulate_ou_exact(PARAMS, grid, NoiseStream(9))
@@ -239,6 +242,19 @@ def test_amplitude_degenerate_denominator():
     zero = Path(grid, np.zeros(17))
     with pytest.raises(DegenerateDenominatorError, match="t="):
         estimate_ah(SPEC7, zero, zero)
+
+
+@pytest.mark.parametrize("spec", [SPEC7, SPEC3])
+def test_ah_ratios_invariant_under_velocity_scale(spec):
+    # the degenerate-denominator test is relative to max|V| alone
+    grid = uniform_grid(1.0, 256)
+    v = simulate_ou_exact(PARAMS, grid, NoiseStream(13))
+    observed = fractional_velocity(FractionalConfig(spec, 1.0), v).transformed
+    ratios = ah_ratios(spec, observed, v)
+    for scale in (2.0**-40, 2.0**40):
+        scaled = ah_ratios(spec, Path(grid, scale * observed.values),
+                           Path(grid, scale * v.values))
+        assert np.array_equal(scaled, ratios)
 
 
 def test_amplitude_rejects_grid_mismatch():

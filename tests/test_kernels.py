@@ -175,21 +175,27 @@ def test_spec_regimes_and_constants():
     assert std.regime is Regime.STANDARD and std.c_h is None
 
 
-def test_spec_guard_band_near_half():
-    assert make_kernel_spec(0.5 + 1e-7).regime is Regime.STANDARD
-    assert make_kernel_spec(0.5 - 1e-7).regime is Regime.STANDARD
-    assert make_kernel_spec(0.5 + 1e-5).regime is Regime.ABOVE_HALF
+def test_spec_keeps_hurst_near_half():
+    # only H = 1/2 itself is plain Brownian motion
+    steps = (1e-5, 1e-6, 1e-7, 1e-13)
+    above = [0.5 + d for d in steps] + [np.nextafter(0.5, 1)]
+    below = [0.5 - d for d in steps] + [np.nextafter(0.5, 0)]
+    for hursts, regime in ((above, Regime.ABOVE_HALF), (below, Regime.BELOW_HALF)):
+        for h in hursts:
+            spec = make_kernel_spec(h)
+            assert (spec.hurst, spec.regime) == (h, regime)
+    assert make_kernel_spec(0.5).regime is Regime.STANDARD
 
 
-# (H, stored H, regime, c_h) as the three-argument spec stored them
+# (H, stored H, regime, c_h); H near 1/2 is stored as given
 SPEC_FIELDS = [
     (1e-3, 1e-3, Regime.BELOW_HALF, 0.03166659342762825),
     (0.1, 0.1, Regime.BELOW_HALF, 0.3576857734223353),
     (0.3, 0.3, Regime.BELOW_HALF, 0.7302829340799232),
     (0.5 - 2e-6, 0.5 - 2e-6, Regime.BELOW_HALF, 0.9999979999914198),
     (0.5 + 2e-6, 0.5 + 2e-6, Regime.ABOVE_HALF, 2.00000399992933e-06),
-    (0.5 - 5e-7, 0.5, Regime.STANDARD, None),
-    (0.5 + 5e-7, 0.5, Regime.STANDARD, None),
+    (0.5 - 5e-7, 0.5 - 5e-7, Regime.BELOW_HALF, 0.999999499999464),
+    (0.5 + 5e-7, 0.5 + 5e-7, Regime.ABOVE_HALF, 5.000002499585987e-07),
     (0.5, 0.5, Regime.STANDARD, None),
     (0.7, 0.7, Regime.ABOVE_HALF, 0.21836182617678243),
     (0.9, 0.9, Regime.ABOVE_HALF, 0.32448825925734104),
@@ -259,12 +265,15 @@ def mpmath_kernel(hurst, t, s):
 
 
 @pytest.mark.parametrize("hurst", [0.01, 0.1, 0.3, 0.45, 0.499998, 0.500002,
+                                   0.5 - 1e-7, 0.5 + 1e-7, 0.5 - 1e-13, 0.5 + 1e-13,
+                                   np.nextafter(0.5, 0), np.nextafter(0.5, 1),
                                    0.51, 0.7, 0.99, 1 - 1e-6, 1 - 1e-8])
 def test_kernel_value_matches_mpmath(hurst):
     # s/t on log sweeps toward both ends: 1e-14 ... 1/2 ... 1 - 1e-14
     near_zero = np.logspace(-14, np.log10(0.5), 15)
     ratios = np.concatenate((near_zero, 1.0 - near_zero[-2::-1]))
     spec = make_kernel_spec(hurst)
+    assert spec.hurst == hurst  # the kernel of H itself, even next to 1/2
     for t in (1.0, 0.3, 1e200):
         for s in ratios * t:
             ref = mpmath_kernel(hurst, t, s)
@@ -729,6 +738,10 @@ def test_identity_above_half_diagonal():
     res = verify_covariance_identity(spec, 1.0, 1.0, 4096)
     assert res <= 1e-2
     assert verify_covariance_identity(spec, 1.0, 1.0, 16384) < res
+    # the identity is scale-invariant, and so is its rule on [0, T]
+    for s in (1.0, 0.5):
+        assert verify_covariance_identity(spec, 1e-9 * s, 1e-9, 4096) == \
+            pytest.approx(verify_covariance_identity(spec, s, 1.0, 4096), rel=1e-12)
 
 
 def test_identity_below_half_offdiagonal():

@@ -20,7 +20,9 @@ The hashes depend on the platform (CPU, Python and numpy build).
 there, for instance from another checkout: for each file whose hash
 moved it prints the largest absolute and relative change of the numbers
 in the file, read in order (relative to the larger magnitude of each
-pair), or says that the files hold different numbers of numbers.
+pair), or says that the files hold different numbers of numbers.  It
+exits with status 1 when any file moved or is missing from OTHER_OUTDIR
+and 0 otherwise, so the comparison can gate a CI step.
 """
 from __future__ import annotations
 
@@ -99,6 +101,7 @@ def main(argv: list[str]) -> int:
     for name in sorted(files):
         data = (out / name).read_bytes()
         print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+    moved = 0
     for name in sorted(files) if args.against is not None else ():
         other = args.against / name
         old = other.read_bytes() if other.exists() else None
@@ -106,7 +109,8 @@ def main(argv: list[str]) -> int:
         if old != new:
             change = "missing" if old is None else largest_change(new, old)
             print(f"moved  {name}: {change}")
-    return 0
+            moved += 1
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
