@@ -308,11 +308,14 @@ def cmd_estimate_ah(observed_csv, velocity_csv, hurst, out):
     if t_obs.size != t_vel.size:
         raise click.ClickException(
             f"grids differ in length: {t_obs.size} vs {t_vel.size} rows")
-    gap = np.abs(t_obs - t_vel) > 1e-12
+    # relative to the horizon, like TimeGrid.index_of
+    scale = np.max(np.abs(np.concatenate((t_obs, t_vel))), initial=0.0)
+    gap = np.abs(t_obs - t_vel) > 1e-12 * scale
     if gap.any():
         row = int(np.argmax(gap))
         raise click.ClickException(
-            f"grids differ at data row {row + 1}: t={t_obs[row]!r} vs {t_vel[row]!r}")
+            f"grids differ at data row {row + 1}: "
+            f"t={float(t_obs[row])!r} vs {float(t_vel[row])!r}")
 
     if "VH" in obs_header:
         observed = obs_cols[obs_header.index("VH")]

@@ -6,6 +6,11 @@ is exact, which makes it the reference oracle (at O(n^3) desk scale).
 The kernel route discretizes B^H_t = int_0^t K(t,s) dB_s with midpoint
 kernel values against raw Brownian increments; it is consistent as the
 mesh shrinks and reduces to plain Bm partial sums at H = 1/2.
+
+Both routes map normals through a lower-triangular operator kept in the
+dense store of ``kernels`` as row panels: the Cholesky factor is cut into
+panels after its dense factorization, the kernel operator is built as
+panels, and ``kernels._apply`` forms every product with them.
 """
 from __future__ import annotations
 
@@ -14,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid, _frozen
-from .kernels import (KernelSpec, Regime, _dense_cached, fbm_covariance,
-                      kernel_matrix)
+from .kernels import (KernelSpec, Regime, _apply, _check_dense, _dense_cached,
+                      _kernel_operator, _panels, fbm_covariance)
 from .noise import gaussian_increments
 
 __all__ = [
@@ -69,11 +74,13 @@ def cholesky_factor(cov: CovMatrix) -> np.ndarray:
 def sample_fbm_exact(hurst: float, grid: TimeGrid, stream: NoiseStream) -> Path:
     """Draw one fBm path with the exact finite-dimensional law N(0, R)."""
     hurst = float(hurst)
+    n = grid.n_cells
     # three matrices at once: cholesky's input, its LAPACK copy and its output
-    ell, = _dense_cached(("cholesky", hurst, grid), grid.n_cells, 3,
-                         lambda: (cholesky_factor(covariance_matrix(hurst, grid)),))
-    z = stream.generator().standard_normal(grid.n_cells)
-    return Path(grid, np.concatenate(([0.0], ell @ z)))
+    panels = _dense_cached(
+        ("cholesky", hurst, grid), _check_dense(n, 3),
+        lambda: _panels(n, [(0, n, cholesky_factor(covariance_matrix(hurst, grid)))]))
+    z = stream.generator().standard_normal(n)
+    return Path(grid, np.concatenate(([0.0], _apply(panels, z))))
 
 
 def sample_fbm_kernel(spec: KernelSpec, grid: TimeGrid, stream: NoiseStream) -> Path:
@@ -86,5 +93,5 @@ def sample_fbm_kernel(spec: KernelSpec, grid: TimeGrid, stream: NoiseStream) -> 
     db = gaussian_increments(grid, stream)
     if spec.regime is Regime.STANDARD:
         return Path(grid, np.concatenate(([0.0], np.cumsum(db))))
-    kmat = kernel_matrix(spec, grid)
-    return Path(grid, np.concatenate(([0.0], kmat @ db)))
+    panels = _kernel_operator(spec, grid)[:-1]
+    return Path(grid, np.concatenate(([0.0], _apply(panels, db))))

@@ -30,12 +30,16 @@ H < 1/2 also at s = t, where the leading (t-s)^(H-1/2) factor of the
 final cell is integrated analytically instead.  So the weights are
 K(t, m_j) times the cell width plus a last-cell correction (zero unless
 H < 1/2), applied as K @ (widths f) + correction f from one kernel
-matrix: no weight matrix is kept.  Only this module builds the operator:
+operator: no weight matrix is kept.  Only this module builds the operator:
 rows come from ``_kernel_blocks`` and the correction from
 ``_cell_correction``, which the residual pass streams uncached.
 
-One store, ``_dense_cached``, keeps kernel matrices and the exact sampler's
-Cholesky factors within DENSE_BYTES_MAX, least recently used first out.
+One store, ``_dense_cached``, keeps kernel operators and the exact
+sampler's Cholesky factors within DENSE_BYTES_MAX, least recently used
+first out.  Both are lower-triangular and kept as C-contiguous row panels
+of their lower triangle, PANEL_ROWS rows each, never as a dense n x n
+array; ``_apply`` is the only product with them.  ``kernel_matrix`` and
+``weight_matrix`` build a new dense array from the panels when called.
 """
 from __future__ import annotations
 
@@ -67,10 +71,19 @@ __all__ = [
     "weight_matrix",
 ]
 
-# Bytes of dense n x n float64 matrices that the store keeps and one build
-# holds at once: one kernel matrix (n <= 11585) or the three of a Cholesky
-# factor (n <= 6688).
+# Bytes the store keeps and one build holds at once: the row panels of one
+# kernel matrix (n <= 16131) or the three dense n x n float64 matrices of
+# a Cholesky factorization (n <= 6688).  kernel_matrix and weight_matrix,
+# which return a new dense n x n array, refuse one past this too (n <= 11585).
 DENSE_BYTES_MAX = 1 << 30
+
+# Rows per panel of a stored lower-triangular operator L: panel p is the
+# C-contiguous L[512p : 512(p+1), : 512(p+1)], the last one shorter.  At
+# n = 2048 four panels hold 5/8 of the dense bytes.  One mat-vec, two
+# operators used in turn (2-core Xeon, OpenBLAS): n = 2048 took 0.59 ms
+# in 512-row panels, 0.88 ms in 256-row ones and 0.78 ms dense; n = 4096
+# took 4.7 ms against 6.3 ms dense; n = 1024, 0.22 against 0.21 ms.
+PANEL_ROWS = 512
 
 # The dense store: key -> read-only arrays, least recently used first.
 _DENSE: OrderedDict = OrderedDict()
@@ -80,34 +93,84 @@ class DenseSizeError(ValueError):
     """Dense n x n operators would exceed DENSE_BYTES_MAX."""
 
 
-def _check_dense(n: int, count: int) -> None:
-    """Raise DenseSizeError before ``count`` n x n float64 matrices are held."""
-    need = 8 * n * n * count
+def _check_bytes(need: int, what: str) -> int:
+    """Raise DenseSizeError before ``what``, ``need`` bytes, is held."""
     if need > DENSE_BYTES_MAX:
         raise DenseSizeError(
-            f"{count} dense {n}x{n} matrix(es) need {need / 2**30:.1f} GiB, "
+            f"{what} need {need / 2**30:.1f} GiB, "
             f"over the {DENSE_BYTES_MAX / 2**30:g} GiB budget")
+    return need
+
+
+def _check_dense(n: int, count: int) -> int:
+    """The bytes of ``count`` dense n x n float64 matrices, checked before
+    they are held."""
+    return _check_bytes(8 * n * n * count, f"{count} dense {n}x{n} matrix(es)")
+
+
+def _check_panels(n: int) -> int:
+    """The bytes of the row panels of an n x n lower triangle, checked
+    before they are held."""
+    full, rest = divmod(n, PANEL_ROWS)
+    entries = PANEL_ROWS * PANEL_ROWS * full * (full + 1) // 2 + rest * n
+    return _check_bytes(8 * entries, f"row panels of a {n}x{n} lower triangle")
+
+
+def _panels(n: int, blocks) -> tuple:
+    """The row panels of an n x n lower triangle L from (i0, i1, rows)
+    blocks covering rows 0..n-1, rows = L[i0:i1, :w] with zeros right of
+    the diagonal; no n x n array is allocated."""
+    out = [np.zeros((min(n, p0 + PANEL_ROWS) - p0, min(n, p0 + PANEL_ROWS)))
+           for p0 in range(0, n, PANEL_ROWS)]
+    for i0, i1, rows in blocks:
+        r0 = i0
+        while r0 < i1:
+            p, q = divmod(r0, PANEL_ROWS)
+            r1 = min(i1, (p + 1) * PANEL_ROWS)
+            part = rows[r0 - i0:r1 - i0, :out[p].shape[1]]
+            out[p][q:q + r1 - r0, :part.shape[1]] = part
+            r0 = r1
+    return tuple(out)
+
+
+def _assemble(panels) -> np.ndarray:
+    """A new dense n x n array holding the lower triangle of ``panels``."""
+    n = panels[-1].shape[1]
+    out = np.zeros((n, n))
+    i0 = 0
+    for panel in panels:
+        out[i0:i0 + panel.shape[0], :panel.shape[1]] = panel
+        i0 += panel.shape[0]
+    return out
+
+
+def _apply(panels, x: np.ndarray) -> np.ndarray:
+    """L @ x for the lower triangle L held as row panels; x is (n,) or (n, S).
+
+    The one product with a stored operator: each panel multiplies only
+    the leading entries of x that its columns reach.
+    """
+    return np.concatenate([panel @ x[:panel.shape[1]] for panel in panels])
 
 
 def _dense_held() -> int:
-    """Bytes of the n x n matrices in the store (not the kernel's n-vectors)."""
+    """Bytes of the 2-D arrays in the store (not the kernel's n-vectors)."""
     return sum(a.nbytes for arrays in _DENSE.values() for a in arrays
                if a.ndim == 2)
 
 
-def _dense_cached(key, n: int, count: int, build):
+def _dense_cached(key, need: int, build):
     """The read-only arrays ``build()`` returned for ``key``, from the store.
 
-    A hit becomes the most recently used entry.  A miss is refused by
-    :func:`_check_dense` when the ``count`` n x n matrices its build holds
-    do not fit alone; otherwise least recently used entries go until they
-    fit beside the rest, and the result is kept.
+    A hit becomes the most recently used entry.  ``need`` is the checked
+    byte count a build holds at its peak (see :func:`_check_dense` and
+    :func:`_check_panels`); on a miss, least recently used entries go
+    until it fits beside the rest, and the result is kept.
     """
     if key in _DENSE:
         _DENSE.move_to_end(key)
         return _DENSE[key]
-    _check_dense(n, count)
-    while _DENSE and _dense_held() + 8 * n * n * count > DENSE_BYTES_MAX:
+    while _DENSE and _dense_held() + need > DENSE_BYTES_MAX:
         _DENSE.popitem(last=False)
     arrays = build()
     for arr in arrays:
@@ -368,45 +431,43 @@ def kernel_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """Lower-triangular matrix M[i, j] = K(t_{i+1}, m_j) for j <= i.
 
     Row i discretizes integrals up to the positive grid point t_{i+1}
-    against cell midpoints; the strict upper triangle is zero.  The
-    returned array is read-only and shared between callers: it stays in
-    the dense store (with the Cholesky factors of the exact sampler)
-    until DENSE_BYTES_MAX needs its bytes, least recently used first.
-    Raises :class:`DenseSizeError` when it alone exceeds DENSE_BYTES_MAX.
+    against cell midpoints; the strict upper triangle is zero.  Each call
+    returns a new array built from the row panels of the stored operator,
+    which the library applies without forming M.  Raises
+    :class:`DenseSizeError` when M alone exceeds DENSE_BYTES_MAX.
     """
-    return _kernel_operator(spec, grid)[0]
+    _check_dense(grid.n_cells, 1)
+    return _assemble(_kernel_operator(spec, grid)[:-1])
 
 
-def _kernel_operator(spec: KernelSpec, grid: TimeGrid):
-    """The read-only kernel matrix and its last-cell correction."""
+def _kernel_operator(spec: KernelSpec, grid: TimeGrid) -> tuple:
+    """The read-only row panels of the kernel matrix, then its last-cell
+    correction, filled from :func:`_kernel_blocks`."""
     n = grid.n_cells
-
-    def build():
-        out = np.zeros((n, n))
-        for i0, i1, block in _kernel_blocks(spec, grid):
-            out[i0:i1, :i1] = block
-        return out, _cell_correction(spec, grid)
-
-    return _dense_cached(("kernel", spec, grid), n, 1, build)
+    return _dense_cached(("kernel", spec, grid), _check_panels(n), lambda: (
+        *_panels(n, _kernel_blocks(spec, grid)), _cell_correction(spec, grid)))
 
 
 def weight_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """Stacked kernel_weights rows: W[i, j] weights f(m_j) for t_{i+1}.
 
-    Built on demand from the cached kernel matrix and not cached; the
-    library applies it through :func:`_kernel_integral` instead.
+    Each call returns a new array built from the kernel matrix's row
+    panels; the library applies W through :func:`_kernel_integral`
+    instead.  Raises :class:`DenseSizeError` like :func:`kernel_matrix`.
     """
-    kmat, corr = _kernel_operator(spec, grid)
-    out = kmat * grid.widths
+    _check_dense(grid.n_cells, 1)
+    *panels, corr = _kernel_operator(spec, grid)
+    out = _assemble(panels)
+    out *= grid.widths
     out[np.diag_indices(grid.n_cells)] += corr
     return out
 
 
 def _kernel_integral(spec: KernelSpec, grid: TimeGrid, f: np.ndarray):
     """weight_matrix(spec, grid) @ f without forming it; f is (n,) or (n, S)."""
-    kmat, corr = _kernel_operator(spec, grid)
+    *panels, corr = _kernel_operator(spec, grid)
     col = (-1,) + (1,) * (f.ndim - 1)
-    return kmat @ (grid.widths.reshape(col) * f) + corr.reshape(col) * f
+    return _apply(panels, grid.widths.reshape(col) * f) + corr.reshape(col) * f
 
 
 def verify_covariance_identity(spec: KernelSpec, s: float, t: float, n: int) -> float:

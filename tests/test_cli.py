@@ -305,6 +305,34 @@ def test_estimate_ah_grid_mismatch(runner, tmp_path):
     assert "row 2" in res.output
 
 
+def test_estimate_ah_grid_tolerance_is_relative_to_horizon(runner, tmp_path):
+    def scaled_copy(src, factor, dst):
+        lines = src.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        dst.write_text("\n".join([lines[0]] + [
+            ",".join([repr(float(r[0]) * factor)] + r[1:]) for r in rows]) + "\n")
+
+    def run(horizon, factor):
+        vel = tmp_path / f"vel_{horizon}.csv"
+        obs = tmp_path / f"obs_{horizon}.csv"
+        args = ["simulate-velocity", "--hurst", "0.7", "--horizon", horizon,
+                "--steps", "64", "--seed", "3", "--out", str(vel)]
+        assert runner.invoke(main, args).exit_code == 0
+        scaled_copy(vel, factor, obs)
+        return runner.invoke(main, ["estimate-ah", str(obs), str(vel),
+                                    "--hurst", "0.7"])
+
+    # the same grid at a large horizon, t off by one ulp
+    res = run("1e6", 1 + 2**-52)
+    assert res.exit_code == 0, res.output
+    assert "A_H estimate = " in res.output
+    # another grid at a small horizon, t off by up to 9e-13
+    res = run("1e-3", 1 + 9e-10)
+    assert res.exit_code != 0
+    assert "grids differ at data row" in res.output
+    assert "np.float64" not in res.output
+
+
 def test_validate_single_check_json(runner):
     res = runner.invoke(main, ["validate", "--check", "qv", "--n", "50000",
                                "--t", "2.0"])

@@ -7,6 +7,7 @@ from fraclangevin import (CovMatrix, DecompositionError, DenseSizeError,
                           make_kernel_spec, sample_fbm_exact,
                           sample_fbm_kernel, uniform_grid)
 from fraclangevin import kernels
+from fraclangevin.kernels import PANEL_ROWS, _apply
 
 
 def grid_012():
@@ -173,6 +174,30 @@ def test_exact_sampler_refuses_oversized_grid():
     kernels._check_dense(6688, 3)
     with pytest.raises(DenseSizeError):
         kernels._check_dense(6689, 3)
+
+
+@pytest.mark.parametrize("n", [513, 1537, 2048, 2500])
+def test_cholesky_panels_match_dense_product(n):
+    hurst = 0.7
+    grid = uniform_grid(1.0, n)
+    stream = NoiseStream(3)
+    path = sample_fbm_exact(hurst, grid, stream)
+    panels = kernels._DENSE[("cholesky", hurst, grid)]
+    ell = cholesky_factor(covariance_matrix(hurst, grid))
+    assert len(panels) == -(-n // PANEL_ROWS)
+    for p, panel in enumerate(panels):
+        rows = slice(p * PANEL_ROWS, min(n, (p + 1) * PANEL_ROWS))
+        assert panel.flags.c_contiguous and not panel.flags.writeable
+        assert np.array_equal(panel, ell[rows, :rows.stop])
+    z = stream.generator().standard_normal(n)
+    bound = 1e-13 * (np.abs(ell) @ np.abs(z))
+    assert np.all(np.abs(path.values[1:] - ell @ z) <= bound)
+    rng = np.random.default_rng(n)
+    for shape in [(n,), (n, 4)]:
+        x = rng.standard_normal(shape)
+        got = _apply(panels, x)
+        assert got.shape == shape
+        assert np.all(np.abs(got - ell @ x) <= 1e-13 * (np.abs(ell) @ np.abs(x)))
 
 
 def test_substreams_drawn_in_any_order_give_identical_paths():

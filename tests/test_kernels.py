@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import OrderedDict
 from decimal import Decimal, localcontext
 
@@ -16,8 +17,10 @@ from fraclangevin import (DenseSizeError, KernelSpec, NoiseStream, Regime,
                           sample_fbm_exact, uniform_grid,
                           verify_covariance_identity, weight_matrix)
 from fraclangevin import kernels
-from fraclangevin.kernels import (SERIES_TOL, _kernel_integral, _kernel_values,
-                                  _series, _singular_cell)
+from fraclangevin.kernels import (PANEL_ROWS, SERIES_TOL, _apply,
+                                  _kernel_blocks, _kernel_integral,
+                                  _kernel_operator, _kernel_values, _series,
+                                  _singular_cell)
 
 # High-precision reference values (mpmath, 30 digits).  Kernel points come
 # from the exact closed form of the inner integral,
@@ -452,8 +455,9 @@ def test_dense_operators_refuse_oversized_grids():
 
 
 def test_dense_store_is_bounded_by_bytes(monkeypatch):
-    # a fresh store with room for three n = 64 matrices: a kernel matrix
-    # needs one, a Cholesky build holds three at once
+    # a fresh store with room for three n = 64 matrices: a kernel operator
+    # is one panel, which is the dense matrix at n <= PANEL_ROWS; a
+    # Cholesky build holds three dense matrices at once
     n = 64
     budget = 3 * 8 * n * n
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
@@ -461,7 +465,8 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
     grid = uniform_grid(1.0, n)
 
     def kmat(h):
-        out = kernel_matrix(make_kernel_spec(h), grid)
+        # the stored panel, which kernel_matrix copies into a new array
+        out = kernels._kernel_operator(make_kernel_spec(h), grid)[0]
         assert kernels._dense_held() <= budget
         return out
 
@@ -496,11 +501,80 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
     assert kept() == [("kernel", 0.4), ("kernel", 0.3), ("kernel", 0.2)]
 
     # one build over the budget is refused and evicts nothing
+    with pytest.raises(DenseSizeError, match="row panels of a 111x111"):
+        kernels._kernel_operator(make_kernel_spec(0.3), uniform_grid(1.0, 111))
     with pytest.raises(DenseSizeError, match="1 dense 111x111"):
         kernel_matrix(make_kernel_spec(0.3), uniform_grid(1.0, 111))
     with pytest.raises(DenseSizeError, match="3 dense 65x65"):
         sample_fbm_exact(0.7, uniform_grid(1.0, 65), NoiseStream(1))
     assert kept() == [("kernel", 0.4), ("kernel", 0.3), ("kernel", 0.2)]
+
+
+def blocks_kernel_matrix(spec, grid):
+    """The dense kernel matrix assembled from _kernel_blocks, not from panels."""
+    n = grid.n_cells
+    out = np.zeros((n, n))
+    for i0, i1, block in _kernel_blocks(spec, grid):
+        out[i0:i1, :i1] = block
+    return out
+
+
+@pytest.mark.parametrize("n", [513, 1537, 2048, 2500])
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_kernel_panels_match_dense_product(hurst, n, monkeypatch):
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    spec = make_kernel_spec(hurst)
+    grid = uniform_grid(1.0, n)
+    *panels, _ = _kernel_operator(spec, grid)
+    ref = blocks_kernel_matrix(spec, grid)
+    assert len(panels) == -(-n // PANEL_ROWS)
+    for p, panel in enumerate(panels):
+        rows = slice(p * PANEL_ROWS, min(n, (p + 1) * PANEL_ROWS))
+        assert panel.flags.c_contiguous and not panel.flags.writeable
+        assert np.array_equal(panel, ref[rows, :rows.stop])
+    assert np.array_equal(kernel_matrix(spec, grid), ref)
+    rng = np.random.default_rng(n)
+    for shape in [(n,), (n, 4)]:
+        x = rng.standard_normal(shape)
+        got = _apply(panels, x)
+        assert got.shape == shape
+        assert np.all(np.abs(got - ref @ x) <= 1e-13 * (np.abs(ref) @ np.abs(x)))
+
+
+def test_kernel_operator_holds_panels_not_a_dense_matrix(monkeypatch):
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    n = 2048
+    grid = uniform_grid(1.0, n)
+    spec = make_kernel_spec(0.3)
+    _series(spec.hurst)
+    tracemalloc.start()
+    try:
+        _kernel_operator(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # four panels of 512 rows: (1 + 2 + 3 + 4) 512^2 entries, 5/8 of 8 n^2
+    assert kernels._dense_held() == 20 * 2**20
+    assert peak < 0.7 * 8 * n * n  # a dense n x n build would need 32 MiB
+
+
+def test_store_budget_caps_kernel_panels_and_cholesky_builds():
+    # budget arithmetic only: nothing of these sizes is allocated
+    assert kernels._check_panels(16131) <= kernels.DENSE_BYTES_MAX
+    assert kernels._check_panels(2048) == 20 * 2**20
+    assert kernels._check_panels(PANEL_ROWS) == 8 * PANEL_ROWS**2
+    with pytest.raises(DenseSizeError, match="16132x16132"):
+        kernels._check_panels(16132)
+    with pytest.raises(DenseSizeError, match="16132x16132"):
+        _kernel_operator(make_kernel_spec(0.3), uniform_grid(1.0, 16132))
+    assert kernels._check_dense(6688, 3) <= kernels.DENSE_BYTES_MAX
+    with pytest.raises(DenseSizeError, match="3 dense 6689x6689"):
+        kernels._check_dense(6689, 3)
+    # a dense kernel_matrix or weight_matrix result is still refused
+    kernels._check_dense(11585, 1)
+    for build in (kernel_matrix, weight_matrix):
+        with pytest.raises(DenseSizeError, match="1 dense 11586x11586"):
+            build(make_kernel_spec(0.3), uniform_grid(1.0, 11586))
 
 
 def test_kernel_rejects_bad_domain():

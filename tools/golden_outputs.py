@@ -15,6 +15,9 @@ stdout is kept as ``out_<name>.txt`` next to its CSV or JSON file, and one
 ``sha256  file`` line is printed per file (28 in all), sorted by name.
 A refactor meant to leave results unchanged leaves every line alone.
 The hashes depend on the platform (CPU, Python and numpy build).
+The n = 512 commands fit each stored operator in one 512-row panel
+(``kernels.PANEL_ROWS``) and ``validate`` stores none, so the hashes
+cannot see how a product is split across panels.
 
 ``--against OTHER_OUTDIR`` compares with the outputs an earlier run left
 there, for instance from another checkout: for each file whose hash
