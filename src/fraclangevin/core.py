@@ -32,6 +32,8 @@ class TimeGrid:
     """Strictly increasing mesh 0 = t_0 < t_1 < ... < t_n = T."""
 
     points: np.ndarray
+    # computed once, as the dense store hashes its keys on every lookup
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = _frozen(self.points)
@@ -44,6 +46,8 @@ class TimeGrid:
         if not (np.diff(pts) > 0.0).all():
             raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
+        # t_0 is 0.0 or -0.0, which compare equal, so it is left out
+        object.__setattr__(self, "_hash", hash(pts[1:].tobytes()))
 
     @property
     def horizon(self) -> float:
@@ -75,12 +79,15 @@ class TimeGrid:
         raise ValueError(f"t={t!r} is not a grid point")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, TimeGrid):
             return NotImplemented
-        return np.array_equal(self.points, other.points)
+        return (self._hash == other._hash
+                and np.array_equal(self.points, other.points))
 
     def __hash__(self):
-        return hash((self.points.size, self.points.tobytes()))
+        return self._hash
 
 
 @dataclass(frozen=True, eq=False)

@@ -121,12 +121,25 @@ def _checked_increments(grid: TimeGrid, increments) -> np.ndarray:
 def _ar1(alpha: np.ndarray, shocks: np.ndarray, x0) -> np.ndarray:
     """out[0] = x0, out[i+1] = alpha[i] out[i] + shocks[i]; shocks (n,) or (n, S).
 
-    Each column of an (n, S) run equals its own 1-D run bit for bit.  1-D runs
-    step in Python floats: the same IEEE arithmetic as numpy scalars, 2x faster.
+    An inclusive log-depth scan of the affine maps x -> alpha[i] x + shocks[i]
+    (Hillis & Steele 1986): round k composes each map with the one k cells
+    back, so after ceil(log2 n) rounds a[i] = alpha[0] ... alpha[i] and e[i]
+    is the output at x0 = 0.  Only products and sums, so alpha = 0, sign
+    changes and |alpha| > 1 need no special case.  Against the sequential
+    loop, |out[i] - loop[i]| <= (2n + 2 ceil(log2 n) + 2) eps M_i, with M_i
+    the same recurrence on |alpha|, |shocks| and |x0|.  Each column of an
+    (n, S) run equals its own 1-D run bit for bit.  An unstable recurrence
+    overflows quietly to non-finite values.
     """
-    out = np.empty((len(shocks) + 1,) + shocks.shape[1:])
-    out[0] = x = x0
-    rows = shocks.tolist() if shocks.ndim == 1 else shocks
-    for i, (a, e) in enumerate(zip(alpha.tolist(), rows), start=1):
-        out[i] = x = a * x + e
+    a = np.array(alpha, dtype=float).reshape((-1,) + (1,) * (shocks.ndim - 1))
+    e = np.array(shocks, dtype=float)
+    out = np.empty((len(e) + 1,) + e.shape[1:])
+    out[0] = x0
+    k = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < len(e):
+            e[k:] += a[k:] * e[:-k]
+            a[k:] *= a[:-k]
+            k *= 2
+        out[1:] = a * x0 + e
     return out

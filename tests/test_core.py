@@ -72,6 +72,21 @@ def test_grid_equality_and_hash():
     assert a != uniform_grid(1.0, 5)
 
 
+def test_grid_hash_is_computed_once_and_equality_stays_exact():
+    a = uniform_grid(2.0, 2048)
+    b = TimeGrid(np.linspace(0.0, 2.0, 2049))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash(a) == a._hash
+    pts = b.points.copy()
+    pts[1000] = np.nextafter(pts[1000], 2.0)
+    c = TimeGrid(pts)
+    assert a != c and c != a and not a == c
+    assert {a: 1}.get(c) is None
+    # -0.0 passes the start check and equals 0.0, so it must hash the same
+    z = TimeGrid(np.array([-0.0, 1.0]))
+    assert z == uniform_grid(1.0, 1) and hash(z) == hash(uniform_grid(1.0, 1))
+
+
 def test_path_validation():
     grid = uniform_grid(1.0, 2)
     with pytest.raises(ValueError):

@@ -178,32 +178,44 @@ def test_conditional_exact_is_unbiased_per_cell():
 # the shared AR(1) recurrence against the former per-solver scalar loops
 # ---------------------------------------------------------------------------
 
+EPS = np.finfo(float).eps
 
-def _scalar_exact(params, grid, stream):
+
+def _exact_terms(params, grid, stream):
     rate = params.rate
     alpha = np.exp(-rate * grid.widths)
     det = params.v0 * np.exp(-rate * grid.points)
     std = params.sigma * np.sqrt((1.0 - alpha**2) /
                                  (2.0 * params.friction * params.mass))
     eta = std * stream.generator().standard_normal(grid.n_cells)
-    noise = np.empty(grid.n_cells)
-    acc = 0.0
-    for i in range(grid.n_cells):
-        acc = alpha[i] * acc + eta[i]
-        noise[i] = acc
+    return alpha, det, eta
+
+
+def _scalar_exact(params, grid, stream):
+    alpha, det, eta = _exact_terms(params, grid, stream)
     values = det.copy()
-    values[1:] += noise
+    values[1:] += _scalar_drive(0.0, alpha, eta)[1:]
     return values
 
 
-def _scalar_drive(params, grid, alpha, shocks):
-    values = np.empty(grid.points.size)
-    values[0] = params.v0
-    v = params.v0
-    for i in range(grid.n_cells):
+def _scalar_drive(x0, alpha, shocks):
+    values = np.empty(len(shocks) + 1)
+    values[0] = v = x0
+    for i in range(len(shocks)):
         v = alpha[i] * v + shocks[i]
         values[i + 1] = v
     return values
+
+
+def _assert_scan_bound(got, want, scale):
+    """|got - want| <= (2n + 2 ceil(log2 n) + 2) eps M_i, n the cell count.
+
+    M_i (``scale``) is the loop run on |alpha|, |shocks| and |x0|, plus the
+    closed-form part of an exact path; where it is 0 the two agree exactly.
+    """
+    n = len(got) - 1
+    bound = (2 * n + 2 * math.ceil(math.log2(n)) + 2) * EPS * scale
+    assert (np.abs(got - want) <= bound).all()
 
 
 GRIDS = [uniform_grid(1.0, 512),
@@ -212,18 +224,68 @@ GRIDS = [uniform_grid(1.0, 512),
 
 
 @pytest.mark.parametrize("grid", GRIDS)
-def test_solvers_match_scalar_loops_bitwise(grid):
+def test_solvers_match_scalar_loops_within_rounding_bound(grid):
+    # measured worst case: 2.5 eps M_i on these grids, 9.8 on uniform_grid(1, 8192)
     p = LangevinParams(mass=1.3, friction=2.0, sigma=0.5, v0=-0.7)
-    assert np.array_equal(simulate_ou_exact(p, grid, NoiseStream(5)).values,
-                          _scalar_exact(p, grid, NoiseStream(5)))
+    alpha, det, eta = _exact_terms(p, grid, NoiseStream(5))
+    _assert_scan_bound(simulate_ou_exact(p, grid, NoiseStream(5)).values,
+                       _scalar_exact(p, grid, NoiseStream(5)),
+                       np.abs(det) + _scalar_drive(0.0, alpha, np.abs(eta)))
     db = gaussian_increments(grid, NoiseStream(6))
     alpha = np.exp(-p.rate * grid.widths)
     gain = p.sigma * (1.0 - alpha) / (p.friction * grid.widths)
-    assert np.array_equal(simulate_ou_conditional(p, grid, db).values,
-                          _scalar_drive(p, grid, alpha, gain * db))
-    assert np.array_equal(
-        simulate_ou_em(p, grid, db).values,
-        _scalar_drive(p, grid, 1.0 - p.rate * grid.widths, (p.sigma / p.mass) * db))
+    _assert_scan_bound(simulate_ou_conditional(p, grid, db).values,
+                       _scalar_drive(p.v0, alpha, gain * db),
+                       _scalar_drive(abs(p.v0), alpha, np.abs(gain * db)))
+    alpha = 1.0 - p.rate * grid.widths
+    shocks = (p.sigma / p.mass) * db
+    _assert_scan_bound(simulate_ou_em(p, grid, db).values,
+                       _scalar_drive(p.v0, alpha, shocks),
+                       _scalar_drive(abs(p.v0), np.abs(alpha), np.abs(shocks)))
+
+
+ALPHAS = {
+    "zero": lambda rng, n: np.zeros(n),
+    "in_minus_one_zero": lambda rng, n: rng.uniform(-1.0, 0.0, n),
+    "below_minus_one": lambda rng, n: rng.uniform(-1.3, -1.0, n),
+    "one": lambda rng, n: np.ones(n),
+    "mixed_signs": lambda rng, n: rng.uniform(-1.2, 1.2, n),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 1000, 1024])
+@pytest.mark.parametrize("kind", sorted(ALPHAS))
+def test_ar1_edge_cases_within_rounding_bound(kind, n):
+    rng = np.random.default_rng(n)
+    alpha = ALPHAS[kind](rng, n)
+    shocks = rng.standard_normal(n)
+    got = _ar1(alpha, shocks, 0.7)
+    assert got.shape == (n + 1,) and got[0] == 0.7
+    _assert_scan_bound(got, _scalar_drive(0.7, alpha, shocks),
+                       _scalar_drive(0.7, np.abs(alpha), np.abs(shocks)))
+    if kind == "zero":
+        assert np.array_equal(got[1:], shocks)
+
+
+def test_em_step_with_zero_decay_is_the_shock():
+    # rate * dt = 1 makes the Euler-Maruyama factor exactly 0
+    db = np.array([0.3, -1.1, 0.25, 2.0])
+    path = simulate_ou_em(LangevinParams(1.0, 4.0, 1.0, 1.0), uniform_grid(1.0, 4), db)
+    assert np.array_equal(path.values, [1.0, *db])
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_exact_noiseless_is_closed_form_bitwise(grid):
+    p = LangevinParams(mass=1.3, friction=0.7, sigma=0.0, v0=-2.0)
+    assert np.array_equal(simulate_ou_exact(p, grid, NoiseStream(0)).values,
+                          p.v0 * np.exp(-p.rate * grid.points))
+
+
+def test_em_unstable_run_fails_as_non_finite():
+    # rate * dt = 4: the factor -3 overflows the path long before step 1000
+    with pytest.raises(ValueError, match="path values must be finite"):
+        simulate_ou_em(LangevinParams(1, 4, 1, 1), uniform_grid(1000.0, 1000),
+                       np.ones(1000))
 
 
 def test_ar1_batch_columns_equal_single_runs():
