@@ -26,7 +26,7 @@ from .core import NoiseStream, Path, TimeGrid, uniform_grid
 from .fractional import (FractionalConfig, ah_ratios, estimate_ah,
                          fractional_velocity, residual_refinement_study)
 from .hurst import estimate_hurst
-from .kernels import (DenseSizeError, Regime, make_kernel_spec,
+from .kernels import (DenseSizeError, KernelSpec, Regime,
                       verify_covariance_identity)
 from .langevin import LangevinParams, simulate_ou_exact
 from .fbm import sample_fbm_exact, sample_fbm_kernel
@@ -193,7 +193,7 @@ def main():
 def cmd_simulate_fbm(hurst, horizon, steps, paths, seed, method, out, report):
     """Sample fractional Brownian motion paths to CSV."""
     grid = _grid(horizon, steps, hurst if method == "exact" or report else None)
-    spec = make_kernel_spec(hurst)
+    spec = KernelSpec(hurst)
     cols = []
     with _dense_budget(steps):
         for k in range(paths):
@@ -234,7 +234,7 @@ def cmd_simulate_velocity(hurst, ah, mass, friction, sigma, v0, horizon, steps,
     params = LangevinParams(mass=mass, friction=friction, sigma=sigma, v0=v0)
     grid = _grid(horizon, steps)
     v = simulate_ou_exact(params, grid, NoiseStream(seed))
-    spec = make_kernel_spec(hurst)
+    spec = KernelSpec(hurst)
     if spec.regime is Regime.STANDARD:
         _write_csv(out, ["t", "V"], [grid.points, v.values])
         click.echo(f"wrote t,V to {out} (H = 1/2 has no transform)")
@@ -308,7 +308,7 @@ def cmd_estimate_ah(observed_csv, velocity_csv, hurst, out):
     if t_obs.size != t_vel.size:
         raise click.ClickException(
             f"grids differ in length: {t_obs.size} vs {t_vel.size} rows")
-    # relative to the horizon, like TimeGrid.index_of
+    # times match within 1e-12 of the largest |t|, so the check is scale-free
     scale = np.max(np.abs(np.concatenate((t_obs, t_vel))), initial=0.0)
     gap = np.abs(t_obs - t_vel) > 1e-12 * scale
     if gap.any():
@@ -326,7 +326,7 @@ def cmd_estimate_ah(observed_csv, velocity_csv, hurst, out):
     else:
         observed = obs_cols[-1]
     velocity = vel_cols[vel_header.index("V") if "V" in vel_header else 1]
-    spec = make_kernel_spec(hurst)
+    spec = KernelSpec(hurst)
     try:
         grid = TimeGrid(t_vel)
         v_path, o_path = Path(grid, velocity), Path(grid, observed)
@@ -370,7 +370,7 @@ def _check_covariance(n, seed):
     n = n or 2048
     results = []
     for hurst in (0.7, 0.3):
-        spec = make_kernel_spec(hurst)
+        spec = KernelSpec(hurst)
         tol = 1e-2 if hurst > 0.5 else 2e-2
         for (s, t) in ((1.0, 1.0), (0.5, 1.0)):
             coarse = verify_covariance_identity(spec, s, t, n)
@@ -422,7 +422,7 @@ def _check_residual(n, seed):
     coarse = max(16, n // 4)
     if coarse >= n:
         raise ValueError(f"need more than {coarse} cells to refine a coarser grid")
-    spec = make_kernel_spec(0.7)
+    spec = KernelSpec(0.7)
     params = LangevinParams(mass=1.0, friction=2.0, sigma=0.5, v0=1.0)
     study = residual_refinement_study(spec, params, 1.0, [coarse, n], 8,
                                       NoiseStream(seed))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TimeGrid", "Path", "NoiseStream", "uniform_grid", "increments"]
+__all__ = ["TimeGrid", "Path", "NoiseStream", "uniform_grid"]
 
 
 def _midpoints(values: np.ndarray) -> np.ndarray:
@@ -62,21 +62,8 @@ class TimeGrid:
         return np.diff(self.points)
 
     @property
-    def mesh(self) -> float:
-        """Largest cell width (the usual refinement parameter)."""
-        return float(self.widths.max())
-
-    @property
     def midpoints(self) -> np.ndarray:
         return _midpoints(self.points)
-
-    def index_of(self, t: float) -> int:
-        """Index of the grid point nearest ``t``, if within 1e-12 * horizon."""
-        lo = max(int(np.searchsorted(self.points, t)) - 1, 0)
-        j = lo + int(np.argmin(np.abs(self.points[lo:lo + 2] - t)))
-        if abs(self.points[j] - t) <= 1e-12 * self.horizon:
-            return j
-        raise ValueError(f"t={t!r} is not a grid point")
 
     def __eq__(self, other):
         if self is other:
@@ -126,15 +113,25 @@ class NoiseStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+        # kept as ints: 1.0 is stream 1, while 1.5 or "1" is refused
+        for name in ("seed", "stream_index"):
+            value = getattr(self, name)
+            try:
+                whole = int(value)
+            except (TypeError, ValueError, OverflowError):
+                whole = None
+            if whole is None or whole != value:
+                raise ValueError(f"{name} must be a whole number; got {value!r}")
+            object.__setattr__(self, name, whole)
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if int(self.stream_index) < 0:
+        if self.stream_index < 0:
             raise ValueError("stream_index must be nonnegative")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator state for this (seed, stream_index)."""
-        seq = np.random.SeedSequence(entropy=int(self.seed),
-                                     spawn_key=(int(self.stream_index),))
+        seq = np.random.SeedSequence(entropy=self.seed,
+                                     spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.Philox(seq))
 
     def substream(self, index: int) -> "NoiseStream":
@@ -153,8 +150,3 @@ def uniform_grid(horizon: float, n: int) -> TimeGrid:
     if n < 1:
         raise ValueError("need at least one cell")
     return TimeGrid(np.linspace(0.0, float(horizon), n + 1))
-
-
-def increments(path: Path) -> np.ndarray:
-    """Per-cell differences values[i] - values[i-1] (length = cell count)."""
-    return np.diff(path.values)

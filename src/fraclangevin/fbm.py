@@ -14,17 +14,14 @@ panels, and ``kernels._apply`` forms every product with them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import NoiseStream, Path, TimeGrid, _frozen
+from .core import NoiseStream, Path, TimeGrid
 from .kernels import (KernelSpec, Regime, _apply, _check_dense, _dense_cached,
                       _kernel_operator, _panels, fbm_covariance)
 from .noise import gaussian_increments
 
 __all__ = [
-    "CovMatrix",
     "DecompositionError",
     "covariance_matrix",
     "cholesky_factor",
@@ -37,36 +34,23 @@ class DecompositionError(RuntimeError):
     """Covariance matrix was not numerically positive definite."""
 
 
-@dataclass(frozen=True, eq=False)
-class CovMatrix:
-    """fBm covariance on the positive grid points (t = 0 is excluded:
-    B^H_0 is pinned to zero and would make the matrix singular)."""
-
-    grid: TimeGrid
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = _frozen(self.entries)
-        k = self.grid.points.size - 1
-        if m.shape != (k, k):
-            raise ValueError("entries must be square over the positive grid points")
-        object.__setattr__(self, "entries", m)
-
-
-def covariance_matrix(hurst: float, grid: TimeGrid) -> CovMatrix:
-    """Matrix M[i][j] = R(t_i, t_j) over the positive grid points."""
+def covariance_matrix(hurst: float, grid: TimeGrid) -> np.ndarray:
+    """Read-only matrix M[i][j] = R(t_i, t_j) over the positive grid points
+    (t = 0 is left out: B^H_0 is pinned to zero and would make M singular)."""
     pts = grid.points[1:]
-    return CovMatrix(grid, fbm_covariance(hurst, pts[None, :], pts[:, None]))
+    cov = fbm_covariance(hurst, pts[None, :], pts[:, None])
+    cov.flags.writeable = False
+    return cov
 
 
-def cholesky_factor(cov: CovMatrix) -> np.ndarray:
-    """Lower-triangular L with L L^T = entries.
+def cholesky_factor(cov: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L L^T = cov.
 
     Raises :class:`DecompositionError` when a pivot fails, i.e. the
     matrix is not numerically positive definite.
     """
     try:
-        return np.linalg.cholesky(cov.entries)
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"covariance is not positive definite: {exc}") from exc
 

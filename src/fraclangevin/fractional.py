@@ -121,8 +121,9 @@ def expected_fractional_velocity(config: FractionalConfig, params: LangevinParam
         raise ValueError("time must be positive")
     if int(n) < 16:
         raise ValueError("need at least 16 quadrature cells")
-    rule = kernel_weights(config.spec, t, uniform_grid(t, int(n)))
-    integral = rule.apply(np.exp(-params.rate * rule.nodes))
+    grid = uniform_grid(t, int(n))
+    integral = float(kernel_weights(config.spec, grid)
+                     @ np.exp(-params.rate * grid.midpoints))
     return params.v0 * (1.0 + phi(config, t) * integral)
 
 

@@ -33,6 +33,8 @@ H < 1/2), applied as K @ (widths f) + correction f from one kernel
 operator: no weight matrix is kept.  Only this module builds the operator:
 rows come from ``_kernel_blocks`` and the correction from
 ``_cell_correction``, which the residual pass streams uncached.
+``kernel_weights`` returns the weights for t = T, the grid's horizon, as
+one plain vector over the midpoints: the last row of the operator.
 
 One store, ``_dense_cached``, keeps kernel operators and the exact
 sampler's Cholesky factors within DENSE_BYTES_MAX, least recently used
@@ -54,13 +56,12 @@ from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial.chebyshev import cheb2poly
 from numpy.polynomial.polynomial import polyval
 
-from .core import TimeGrid, _frozen, uniform_grid
+from .core import TimeGrid, uniform_grid
 
 __all__ = [
     "DenseSizeError",
     "Regime",
     "KernelSpec",
-    "QuadratureRule",
     "beta_fn",
     "make_kernel_spec",
     "kernel_value",
@@ -228,33 +229,9 @@ class KernelSpec:
         object.__setattr__(self, "c_h", c)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Midpoint nodes in (0, t) and weights for int_0^t K(t,s) f(s) ds."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    target_time: float
-
-    def __post_init__(self):
-        nodes, weights = _frozen(self.nodes), _frozen(self.weights)
-        if nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must have equal length")
-        if nodes.size and not ((nodes > 0) & (nodes < self.target_time)).all():
-            raise ValueError("nodes must lie strictly inside (0, t)")
-        if nodes.size > 1 and not (np.diff(nodes) > 0).all():
-            raise ValueError("nodes must be strictly increasing")
-        if not np.isfinite(weights).all():
-            raise ValueError("weights must be finite")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def apply(self, values_at_nodes: np.ndarray) -> float:
-        return float(self.weights @ np.asarray(values_at_nodes, dtype=float))
-
-
 def make_kernel_spec(hurst: float) -> KernelSpec:
-    """The :class:`KernelSpec` of H, i.e. ``KernelSpec(hurst)``."""
+    """``KernelSpec(hurst)`` under a second name, kept only while the
+    benchmark's workloads call it; the library uses :class:`KernelSpec`."""
     return KernelSpec(hurst)
 
 
@@ -409,22 +386,16 @@ def _cell_correction(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     return _singular_cell(spec, t, m, delta, k)[2] - k * delta
 
 
-def kernel_weights(spec: KernelSpec, t: float, grid: TimeGrid) -> QuadratureRule:
-    """Quadrature rule for int_0^t K(t,s) f(s) ds on the grid's cells.
+def kernel_weights(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
+    """Weights of int_0^T K(T,s) f(s) ds at the grid's midpoints, T = horizon.
 
-    ``t`` must be a positive grid point; nodes are the midpoints of the
-    grid cells inside [0, t].  The standard regime degenerates to the
-    plain midpoint rule (K == 1).  The weights are the matching row of
-    :func:`weight_matrix`, bit for bit.
+    The standard regime degenerates to the plain midpoint rule (K == 1).
+    The weights are the last row of :func:`weight_matrix`, bit for bit;
+    for an earlier grid point t_k pass the prefix grid of points t_0..t_k.
     """
-    i = grid.index_of(t)
-    if i == 0:
-        raise ValueError("t must be a positive grid point")
-    t = float(t)
-    mids = grid.midpoints[:i]
-    weights = _kernel_values(spec, t, mids) * grid.widths[:i]
-    weights[-1] += _cell_correction(spec, grid)[i - 1]
-    return QuadratureRule(mids, weights, t)
+    weights = _kernel_values(spec, grid.horizon, grid.midpoints) * grid.widths
+    weights[-1] += _cell_correction(spec, grid)[-1]
+    return weights
 
 
 def kernel_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
@@ -473,10 +444,10 @@ def _kernel_integral(spec: KernelSpec, grid: TimeGrid, f: np.ndarray):
 def verify_covariance_identity(spec: KernelSpec, s: float, t: float, n: int) -> float:
     """Relative residual of int_0^(s^t) K(t,u) K(s,u) du against R(t,s).
 
-    Applies the kernel_weights rule of n uniform cells on [0, min(s,t)]
-    to K(max(s,t), .), with the squared singular cell exact at s = t;
-    the residual shrinks as n grows, which is the numerical witness that
-    the kernels really reproduce the fBm covariance.
+    Applies the kernel_weights of n uniform cells on [0, min(s,t)] to
+    K(max(s,t), .) at their midpoints, with the squared singular cell
+    exact at s = t; the residual shrinks as n grows, which is the numerical
+    witness that the kernels really reproduce the fBm covariance.
     """
     if spec.regime is Regime.STANDARD:
         raise ValueError("identity check applies to the fractional regimes only")
@@ -487,15 +458,15 @@ def verify_covariance_identity(spec: KernelSpec, s: float, t: float, n: int) -> 
         raise ValueError("need at least 16 quadrature cells")
     lo, hi = (s, t) if s <= t else (t, s)
     grid = uniform_grid(lo, n)
-    rule = kernel_weights(spec, lo, grid)
-    k_hi = _kernel_values(spec, hi, rule.nodes)
-    terms = k_hi * rule.weights
+    nodes = grid.midpoints
+    k_hi = _kernel_values(spec, hi, nodes)
+    terms = k_hi * kernel_weights(spec, grid)
     if hi == lo and spec.regime is Regime.BELOW_HALF:
         # int (a x^(H-1/2) + r)^2 over the last cell; its cross term
         # 2 a r delta^(H+1/2)/(H+1/2) equals 2 r (w - r delta)
         h = spec.hurst
         delta = grid.widths[-1:]
-        a, r, w = _singular_cell(spec, lo, rule.nodes[-1:], delta, k_hi[-1:])
+        a, r, w = _singular_cell(spec, lo, nodes[-1:], delta, k_hi[-1:])
         terms[-1:] = (a * a * delta ** (2 * h) / (2 * h)
                       + 2 * r * w - r * r * delta)
     quad = float(terms.sum())

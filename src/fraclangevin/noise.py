@@ -48,8 +48,9 @@ class StepDistribution:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("step std must be positive")
+        object.__setattr__(self, "kind", StepKind(self.kind))
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ValueError(f"step std must be finite and positive: {self.sigma!r}")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind is StepKind.GAUSSIAN:

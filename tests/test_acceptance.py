@@ -11,9 +11,10 @@ from click.testing import CliRunner
 from scipy import stats
 
 from fraclangevin import (FractionalConfig, LangevinParams, NoiseStream, Path,
-                          StepDistribution, StepKind, covariance_matrix,
-                          donsker_path, estimate_ah, estimate_hurst,
-                          expected_fractional_velocity, fractional_velocity,
+                          StepDistribution, StepKind, TimeGrid,
+                          covariance_matrix, donsker_path, estimate_ah,
+                          estimate_hurst, expected_fractional_velocity,
+                          fractional_velocity,
                           gaussian_increments, kernel_weights,
                           make_kernel_spec, normalized_residual_max, ou_mean,
                           ou_variance, phi, quadratic_variation,
@@ -62,7 +63,7 @@ def test_c02_exact_sampler_law():
         ])
         var_gap = abs(draws[:, -1].var() - 1.0)
         var_ok = var_gap <= 3.0 * math.sqrt(2.0 / m)
-        target = covariance_matrix(hurst, grid).entries
+        target = covariance_matrix(hurst, grid)
         sample_cov = draws.T @ draws / m
         z_se = np.sqrt((np.outer(np.diag(target), np.diag(target))
                         + target**2) / m)
@@ -150,17 +151,18 @@ def test_c08_expected_fractional_velocity():
     ok = True
     details = []
     configs = {h: FractionalConfig(make_kernel_spec(h), 1.0) for h in (0.3, 0.7)}
-    rules = {(h, t): kernel_weights(c.spec, t, grid)
+    # the weights for time t = k / 4096 are those of the prefix grid t_0..t_k
+    rules = {(h, t): kernel_weights(
+                 c.spec, TimeGrid(grid.points[:round(4096 * t) + 1]))
              for h, c in configs.items() for t in probes}
     samples = {key: np.empty(m) for key in rules}
     # one simulated path serves the probe rules of both Hurst indices
     for k in range(m):
         v = simulate_ou_exact(OU, grid, NoiseStream(6, k))
         vmid = 0.5 * (v.values[:-1] + v.values[1:])
-        for (h, t), rule in rules.items():
-            n_t = rule.weights.size
+        for (h, t), weights in rules.items():
             samples[h, t][k] = v.values[0] + phi(configs[h], t) * (
-                rule.weights @ vmid[:n_t])
+                weights @ vmid[:weights.size])
     for hurst, config in configs.items():
         for t in probes:
             expected = expected_fractional_velocity(
@@ -177,9 +179,10 @@ def test_c08_expected_fractional_velocity():
     full = fractional_velocity(config, v).transformed
     vmid = 0.5 * (v.values[:-1] + v.values[1:])
     for t in probes:
-        rule = kernel_weights(config.spec, t, small)
-        row = v.values[0] + phi(config, t) * (rule.weights @ vmid[:rule.weights.size])
-        ok &= math.isclose(row, full.values[small.index_of(t)], rel_tol=1e-12)
+        k = round(512 * t)
+        weights = kernel_weights(config.spec, TimeGrid(small.points[:k + 1]))
+        row = v.values[0] + phi(config, t) * (weights @ vmid[:k])
+        ok &= math.isclose(row, full.values[k], rel_tol=1e-12)
     report(8, ok, "expected fractional velocity vs Monte Carlo: "
            + "; ".join(details))
 

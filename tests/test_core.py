@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import fraclangevin
-from fraclangevin import (CovMatrix, NoiseStream, Path, QuadratureRule,
-                          RSSeries, StepFunction, TimeGrid, core, fbm,
-                          fractional, hurst, increments, kernels, langevin,
-                          noise, uniform_grid)
+from fraclangevin import (NoiseStream, Path, RSSeries, StepFunction,
+                          TimeGrid, core, fbm, fractional, hurst, kernels,
+                          langevin, noise, uniform_grid)
 
 
 def test_uniform_grid_points():
@@ -27,11 +25,6 @@ def test_uniform_grid_rejects_degenerate(horizon, n):
         uniform_grid(horizon, n)
 
 
-def test_uniform_grid_mesh_is_step():
-    grid = uniform_grid(3.0, 7)
-    assert grid.mesh == pytest.approx(3.0 / 7, rel=1e-15)
-
-
 def test_midpoints_do_not_overflow():
     for grid in (uniform_grid(1.0, 1024), uniform_grid(0.8125, 512),
                  TimeGrid(np.array([0.0, 1e-15, 0.5, 1.0 - 1e-15, 1.0]))):
@@ -49,20 +42,6 @@ def test_grid_validation():
         TimeGrid(np.array([0.1, 0.5]))  # must start at zero
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 0.5, 0.5]))  # not strictly increasing
-
-
-def test_grid_index_of():
-    grid = uniform_grid(1.0, 4)
-    assert grid.index_of(0.5) == 2
-    assert grid.index_of(0.0) == 0
-    with pytest.raises(ValueError):
-        grid.index_of(0.3)
-    # the nearest point wins, with slack relative to the horizon
-    assert uniform_grid(1e-9, 4096).index_of(1e-9) == 4096
-    assert uniform_grid(1e-9, 4096).index_of(0.5e-9) == 2048
-    assert TimeGrid(np.array([0.0, 1e-15, 1.0])).index_of(1e-15) == 1
-    with pytest.raises(ValueError):
-        uniform_grid(1e-9, 4).index_of(0.3e-9)
 
 
 def test_grid_equality_and_hash():
@@ -95,21 +74,6 @@ def test_path_validation():
         Path(grid, np.array([0.0, np.nan, 1.0]))
 
 
-def test_increments_examples():
-    grid = uniform_grid(1.0, 2)
-    assert np.array_equal(increments(Path(grid, [0.0, 1.0, 3.0])), [1.0, 2.0])
-    assert np.array_equal(increments(Path(grid, [5.0, 5.0, 5.0])), [0.0, 0.0])
-    assert np.array_equal(increments(Path(grid, [0.0, -1.0, -1.0])), [-1.0, 0.0])
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=40))
-def test_increments_reconstruct_path(values):
-    grid = uniform_grid(1.0, len(values) - 1)
-    path = Path(grid, np.array(values))
-    rebuilt = values[0] + np.concatenate(([0.0], np.cumsum(increments(path))))
-    assert np.allclose(rebuilt, path.values, rtol=1e-12, atol=1e-9)
-
-
 def test_noise_stream_determinism():
     a = NoiseStream(12345, 7).generator().standard_normal(16)
     b = NoiseStream(12345, 7).generator().standard_normal(16)
@@ -133,6 +97,25 @@ def test_noise_stream_validation():
         NoiseStream(0, -1)
 
 
+@pytest.mark.parametrize("seed,index", [
+    (1.5, 0), (0, 2.9), ("1", 0), (np.inf, 0), (np.nan, 0), (None, 0),
+    (0, np.float64(0.5))],
+    ids=["seed-1.5", "index-2.9", "seed-str", "seed-inf", "seed-nan",
+         "seed-none", "index-np-0.5"])
+def test_noise_stream_refuses_non_integral_seeds(seed, index):
+    # 1.5 drew the variates of seed 1 and 2.9 was stream 2
+    with pytest.raises(ValueError, match="whole number"):
+        NoiseStream(seed, index)
+
+
+def test_noise_stream_keeps_whole_numbers_as_ints():
+    a = NoiseStream(1.0, np.int64(2))
+    assert a == NoiseStream(1, 2) and hash(a) == hash(NoiseStream(1, 2))
+    assert type(a.seed) is int and type(a.stream_index) is int
+    assert np.array_equal(a.generator().standard_normal(4),
+                          NoiseStream(1, 2).generator().standard_normal(4))
+
+
 def test_grids_and_paths_are_immutable():
     grid = uniform_grid(1.0, 4)
     with pytest.raises(ValueError):
@@ -145,11 +128,8 @@ def test_grids_and_paths_are_immutable():
     cases = [
         (TimeGrid, (np.array([0.0, 0.5, 1.0]),), ("points",)),
         (Path, (small, np.array([0.0, 1.0, 2.0])), ("values",)),
-        (CovMatrix, (small, np.eye(2)), ("entries",)),
         (StepFunction, (np.array([0.0, 0.5, 1.0]), np.array([1.0, -1.0])),
          ("breakpoints", "levels")),
-        (QuadratureRule, (np.array([0.25, 0.75]), np.array([0.5, 0.5]), 1.0),
-         ("nodes", "weights")),
         (RSSeries, (np.array([2, 3]), np.array([1.0, 2.0])),
          ("lengths", "ratios")),
     ]
@@ -177,10 +157,12 @@ def test_public_api_is_the_module_lists():
     modules = (core, fbm, fractional, hurst, kernels, langevin, noise)
     names = [name for mod in modules for name in mod.__all__]
     assert fraclangevin.__all__ == names
-    assert len(set(names)) == len(names) == 53
+    assert len(set(names)) == len(names) == 50
     for mod in modules:
         for name in mod.__all__:
             assert getattr(fraclangevin, name) is getattr(mod, name)
-    for gone in ("kernel_dt", "simulate_ou_conditional"):
+    for gone in ("kernel_dt", "simulate_ou_conditional", "CovMatrix",
+                 "QuadratureRule", "increments"):
         assert not any(hasattr(mod, gone) for mod in (fraclangevin, *modules))
+    assert not any(hasattr(TimeGrid, gone) for gone in ("index_of", "mesh"))
     assert "weight_matrix" in fraclangevin.__all__

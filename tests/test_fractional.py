@@ -218,7 +218,7 @@ def test_amplitude_single_time_is_ratio_formula():
     observed = Path(grid, np.array([1.0, 1.25]))
     est = estimate_ah(SPEC7, observed, v)
     vmid = 0.9
-    w = kernel_weights(SPEC7, 0.5, grid).weights
+    w = kernel_weights(SPEC7, grid)
     expect = 0.5 ** (0.7 - 0.5) * (1.25 - 1.0) / (w[0] * vmid)
     assert est == pytest.approx(expect, rel=1e-12)
 

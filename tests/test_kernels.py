@@ -291,6 +291,11 @@ def test_kernel_against_runtime_quadrature_oracle():
             quad_kernel_oracle(hurst, t, s), rel=1e-6)
 
 
+def prefix_grid(grid, k):
+    """The grid's points t_0..t_k: its kernel weights are for t = t_k."""
+    return TimeGrid(grid.points[:k + 1])
+
+
 def hypergeometric_kernel(hurst, t, s):
     """Closed form above half (Decreusefond-Ustunel):
     c_H (t-s)^(H-1/2) / (H-1/2) * 2F1(1/2-H, H-1/2; H+1/2; -(t-s)/s)."""
@@ -305,10 +310,9 @@ def hypergeometric_kernel(hurst, t, s):
 @pytest.mark.parametrize("t", [1.0, 0.375])
 def test_kernel_rows_match_hypergeometric_closed_form(hurst, t):
     # s/t >= 1/(2 * 8192) on these rows
-    grid = uniform_grid(1.0, 8192)
-    rule = kernel_weights(make_kernel_spec(hurst), t, grid)
-    kvals = rule.weights / grid.widths[: rule.nodes.size]
-    ref = hypergeometric_kernel(hurst, t, rule.nodes)
+    grid = prefix_grid(uniform_grid(1.0, 8192), round(8192 * t))
+    kvals = kernel_weights(make_kernel_spec(hurst), grid) / grid.widths
+    ref = hypergeometric_kernel(hurst, t, grid.midpoints)
     assert np.max(np.abs(kvals / ref - 1)) <= 1e-8
 
 
@@ -700,37 +704,39 @@ def test_covariance_self_similarity(hurst, s, t, a):
 
 
 def test_weights_standard_midpoint():
-    rule = kernel_weights(make_kernel_spec(0.5), 1.0, uniform_grid(1.0, 4))
-    assert np.array_equal(rule.weights, np.full(4, 0.25))
-    assert np.array_equal(rule.nodes, [0.125, 0.375, 0.625, 0.875])
+    grid = uniform_grid(1.0, 4)
+    weights = kernel_weights(make_kernel_spec(0.5), grid)
+    assert np.array_equal(weights, np.full(4, 0.25))
+    assert np.array_equal(grid.midpoints, [0.125, 0.375, 0.625, 0.875])
 
 
 @pytest.mark.parametrize("hurst", [0.7, 0.3])
 def test_weights_sum_matches_kernel_mass(hurst):
     spec = make_kernel_spec(hurst)
-    rule = kernel_weights(spec, 1.0, uniform_grid(1.0, 4096))
-    assert rule.weights.sum() == pytest.approx(KERNEL_MASS[hurst], rel=1e-3)
+    weights = kernel_weights(spec, uniform_grid(1.0, 4096))
+    assert weights.sum() == pytest.approx(KERNEL_MASS[hurst], rel=1e-3)
 
 
 def test_weights_interior_time():
     spec = make_kernel_spec(0.7)
-    grid = uniform_grid(1.0, 8)
-    rule = kernel_weights(spec, 0.5, grid)
-    assert rule.nodes.size == 4
-    assert rule.target_time == 0.5
+    grid = prefix_grid(uniform_grid(1.0, 8), 4)
+    weights = kernel_weights(spec, grid)
+    assert weights.size == 4
+    assert grid.horizon == 0.5
     # self-similar scaling t^(H+1/2) of the kernel mass
-    assert rule.weights.sum() == pytest.approx(
+    assert weights.sum() == pytest.approx(
         KERNEL_MASS[0.7] * 0.5 ** 1.2, rel=2e-2)
 
 
-@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.45])
+@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.45, 0.7, 0.9])
 def test_weights_rows_equal_weight_matrix_bitwise(hurst):
     spec = make_kernel_spec(hurst)
     grid = uniform_grid(1.0, 1024)
     wmat = weight_matrix(spec, grid)
+    assert np.array_equal(kernel_weights(spec, grid), wmat[-1])
     for i in range(grid.n_cells):
-        rule = kernel_weights(spec, float(grid.points[i + 1]), grid)
-        assert np.array_equal(rule.weights, wmat[i, : i + 1]), i
+        weights = kernel_weights(spec, prefix_grid(grid, i + 1))
+        assert np.array_equal(weights, wmat[i, : i + 1]), i
 
 
 def _scalar_singular_cell(spec, t, m, delta, k):
@@ -792,14 +798,6 @@ def test_kernel_integral_batch_columns_match_single_runs(hurst):
     for j in range(f.shape[1]):
         single = _kernel_integral(spec, grid, f[:, j].copy())
         assert np.all(np.abs(batch[:, j] - single) <= 1e-13 * scale[:, j])
-
-
-def test_weights_reject_off_grid_time():
-    spec = make_kernel_spec(0.7)
-    with pytest.raises(ValueError):
-        kernel_weights(spec, 0.33, uniform_grid(1.0, 8))
-    with pytest.raises(ValueError):
-        kernel_weights(spec, 0.0, uniform_grid(1.0, 8))
 
 
 # ---------------------------------------------------------------------------

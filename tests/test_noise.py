@@ -21,7 +21,7 @@ def test_gaussian_increments_deterministic():
 def test_gaussian_increments_moments():
     grid = uniform_grid(1.0, 100_000)
     db = gaussian_increments(grid, NoiseStream(7))
-    n, dt = grid.n_cells, grid.mesh
+    n, dt = grid.n_cells, grid.widths.max()
     assert abs(db.mean()) <= 4.0 * np.sqrt(dt) / np.sqrt(n)
     assert db.var() == pytest.approx(dt, rel=0.05)
 
@@ -174,3 +174,22 @@ def test_step_distribution_moments():
         assert draws.var() == pytest.approx(4.0, rel=0.05)
     with pytest.raises(ValueError):
         StepDistribution(StepKind.GAUSSIAN, sigma=0.0)
+
+
+def test_step_distribution_reads_its_kind_by_value():
+    # "gaussian" once fell through to +/-1 steps
+    dist = StepDistribution("gaussian")
+    assert dist.kind is StepKind.GAUSSIAN
+    assert dist == StepDistribution(StepKind.GAUSSIAN)
+    draws = dist.sample(NoiseStream(4).generator(), 1000)
+    assert np.array_equal(
+        draws, NoiseStream(4).generator().standard_normal(1000))
+    assert StepDistribution("rademacher").kind is StepKind.RADEMACHER
+    with pytest.raises(ValueError, match="StepKind"):
+        StepDistribution("normal")
+
+
+@pytest.mark.parametrize("sigma", [np.inf, -np.inf, np.nan])
+def test_step_distribution_refuses_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="finite"):
+        StepDistribution(StepKind.RADEMACHER, sigma=sigma)
