@@ -62,13 +62,6 @@ def _load_config(ctx, _param, path):
     ctx.default_map = defaults
 
 
-def _check_hurst(_ctx, _param, hurst):
-    if not 0.0 < hurst < 1.0:
-        raise click.BadParameter(
-            f"Hurst index must lie in the open interval (0, 1); got {hurst}")
-    return hurst
-
-
 def _write_csv(path, header, columns):
     rows = np.column_stack(columns).tolist()
     try:
@@ -146,6 +139,7 @@ class _Finite(click.FloatRange):
 
 _real = _Finite()
 _positive = _Finite(min=0.0, min_open=True)
+_hurst = _Finite(0.0, 1.0, min_open=True, max_open=True)
 _cells = click.IntRange(min=1)
 
 
@@ -177,7 +171,7 @@ def main():
 
 
 @main.command("simulate-fbm")
-@click.option("--hurst", type=float, required=True, callback=_check_hurst,
+@click.option("--hurst", type=_hurst, required=True,
               help="Hurst index in (0,1).")
 @click.option("--horizon", type=_positive, default=1.0, show_default=True)
 @click.option("--steps", type=_cells, default=1024, show_default=True,
@@ -216,7 +210,7 @@ def cmd_simulate_fbm(hurst, horizon, steps, paths, seed, method, out, report):
 
 
 @main.command("simulate-velocity")
-@click.option("--hurst", type=float, required=True, callback=_check_hurst)
+@click.option("--hurst", type=_hurst, required=True)
 @click.option("--ah", type=_real, default=1.0, show_default=True,
               help="Amplitude of the transform normalization.")
 @click.option("--mass", type=_positive, default=1.0, show_default=True)
@@ -291,7 +285,7 @@ def cmd_estimate_hurst(input_csv, t_min, increments, out):
 @main.command("estimate-ah")
 @click.argument("observed_csv", type=click.Path(exists=True, dir_okay=False))
 @click.argument("velocity_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--hurst", type=float, required=True, callback=_check_hurst,
+@click.option("--hurst", type=_hurst, required=True,
               help="Hurst index of the kernel (estimate it first).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Also write the report as JSON.")

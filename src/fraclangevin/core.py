@@ -20,9 +20,9 @@ def _midpoints(values: np.ndarray) -> np.ndarray:
     return 0.5 * values[:-1] + 0.5 * values[1:]
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    """A read-only copy of ``values`` as an array of ``dtype``."""
-    arr = np.array(values, dtype=dtype)
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``."""
+    arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
 

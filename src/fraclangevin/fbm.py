@@ -1,7 +1,8 @@
 """Fractional Brownian motion synthesis, two independent ways.
 
-The exact route factorizes the covariance matrix R(t_i, t_j) and maps
-i.i.d. normals through the Cholesky factor: the finite-dimensional law
+The exact route factorizes the covariance matrix R(t_i, t_j) of the
+positive grid points and maps i.i.d. normals through its Cholesky
+factor, which only the sampler's cache holds: the finite-dimensional law
 is exact, which makes it the reference oracle (at O(n^3) desk scale).
 The kernel route discretizes B^H_t = int_0^t K(t,s) dB_s with midpoint
 kernel values against raw Brownian increments; it is consistent as the
@@ -23,8 +24,6 @@ from .noise import gaussian_increments
 
 __all__ = [
     "DecompositionError",
-    "covariance_matrix",
-    "cholesky_factor",
     "sample_fbm_exact",
     "sample_fbm_kernel",
 ]
@@ -34,25 +33,15 @@ class DecompositionError(RuntimeError):
     """Covariance matrix was not numerically positive definite."""
 
 
-def covariance_matrix(hurst: float, grid: TimeGrid) -> np.ndarray:
-    """Read-only matrix M[i][j] = R(t_i, t_j) over the positive grid points
-    (t = 0 is left out: B^H_0 is pinned to zero and would make M singular)."""
-    pts = grid.points[1:]
-    cov = fbm_covariance(hurst, pts[None, :], pts[:, None])
-    cov.flags.writeable = False
-    return cov
-
-
-def cholesky_factor(cov: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^T = cov.
-
-    Raises :class:`DecompositionError` when a pivot fails, i.e. the
-    matrix is not numerically positive definite.
-    """
+def _cholesky_panels(hurst: float, grid: TimeGrid) -> tuple:
+    """Row panels of the Cholesky factor of R(t_i, t_j) over the positive
+    grid points (t = 0 is left out: B^H_0 = 0 would make R singular)."""
+    n, pts = grid.n_cells, grid.points[1:]
     try:
-        return np.linalg.cholesky(cov)
+        ell = np.linalg.cholesky(fbm_covariance(hurst, pts[None, :], pts[:, None]))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"covariance is not positive definite: {exc}") from exc
+    return _panels(n, [(0, n, ell)])
 
 
 def sample_fbm_exact(hurst: float, grid: TimeGrid, stream: NoiseStream) -> Path:
@@ -60,9 +49,8 @@ def sample_fbm_exact(hurst: float, grid: TimeGrid, stream: NoiseStream) -> Path:
     hurst = float(hurst)
     n = grid.n_cells
     # three matrices at once: cholesky's input, its LAPACK copy and its output
-    panels = _dense_cached(
-        ("cholesky", hurst, grid), _check_dense(n, 3),
-        lambda: _panels(n, [(0, n, cholesky_factor(covariance_matrix(hurst, grid)))]))
+    panels = _dense_cached(("cholesky", hurst, grid), _check_dense(n, 3),
+                           lambda: _cholesky_panels(hurst, grid))
     z = stream.generator().standard_normal(n)
     return Path(grid, np.concatenate(([0.0], _apply(panels, z))))
 

@@ -147,7 +147,8 @@ def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
     for i0, i1, block in _kernel_blocks(spec, grid):
         out[i0:i1] = block @ rhs[:i1]
     res, bh = np.hsplit(out, 2)
-    res += b * _cell_correction(spec, grid)[:, None] * vmid
+    corr = _cell_correction(spec, grid.points[1:], grid.midpoints, grid.widths)
+    res += b * corr[:, None] * vmid
     return res.reshape(db.shape), bh.reshape(db.shape)
 
 

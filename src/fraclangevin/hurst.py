@@ -25,10 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _frozen
-
 __all__ = [
-    "RSSeries",
     "HurstEstimate",
     "DegenerateSeriesError",
     "rs_series",
@@ -43,25 +40,6 @@ class DegenerateSeriesError(ValueError):
     """Series carries no usable rescaled-range entries."""
 
 
-@dataclass(frozen=True, eq=False)
-class RSSeries:
-    """Prefix lengths t and their rescaled ranges R_t/S_t (both > 0)."""
-
-    lengths: np.ndarray
-    ratios: np.ndarray
-
-    def __post_init__(self):
-        t, rs = _frozen(self.lengths, int), _frozen(self.ratios)
-        if t.shape != rs.shape:
-            raise ValueError("lengths and ratios must align")
-        if t.size and ((np.diff(t) <= 0).any() or t[0] < 2):
-            raise ValueError("prefix lengths must be >= 2 and strictly increasing")
-        if not (rs > 0).all():
-            raise ValueError("rescaled ranges must be positive")
-        object.__setattr__(self, "lengths", t)
-        object.__setattr__(self, "ratios", rs)
-
-
 @dataclass(frozen=True)
 class HurstEstimate:
     hurst: float
@@ -74,8 +52,9 @@ class HurstEstimate:
             raise ValueError("an estimate needs at least two fit points")
 
 
-def rs_series(series) -> RSSeries:
-    """Rescaled-range entries (t, R_t/S_t) for prefixes t = 2..n.
+def rs_series(series) -> tuple[np.ndarray, np.ndarray]:
+    """Rescaled-range entries for prefixes t = 2..n, as the arrays
+    (lengths t, ratios R_t/S_t): t strictly increasing, every ratio > 0.
 
     Entries whose standard deviation or range vanishes are excluded
     (they carry no information and would break the log fit); if nothing
@@ -108,7 +87,7 @@ def rs_series(series) -> RSSeries:
     keep[0] = False
     if not keep.any():
         raise DegenerateSeriesError("series has no positive rescaled-range entries")
-    return RSSeries(np.nonzero(keep)[0] + 1, ranges[keep] / std[keep])
+    return np.nonzero(keep)[0] + 1, ranges[keep] / std[keep]
 
 
 def _prefix_ranges(sums, drift, t) -> np.ndarray:
@@ -180,10 +159,10 @@ def estimate_hurst(series, t_min: int = DEFAULT_T_MIN) -> HurstEstimate:
     """
     if t_min < 2:
         raise ValueError("t_min must be at least 2")
-    rs = rs_series(series)
-    sel = rs.lengths >= t_min
+    lengths, ratios = rs_series(series)
+    sel = lengths >= t_min
     if int(sel.sum()) < 2:
         raise ValueError(
             f"fewer than two rescaled-range entries at t >= {t_min}")
-    slope, intercept, r_sq = loglog_regression(rs.lengths[sel], rs.ratios[sel])
+    slope, intercept, r_sq = loglog_regression(lengths[sel], ratios[sel])
     return HurstEstimate(slope, math.exp(intercept), r_sq, int(sel.sum()))

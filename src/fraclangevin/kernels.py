@@ -376,12 +376,13 @@ def _singular_cell(spec: KernelSpec, t, m: np.ndarray, delta: np.ndarray,
     return a, r, a * delta ** (h + 0.5) / (h + 0.5) + r * delta
 
 
-def _cell_correction(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    """Singular-cell weight minus K(t, m) delta per positive grid point t,
-    m and delta its last cell's midpoint and width; zero unless H < 1/2."""
+def _cell_correction(spec: KernelSpec, t: np.ndarray, m: np.ndarray,
+                     delta: np.ndarray) -> np.ndarray:
+    """Singular-cell weight minus K(t, m) delta per grid point t, m and delta
+    its last cell's midpoint and width; zero unless H < 1/2.  Elementwise:
+    a slice of the points gives that slice of the corrections, bit for bit."""
     if spec.regime is not Regime.BELOW_HALF:
-        return np.zeros(grid.n_cells)
-    t, m, delta = grid.points[1:], grid.midpoints, grid.widths
+        return np.zeros(t.shape)
     k = _kernel_values(spec, t, m)
     return _singular_cell(spec, t, m, delta, k)[2] - k * delta
 
@@ -394,7 +395,8 @@ def kernel_weights(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     for an earlier grid point t_k pass the prefix grid of points t_0..t_k.
     """
     weights = _kernel_values(spec, grid.horizon, grid.midpoints) * grid.widths
-    weights[-1] += _cell_correction(spec, grid)[-1]
+    weights[-1] += _cell_correction(spec, grid.points[-1:], grid.midpoints[-1:],
+                                    grid.widths[-1:])[0]
     return weights
 
 
@@ -416,7 +418,8 @@ def _kernel_operator(spec: KernelSpec, grid: TimeGrid) -> tuple:
     correction, filled from :func:`_kernel_blocks`."""
     n = grid.n_cells
     return _dense_cached(("kernel", spec, grid), _check_panels(n), lambda: (
-        *_panels(n, _kernel_blocks(spec, grid)), _cell_correction(spec, grid)))
+        *_panels(n, _kernel_blocks(spec, grid)),
+        _cell_correction(spec, grid.points[1:], grid.midpoints, grid.widths)))
 
 
 def weight_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:

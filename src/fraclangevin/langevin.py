@@ -29,18 +29,17 @@ __all__ = [
 class LangevinParams:
     """Physical parameters: mass, friction, noise intensity, start.
 
-    ``v0`` is the (deterministic) initial velocity; ``v0_var`` enters the
-    moment formulas only, for bookkeeping of a random start.
+    ``v0`` is the initial velocity, a fixed number: every solver starts
+    there, so V_0 has variance zero.
     """
 
     mass: float
     friction: float
     sigma: float
     v0: float
-    v0_var: float = 0.0
 
     def __post_init__(self):
-        for name in ("mass", "friction", "sigma", "v0", "v0_var"):
+        for name in ("mass", "friction", "sigma", "v0"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite; got {value!r}")
@@ -50,8 +49,6 @@ class LangevinParams:
             raise ValueError("friction must be positive")
         if self.sigma < 0:
             raise ValueError("noise intensity must be nonnegative")
-        if self.v0_var < 0:
-            raise ValueError("initial variance must be nonnegative")
 
     @property
     def rate(self) -> float:
@@ -67,12 +64,11 @@ def ou_mean(params: LangevinParams, t: float) -> float:
 
 
 def ou_variance(params: LangevinParams, t: float) -> float:
-    """Var V_t = e^(-2bt/m) Var V_0 + sigma^2 (1 - e^(-2bt/m)) / (2bm)."""
+    """Var V_t = sigma^2 (1 - e^(-2bt/m)) / (2bm) from the fixed start v0."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    decay2 = math.exp(-2.0 * params.rate * t)
     stationary = params.sigma**2 / (2.0 * params.friction * params.mass)
-    return decay2 * params.v0_var + stationary * (1.0 - decay2)
+    return stationary * (1.0 - math.exp(-2.0 * params.rate * t))
 
 
 def simulate_ou_exact(params: LangevinParams, grid: TimeGrid,

@@ -12,8 +12,8 @@ from scipy import stats
 
 from fraclangevin import (FractionalConfig, LangevinParams, NoiseStream, Path,
                           StepDistribution, StepKind, TimeGrid,
-                          covariance_matrix, donsker_path, estimate_ah,
-                          estimate_hurst, expected_fractional_velocity,
+                          donsker_path, estimate_ah, estimate_hurst,
+                          expected_fractional_velocity, fbm_covariance,
                           fractional_velocity,
                           gaussian_increments, kernel_weights,
                           make_kernel_spec, normalized_residual_max, ou_mean,
@@ -63,7 +63,8 @@ def test_c02_exact_sampler_law():
         ])
         var_gap = abs(draws[:, -1].var() - 1.0)
         var_ok = var_gap <= 3.0 * math.sqrt(2.0 / m)
-        target = covariance_matrix(hurst, grid)
+        pts = grid.points[1:]
+        target = fbm_covariance(hurst, pts[None, :], pts[:, None])
         sample_cov = draws.T @ draws / m
         z_se = np.sqrt((np.outer(np.diag(target), np.diag(target))
                         + target**2) / m)

@@ -38,10 +38,29 @@ def test_simulate_fbm_deterministic_bytes(runner, tmp_path):
 
 
 def test_simulate_fbm_rejects_bad_hurst(runner, tmp_path):
-    res = runner.invoke(main, ["simulate-fbm", "--hurst", "1.2", "--seed", "1",
-                               "--out", str(tmp_path / "x.csv")])
-    assert res.exit_code != 0
-    assert "(0, 1)" in res.output
+    # one click type checks --hurst on every command, from a flag or --config
+    csv_in = tmp_path / "in.csv"
+    csv_in.write_text("t,V\n0.0,1.0\n1.0,1.0\n")
+    out = str(tmp_path / "x.csv")
+    commands = {"simulate-fbm": ["--seed", "1", "--out", out],
+                "simulate-velocity": ["--seed", "1", "--out", out],
+                "estimate-ah": [str(csv_in), str(csv_in)]}
+    reasons = {"1.2": "1.2 is not in the range 0.0<x<1.0",
+               "0": "0.0 is not in the range 0.0<x<1.0",
+               "1": "1.0 is not in the range 0.0<x<1.0",
+               "-0.5": "-0.5 is not in the range 0.0<x<1.0",
+               "nan": "nan is not a finite number"}
+    cfg = tmp_path / "cfg.json"
+    for command, args in commands.items():
+        for value, reason in reasons.items():
+            res = runner.invoke(main, [command, *args, "--hurst", value])
+            assert res.exit_code == 2, (command, value, res.output)
+            assert f"Invalid value for '--hurst': {reason}" in res.output
+            cfg.write_text(json.dumps({"hurst": float(value)}))
+            res = runner.invoke(main, [command, *args, "--config", str(cfg)])
+            assert res.exit_code == 2, (command, value, res.output)
+            assert f"Invalid value for '--hurst': {reason}" in res.output
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_fbm_requires_seed(runner, tmp_path):

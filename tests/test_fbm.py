@@ -1,12 +1,13 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
 from fraclangevin import (DecompositionError, DenseSizeError,
-                          NoiseStream, cholesky_factor, covariance_matrix,
-                          fbm_covariance, gaussian_increments,
+                          NoiseStream, fbm_covariance, gaussian_increments,
                           make_kernel_spec, sample_fbm_exact,
                           sample_fbm_kernel, uniform_grid)
-from fraclangevin import kernels
+from fraclangevin import fbm, kernels
 from fraclangevin.kernels import PANEL_ROWS, _apply
 
 
@@ -14,9 +15,23 @@ def grid_012():
     return uniform_grid(2.0, 2)  # points 0, 1, 2
 
 
+def covariance_matrix(hurst, grid):
+    """R(t_i, t_j) over the positive grid points, as the exact sampler
+    factorizes it."""
+    pts = grid.points[1:]
+    return fbm_covariance(hurst, pts[None, :], pts[:, None])
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    """A fresh dense store, so a patched covariance caches nothing shared."""
+    store = OrderedDict()
+    monkeypatch.setattr(kernels, "_DENSE", store)
+    return store
+
+
 def test_covariance_matrix_standard():
     cov = covariance_matrix(0.5, grid_012())
-    assert type(cov) is np.ndarray and not cov.flags.writeable
     assert np.allclose(cov, [[1.0, 1.0], [1.0, 2.0]], rtol=1e-14)
 
 
@@ -44,28 +59,35 @@ def test_covariance_matrix_matches_pointwise_function():
     assert np.array_equal(cov, cov.T)
 
 
-def test_cholesky_identity():
-    assert np.array_equal(cholesky_factor(np.eye(2)), np.eye(2))
+def test_cholesky_identity(monkeypatch, empty_store):
+    # an identity covariance maps the stream's normals through unchanged
+    monkeypatch.setattr(fbm, "fbm_covariance", lambda h, s, t: np.eye(2))
+    stream = NoiseStream(5)
+    path = sample_fbm_exact(0.5, grid_012(), stream)
+    assert np.array_equal(path.values[1:], stream.generator().standard_normal(2))
 
 
 def test_cholesky_hand_factorization():
-    cov = np.array([[1.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(cholesky_factor(cov), [[1.0, 0.0], [1.0, 1.0]], rtol=1e-15)
+    # at H = 1/2 the covariance over points 1, 2 is min(s, t) = [[1, 1], [1, 2]]
+    (ell,) = fbm._cholesky_panels(0.5, grid_012())
+    assert np.allclose(ell, [[1.0, 0.0], [1.0, 1.0]], rtol=1e-15)
 
 
 def test_cholesky_fbm_pivots_and_reconstruction():
     grid = uniform_grid(1.0, 64)
     cov = covariance_matrix(0.7, grid)
-    ell = cholesky_factor(cov)
+    (ell,) = fbm._cholesky_panels(0.7, grid)
     assert (np.diag(ell) > 0).all()
     err = np.abs(ell @ ell.T - cov).max()
     assert err <= 1e-10 * np.abs(cov).max()
 
 
-def test_cholesky_rejects_indefinite():
+def test_cholesky_rejects_indefinite(monkeypatch, empty_store):
     cov = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(DecompositionError):
-        cholesky_factor(cov)
+    monkeypatch.setattr(fbm, "fbm_covariance", lambda h, s, t: cov)
+    with pytest.raises(DecompositionError, match="not positive definite"):
+        sample_fbm_exact(0.5, grid_012(), NoiseStream(1))
+    assert not empty_store  # a failed build is not kept
 
 
 def test_exact_sampler_pins_origin():
@@ -183,7 +205,7 @@ def test_cholesky_panels_match_dense_product(n):
     stream = NoiseStream(3)
     path = sample_fbm_exact(hurst, grid, stream)
     panels = kernels._DENSE[("cholesky", hurst, grid)]
-    ell = cholesky_factor(covariance_matrix(hurst, grid))
+    ell = np.linalg.cholesky(covariance_matrix(hurst, grid))
     assert len(panels) == -(-n // PANEL_ROWS)
     for p, panel in enumerate(panels):
         rows = slice(p * PANEL_ROWS, min(n, (p + 1) * PANEL_ROWS))

@@ -18,7 +18,8 @@ from fraclangevin import (DenseSizeError, KernelSpec, NoiseStream, Regime,
                           verify_covariance_identity, weight_matrix)
 from fraclangevin import kernels
 from fraclangevin.kernels import (PANEL_ROWS, SERIES_TOL, _apply,
-                                  _kernel_blocks, _kernel_integral,
+                                  _cell_correction, _kernel_blocks,
+                                  _kernel_integral,
                                   _kernel_operator, _kernel_values, _series,
                                   _singular_cell)
 
@@ -422,6 +423,21 @@ def test_kernel_matrix_moved_from_profile_within_bound():
         assert abs(new / old - 1) <= 2.5e-13, (hurst, i, j)
         if hurst >= 0.3:
             assert abs(new / old - 1) <= 2e-14, (hurst, i, j)
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.3, 0.45, 0.499, 0.5, 0.501, 0.7, 0.9])
+def test_cell_correction_of_a_slice_is_the_slice_of_all(hurst):
+    # kernel_weights corrects only the last point; the operator, all of them
+    spec = KernelSpec(hurst)
+    rng = np.random.default_rng(12)
+    random = TimeGrid(np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 2.0, 300)))))
+    for grid in (uniform_grid(1.0, 1024), uniform_grid(2.7, 17), random):
+        t, m, delta = grid.points[1:], grid.midpoints, grid.widths
+        full = _cell_correction(spec, t, m, delta)
+        assert full.any() == (spec.regime is Regime.BELOW_HALF)
+        for part in (slice(-1, None), slice(0, 1), slice(5, 9), slice(None)):
+            got = _cell_correction(spec, t[part], m[part], delta[part])
+            assert np.array_equal(got.view(np.int64), full[part].view(np.int64))
 
 
 @pytest.mark.parametrize("hurst", [0.01, 0.3, 0.7, 0.99, 1 - 1e-6, 1 - 1e-8])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,13 +33,10 @@ def test_params_validation():
         LangevinParams(mass=1.0, friction=-1.0, sigma=1.0, v0=0.0)
     with pytest.raises(ValueError):
         LangevinParams(mass=1.0, friction=1.0, sigma=-0.1, v0=0.0)
-    with pytest.raises(ValueError):
-        LangevinParams(mass=1.0, friction=1.0, sigma=1.0, v0=0.0, v0_var=-1.0)
-    good = dict(mass=1.0, friction=1.0, sigma=1.0, v0=0.0, v0_var=0.0)
+    good = dict(mass=1.0, friction=1.0, sigma=1.0, v0=0.0)
     for name, bad in [("mass", math.inf), ("friction", math.inf),
                       ("sigma", math.nan), ("sigma", math.inf),
-                      ("v0", math.inf), ("v0", -math.inf), ("v0", math.nan),
-                      ("v0_var", math.inf), ("v0_var", math.nan)]:
+                      ("v0", math.inf), ("v0", -math.inf), ("v0", math.nan)]:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             LangevinParams(**{**good, name: bad})
 
@@ -64,9 +62,14 @@ def test_mean_rejects_negative_time():
         ou_variance(PARAMS, -0.1)
 
 
+def test_params_are_a_fixed_start():
+    assert [f.name for f in dataclasses.fields(LangevinParams)] == [
+        "mass", "friction", "sigma", "v0"]
+
+
 def test_variance_at_zero_and_infinity():
-    p = LangevinParams(mass=1.0, friction=2.0, sigma=0.5, v0=1.0, v0_var=0.3)
-    assert ou_variance(p, 0.0) == pytest.approx(0.3, rel=1e-14)
+    p = LangevinParams(mass=1.0, friction=2.0, sigma=0.5, v0=1.0)
+    assert ou_variance(p, 0.0) == 0.0  # the start v0 is not random
     stationary = 0.25 / (2 * 2 * 1)
     assert ou_variance(p, 1e4) == pytest.approx(stationary, rel=1e-12)
 
