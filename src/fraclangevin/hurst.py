@@ -15,12 +15,13 @@ ranges and drags the fitted slope well below the true index.
 All n prefix ranges cost O(n log n), not O(n^2): with S the partial
 sums and d_t the prefix mean, Z_j = S_j - d_t j, so the extremes of Z
 are two queries against the upper and lower convex hulls of the points
-(j, S_j), which grow by one point per prefix.
+(j, S_j).  One pass records, per point, its tangent pointer to the
+hulls of the points before it; binary lifting along those pointers then
+answers every prefix's two queries in a few vectorized rounds.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,38 +95,46 @@ def _prefix_ranges(sums, drift, t) -> np.ndarray:
     """R_i = max_j Z_ij - min_j Z_ij, Z_ij = S_j - d_i t_j over j <= i.
 
     The extremes lie on the upper and lower convex hulls of the points
-    (t_j, S_j), where the hull's edge slopes cross d_i.  The points come
-    in order of t, so Andrew's monotone chain keeps each hull as a stack
-    and one bisection finds each vertex.  Z is evaluated there with the
-    same two roundings as a direct pass over every j, so the ranges agree
-    with that pass bit for bit unless two Z_ij tie to rounding.
+    (t_j, S_j), at the vertex where the hull's edge slopes cross d_i.
+    Each hull is kept as tangent pointers: prev[i] is the vertex left of
+    i on the hull of points 0..i and key[i] that edge's slope (negated on
+    the lower hull), found by following prev from i - 1 past the vertices
+    that point i hides.  The hull of 0..i is then the chain i, prev[i],
+    ..., 0, with keys rising to the sentinel key[0] = inf, and the
+    extreme is the first vertex on it whose key exceeds d_i (-d_i).
+    Binary lifting finds it for every i at once, in as many numpy rounds
+    as log2 of the deepest chain.  Z is evaluated there with the same two
+    roundings as a direct pass over every j, so the ranges agree with
+    that pass bit for bit unless two Z_ij tie to rounding.
     """
     s = sums.tolist()
-    # vertices j of each hull and their edge slopes, kept ascending: the
-    # upper hull's slopes fall, so they are stored negated
-    upper, up_neg, lower, lo_slopes = [0], [], [0], []
-    hi, lo = np.zeros((2, len(s)), dtype=np.intp)  # argmax and argmin of Z
-    for i, d in enumerate(drift.tolist()[1:], start=1):
+    n = len(s)
+    up, up_key, lo, lo_key = [0] * n, [math.inf] * n, [0] * n, [math.inf] * n
+    for i in range(1, n):
         si = s[i]
-        # orientation test by edge slopes: pop the last vertex while it is
-        # not strictly convex, so each slope list stays strictly sorted
-        g = (si - s[upper[-1]]) / (i - upper[-1])
-        while up_neg and -up_neg[-1] <= g:
-            upper.pop()
-            up_neg.pop()
-            g = (si - s[upper[-1]]) / (i - upper[-1])
-        upper.append(i)
-        up_neg.append(-g)
-        g = (si - s[lower[-1]]) / (i - lower[-1])
-        while lo_slopes and lo_slopes[-1] >= g:
-            lower.pop()
-            lo_slopes.pop()
-            g = (si - s[lower[-1]]) / (i - lower[-1])
-        lower.append(i)
-        lo_slopes.append(g)
-        # Z rises along an upper edge of slope > d, falls along a lower one < d
-        hi[i] = upper[bisect_left(up_neg, -d)]
-        lo[i] = lower[bisect_left(lo_slopes, d)]
+        j, g = i - 1, si - s[i - 1]
+        while up_key[j] <= g:  # j is not strictly convex once i joins
+            j = up[j]
+            g = (si - s[j]) / (i - j)
+        up[i], up_key[i] = j, g
+        j, g = i - 1, s[i - 1] - si
+        while lo_key[j] <= g:
+            j = lo[j]
+            g = (s[j] - si) / (i - j)
+        lo[i], lo_key[i] = j, g
+    # one forest: upper hull in nodes 0..n-1, lower hull in n..2n-1
+    prev, key = np.array(up + lo), np.array(up_key + lo_key)
+    prev[n:] += n
+    query = np.concatenate((drift, -drift))
+    jumps = [prev]  # jumps[k] climbs 2^k; the last lands all on roots, unused
+    while not np.array_equal(nxt := jumps[-1][jumps[-1]], jumps[-1]):
+        jumps.append(nxt)
+    v = np.arange(2 * n)  # climb to the last vertex whose key is <= query
+    for jump in reversed(jumps[:-1]):
+        w = jump[v]
+        v = np.where(key[w] <= query, w, v)
+    v = np.where(key[v] > query, v, prev[v])  # unmoved if its own key is above
+    hi, lo = v[:n], v[n:] - n
     return (sums[hi] - drift * t[hi]) - (sums[lo] - drift * t[lo])
 
 

@@ -68,7 +68,7 @@ def ou_variance(params: LangevinParams, t: float) -> float:
     if t < 0:
         raise ValueError("time must be nonnegative")
     stationary = params.sigma**2 / (2.0 * params.friction * params.mass)
-    return stationary * (1.0 - math.exp(-2.0 * params.rate * t))
+    return stationary * -math.expm1(-2.0 * params.rate * t)
 
 
 def simulate_ou_exact(params: LangevinParams, grid: TimeGrid,
@@ -83,7 +83,7 @@ def simulate_ou_exact(params: LangevinParams, grid: TimeGrid,
     rate = params.rate
     alpha = np.exp(-rate * grid.widths)
     values = params.v0 * np.exp(-rate * grid.points)
-    std = params.sigma * np.sqrt((1.0 - alpha**2) /
+    std = params.sigma * np.sqrt(-np.expm1(-2.0 * rate * grid.widths) /
                                  (2.0 * params.friction * params.mass))
     eta = std * stream.generator().standard_normal(grid.n_cells)
     values[1:] += _ar1(alpha, eta, 0.0)[1:]

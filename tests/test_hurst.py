@@ -1,6 +1,8 @@
+import bisect
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fraclangevin import (DegenerateSeriesError, NoiseStream, estimate_hurst,
                           loglog_regression, rs_series, sample_fbm_exact,
@@ -31,6 +33,33 @@ def loop_ranges(sums, drift, t):
     return ranges
 
 
+def stack_ranges(sums, drift, t):
+    """The ranges at the vertices Andrew's monotone chain and bisection pick:
+    each hull kept as a stack with its edge slopes, the upper hull's
+    negated so both lists ascend."""
+    s = sums.tolist()
+    upper, up_neg, lower, lo_slopes = [0], [], [0], []
+    hi, lo = np.zeros((2, len(s)), dtype=np.intp)
+    for i, d in enumerate(drift.tolist()[1:], start=1):
+        g = (s[i] - s[upper[-1]]) / (i - upper[-1])
+        while up_neg and -up_neg[-1] <= g:
+            upper.pop()
+            up_neg.pop()
+            g = (s[i] - s[upper[-1]]) / (i - upper[-1])
+        upper.append(i)
+        up_neg.append(-g)
+        g = (s[i] - s[lower[-1]]) / (i - lower[-1])
+        while lo_slopes and lo_slopes[-1] >= g:
+            lower.pop()
+            lo_slopes.pop()
+            g = (s[i] - s[lower[-1]]) / (i - lower[-1])
+        lower.append(i)
+        lo_slopes.append(g)
+        hi[i] = upper[bisect.bisect_left(up_neg, -d)]
+        lo[i] = lower[bisect.bisect_left(lo_slopes, d)]
+    return (sums[hi] - drift * t[hi]) - (sums[lo] - drift * t[lo])
+
+
 def fgn(hurst, n):
     grid = uniform_grid(1.0, n)
     return np.diff(sample_fbm_exact(hurst, grid, NoiseStream(8, 0)).values)
@@ -47,8 +76,11 @@ def fgn(hurst, n):
     lambda: np.arange(1000.0),
     lambda: np.array([1.0, -1.0] * 500),
     lambda: np.arange(1000.0) ** 2,
+    lambda: -np.arange(1000.0) ** 2,
+    lambda: np.array([0.5, -2.0]),
+    lambda: np.array([3.0, -1.0, 0.25]),
 ], ids=["fgn-0.3-2048", "fgn-0.7-2048", "fgn-0.3-4096", "fgn-0.7-4096",
-        "iid", "arange", "alternating", "squares"])
+        "iid", "arange", "alternating", "squares", "concave", "n2", "n3"])
 def test_hull_ranges_bit_equal_to_loop(make):
     x = make()
     sums, drift, t, std = loop_terms(x)
@@ -59,6 +91,36 @@ def test_hull_ranges_bit_equal_to_loop(make):
     lengths, ratios = rs_series(x)
     assert np.array_equal(lengths, np.nonzero(keep)[0] + 1)
     assert np.array_equal(ratios, ranges[keep] / std[keep])
+
+
+# Every point stays on one hull, so its chains are as deep as the series
+# is long.  The extreme lies about 0.42 (squares) or 0.56 (square roots) of
+# the way down the chain: with one jump table fewer than the deepest chain
+# needs, the square roots' ranges move.
+@pytest.mark.parametrize("make", [
+    lambda n: np.arange(n) ** 2.0,
+    lambda n: -np.arange(n) ** 2.0,
+    lambda n: np.sqrt(np.arange(n)),
+    lambda n: -np.sqrt(np.arange(n)),
+], ids=["squares", "neg-squares", "roots", "neg-roots"])
+def test_deep_hull_chains_bit_equal_to_loop(make):
+    sums, drift, t, _ = loop_terms(make(16384.0))
+    assert np.array_equal(_prefix_ranges(sums, drift, t),
+                          loop_ranges(sums, drift, t))
+
+
+# Integer steps make collinear partial sums, where Z_ij may tie to rounding
+# and the direct pass then picks another j: the hull must still pick the
+# stack's vertex bit for bit, and the loop's range to rounding.
+@given(st.lists(st.integers(-3, 3), min_size=2, max_size=300),
+       st.sampled_from([1.0, 0.1, 1e-3]))
+@example([2, -2, 2, -2, 0, -3], 1.0)  # an edge slope equals a prefix mean
+def test_random_walk_ranges_bit_equal_to_stack(steps, unit):
+    sums, drift, t, _ = loop_terms(np.cumsum(steps) * unit)
+    ranges = _prefix_ranges(sums, drift, t)
+    assert np.array_equal(ranges, stack_ranges(sums, drift, t))
+    bound = 8 * EPS * (np.maximum.accumulate(np.abs(sums)) + np.abs(drift) * t)
+    assert (np.abs(ranges - loop_ranges(sums, drift, t)) <= bound).all()
 
 
 # Rounded values, constant runs and collinear partial sums: the hull may

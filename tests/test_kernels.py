@@ -441,7 +441,7 @@ def test_cell_correction_of_a_slice_is_the_slice_of_all(hurst):
 
 
 @pytest.mark.parametrize("hurst", [0.01, 0.3, 0.7, 0.99, 1 - 1e-6, 1 - 1e-8])
-def test_profile_records_its_deviation(hurst):
+def test_series_records_its_deviation(hurst):
     # the economized series records its dropped Chebyshev tail
     series = _series(make_kernel_spec(hurst).hurst)
     assert 0.0 < series.deviation <= SERIES_TOL

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -77,6 +78,33 @@ def test_variance_at_zero_and_infinity():
 def test_variance_hand_value():
     assert ou_variance(PARAMS, 1.0) == pytest.approx(
         0.0625 * (1.0 - math.exp(-4.0)), rel=1e-14)
+
+
+def mpmath_ou_variance(params, t):
+    """sigma^2 (1 - e^(-2bt/m)) / (2bm) at 30 digits, for the float t."""
+    with mpmath.workdps(30):
+        b, m, sigma = (mpmath.mpf(v) for v in (params.friction, params.mass,
+                                               params.sigma))
+        return sigma**2 * -mpmath.expm1(-2 * b * mpmath.mpf(t) / m) / (2 * b * m)
+
+
+# 1 - e^(-x) cancels for small x, to 0.0 below x = 2^-54 (t = 1e-17 here)
+@pytest.mark.parametrize("t", [1e-17, 1e-12, 1e-6, 1.0])
+def test_variance_matches_mpmath_at_small_times(t):
+    ref = mpmath_ou_variance(PARAMS, t)
+    assert abs(ou_variance(PARAMS, t) - ref) <= 1e-15 * ref
+
+
+# one cell from v0 = 0: the value is the cell's noise scale times the
+# stream's first normal, so it must carry the variance at the cell width
+@pytest.mark.parametrize("width", [1e-12, 1e-17])
+def test_exact_one_cell_scale_matches_mpmath(width):
+    p = LangevinParams(mass=1.0, friction=2.0, sigma=0.5, v0=0.0)
+    got = simulate_ou_exact(p, TimeGrid(np.array([0.0, width])),
+                            NoiseStream(4)).values[1]
+    z = NoiseStream(4).generator().standard_normal(1)[0]
+    ref = mpmath.sqrt(mpmath_ou_variance(p, width)) * mpmath.mpf(z)
+    assert abs(got - ref) <= 1e-15 * abs(ref)
 
 
 def test_exact_noiseless_matches_mean_everywhere():
