@@ -52,8 +52,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import Chebyshev, Polynomial
-from numpy.polynomial.chebyshev import cheb2poly
+from numpy.polynomial.chebyshev import cheb2poly, chebmulx
 from numpy.polynomial.polynomial import polyval
 
 from .core import TimeGrid, uniform_grid
@@ -73,9 +72,11 @@ __all__ = [
 ]
 
 # Bytes the store keeps and one build holds at once: the row panels of one
-# kernel matrix (n <= 16131) or the three dense n x n float64 matrices of
-# a Cholesky factorization (n <= 6688).  kernel_matrix and weight_matrix,
-# which return a new dense n x n array, refuse one past this too (n <= 11585).
+# kernel matrix (n <= 16131) or three dense n x n float64 matrices for a
+# Cholesky factor (n <= 6688).  Three is the LAPACK route's peak; the Schur
+# route on uniform grids holds less but keeps the same reservation, so one
+# cap refuses both.  kernel_matrix and weight_matrix, which return a new
+# dense n x n array, refuse one past this too (n <= 11585).
 DENSE_BYTES_MAX = 1 << 30
 
 # Rows per panel of a stored lower-triangular operator L: panel p is the
@@ -257,6 +258,20 @@ class _Series:
     deviation: float
 
 
+@lru_cache(maxsize=1)
+def _to_chebyshev() -> np.ndarray:
+    """C with C @ c the Chebyshev coefficients, in u = 4x - 1, of the Taylor
+    polynomial sum_k c_k x^k on x in [0, 1/2]: column k is x^k = ((u + 1)/4)^k,
+    each column from the last by one more factor, so all entries are positive."""
+    out = np.zeros((_SERIES_TERMS, _SERIES_TERMS))
+    out[0, 0] = 1.0
+    for k in range(1, _SERIES_TERMS):
+        prev = out[:k, k - 1]  # degree k - 1, its leading entry nonzero
+        out[:k + 1, k] = chebmulx(prev) / 4.0
+        out[:k, k] += prev / 4.0
+    return out
+
+
 @lru_cache(maxsize=64)
 def _series(hurst: float) -> _Series:
     """Economize the Taylor series of F and 2^a Q; check the dropped tails."""
@@ -271,7 +286,7 @@ def _series(hurst: float) -> _Series:
     q[0] = 2**a / 2
     kept, tail = [], 0.0
     for taylor in (f, q):
-        cheb = Polynomial(taylor).convert(kind=Chebyshev, domain=[0.0, 0.5]).coef
+        cheb = _to_chebyshev() @ taylor
         kept.append(cheb2poly(cheb[:_SERIES_DEGREE + 1])[::-1])
         tail = max(tail, float(np.abs(cheb[_SERIES_DEGREE + 1:]).sum()))
     if not tail <= SERIES_TOL:

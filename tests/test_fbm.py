@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from fraclangevin import (DecompositionError, DenseSizeError,
-                          NoiseStream, fbm_covariance, gaussian_increments,
-                          make_kernel_spec, sample_fbm_exact,
-                          sample_fbm_kernel, uniform_grid)
+                          NoiseStream, TimeGrid, fbm_covariance,
+                          gaussian_increments, make_kernel_spec,
+                          sample_fbm_exact, sample_fbm_kernel, uniform_grid)
 from fraclangevin import fbm, kernels
 from fraclangevin.kernels import PANEL_ROWS, _apply
 
 
 def grid_012():
     return uniform_grid(2.0, 2)  # points 0, 1, 2
+
+
+def grid_013():
+    return TimeGrid([0.0, 1.0, 3.0])  # not uniform: the LAPACK route
 
 
 def covariance_matrix(hurst, grid):
@@ -63,7 +67,7 @@ def test_cholesky_identity(monkeypatch, empty_store):
     # an identity covariance maps the stream's normals through unchanged
     monkeypatch.setattr(fbm, "fbm_covariance", lambda h, s, t: np.eye(2))
     stream = NoiseStream(5)
-    path = sample_fbm_exact(0.5, grid_012(), stream)
+    path = sample_fbm_exact(0.5, grid_013(), stream)
     assert np.array_equal(path.values[1:], stream.generator().standard_normal(2))
 
 
@@ -86,8 +90,44 @@ def test_cholesky_rejects_indefinite(monkeypatch, empty_store):
     cov = np.array([[1.0, 2.0], [2.0, 1.0]])
     monkeypatch.setattr(fbm, "fbm_covariance", lambda h, s, t: cov)
     with pytest.raises(DecompositionError, match="not positive definite"):
-        sample_fbm_exact(0.5, grid_012(), NoiseStream(1))
+        sample_fbm_exact(0.5, grid_013(), NoiseStream(1))
     assert not empty_store  # a failed build is not kept
+
+
+def test_schur_rejects_indefinite(monkeypatch, empty_store):
+    # Toeplitz(1, 0.9, -0.9) has a negative determinant: step 1 turns by
+    # rho = 0.9, step 2 would need rho = -1.71 / 0.19 = -9
+    monkeypatch.setattr(fbm, "_fgn_autocovariance",
+                        lambda h, n: np.array([1.0, 0.9, -0.9]))
+    with pytest.raises(DecompositionError,
+                       match=r"^covariance is not positive definite: "
+                             r"Schur step 2 of 2 has \|rho\| = 9$"):
+        sample_fbm_exact(0.7, uniform_grid(1.0, 3), NoiseStream(1))
+    assert not empty_store
+
+
+def refuse(*args):
+    raise AssertionError("the other route was taken")
+
+
+def test_perturbed_grid_takes_the_lapack_route(monkeypatch):
+    n, horizon = 64, 2.0
+    points = uniform_grid(horizon, n).points.copy()
+    points[n // 2] += 1e-9 * horizon
+    grid = TimeGrid(points)
+    monkeypatch.setattr(fbm, "_schur_rows", refuse)
+    panels = fbm._cholesky_panels(0.7, grid)
+    assert np.array_equal(kernels._assemble(panels),
+                          np.linalg.cholesky(covariance_matrix(0.7, grid)))
+
+
+def test_arange_grid_takes_the_schur_route(monkeypatch):
+    n, step = 100, 0.1
+    grid = TimeGrid(np.arange(n + 1) * step)
+    ell = np.linalg.cholesky(covariance_matrix(0.3, grid))
+    monkeypatch.setattr(fbm, "fbm_covariance", refuse)
+    got = kernels._assemble(fbm._cholesky_panels(0.3, grid))
+    assert np.abs(got - ell).max() <= 1e-12 * np.abs(ell).max()
 
 
 def test_exact_sampler_pins_origin():
@@ -198,6 +238,14 @@ def test_exact_sampler_refuses_oversized_grid():
         kernels._check_dense(6689, 3)
 
 
+def schur_factor(hurst, grid):
+    """R's factor built as the Schur route builds it, as one dense array."""
+    n = grid.n_cells
+    upper = fbm._schur_rows(fbm._fgn_autocovariance(hurst, n),
+                            (grid.horizon / n) ** hurst)
+    return np.cumsum(upper, axis=1).T
+
+
 @pytest.mark.parametrize("n", [513, 1537, 2048, 2500])
 def test_cholesky_panels_match_dense_product(n):
     hurst = 0.7
@@ -205,7 +253,9 @@ def test_cholesky_panels_match_dense_product(n):
     stream = NoiseStream(3)
     path = sample_fbm_exact(hurst, grid, stream)
     panels = kernels._DENSE[("cholesky", hurst, grid)]
-    ell = np.linalg.cholesky(covariance_matrix(hurst, grid))
+    ell = schur_factor(hurst, grid)
+    lapack = np.linalg.cholesky(covariance_matrix(hurst, grid))
+    assert np.abs(ell - lapack).max() <= 1e-8 * np.abs(ell).max()
     assert len(panels) == -(-n // PANEL_ROWS)
     for p, panel in enumerate(panels):
         rows = slice(p * PANEL_ROWS, min(n, (p + 1) * PANEL_ROWS))
@@ -220,6 +270,32 @@ def test_cholesky_panels_match_dense_product(n):
         got = _apply(panels, x)
         assert got.shape == shape
         assert np.all(np.abs(got - ell @ x) <= 1e-13 * (np.abs(ell) @ np.abs(x)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 513, 2048, 4096])
+@pytest.mark.parametrize("hurst", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_schur_factor_reconstructs_covariance(hurst, n):
+    grid = uniform_grid(1.0, n)
+    ell = kernels._assemble(fbm._cholesky_panels(hurst, grid))
+    assert (np.diag(ell) > 0).all() and not np.triu(ell, 1).any()
+    cov = covariance_matrix(hurst, grid)
+    scale = np.abs(cov).max()
+    residual = ell @ ell.T
+    residual -= cov
+    assert np.abs(residual).max() <= 1e-12 * scale
+    del residual
+    # LAPACK's factor of the same matrix; at H = 0.99 the two part by R's
+    # conditioning (1.7e-9 of max |L| at n = 4096)
+    lapack = np.linalg.cholesky(cov)
+    assert np.abs(ell - lapack).max() <= 1e-8 * np.abs(ell).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 2048])
+def test_schur_factor_at_half_is_the_partial_sum_factor(n):
+    # R = min(s, t) = h S S^T for the ones matrix S below the diagonal
+    grid = uniform_grid(3.0, n)
+    ell = kernels._assemble(fbm._cholesky_panels(0.5, grid))
+    assert np.abs(ell - np.sqrt(3.0 / n) * np.tri(n)).max() <= 1e-15
 
 
 def test_substreams_drawn_in_any_order_give_identical_paths():
