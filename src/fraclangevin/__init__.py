@@ -1,6 +1,6 @@
 """Langevin dynamics regularized by fractional Brownian motion.
 
-Simulation of fBm (exact Cholesky and Volterra-kernel routes), the
+Simulation of fBm (exact and Volterra-kernel routes), the
 Ornstein-Uhlenbeck velocity process, the fractional velocity transform,
 and estimators for the Hurst index (rescaled range) and the transform
 amplitude.  All randomness is reproducible through seeded

@@ -1,22 +1,23 @@
 """Fractional Brownian motion synthesis, two independent ways.
 
-The exact route maps i.i.d. normals through the Cholesky factor of the
-covariance matrix R(t_i, t_j) of the positive grid points, which only
-the sampler's cache holds: the finite-dimensional law is exact, which
-makes it the reference oracle.  On a uniform grid the increments are
-stationary fractional Gaussian noise, so their covariance T is Toeplitz
-and R = S T S^T with S the lower-triangular partial-sum matrix: the
-Schur algorithm factors T = L_T L_T^T in O(n^2) from its first column,
-and the prefix sums of L_T's columns are R's factor (lower triangular
-with a positive diagonal, so the unique one).  Any other grid has no such
-structure; there R is formed and factored densely by LAPACK in O(n^3).
-The kernel route discretizes B^H_t = int_0^t K(t,s) dB_s with midpoint
-kernel values against raw Brownian increments; it is consistent as the
-mesh shrinks and reduces to plain Bm partial sums at H = 1/2.
+The exact route draws the positive grid points from the exact law
+N(0, R), R(t_i, t_j) the fBm covariance, which makes it the reference
+oracle.  On a uniform grid of step h the increments are stationary
+fractional Gaussian noise, h^2H gamma(i - j), and their Toeplitz
+covariance embeds in the 2n x 2n circulant of first row (gamma_0 ..
+gamma_n, gamma_(n-1) .. gamma_1), which one FFT diagonalizes: with its
+eigenvalues lambda >= 0 and standard normal z_1, z_2 in R^2n, the real
+part of FFT(sqrt(lambda / 2n) (z_1 + i z_2)) has that circulant as its
+covariance, so its first n entries are exact fGn (Davies & Harte,
+Biometrika 74, 1987; Wood & Chan, JCGS 3, 1994): O(n log n) time, O(n)
+memory, nothing stored.  Any other grid forms R and factors it densely
+by LAPACK in O(n^3).  The kernel route discretizes
+B^H_t = int_0^t K(t,s) dB_s with midpoint kernel values against raw
+Brownian increments; it is consistent as the mesh shrinks and reduces to
+plain Bm partial sums at H = 1/2.
 
-Both routes map normals through a lower-triangular operator kept in the
-dense store of ``kernels`` as row panels: the Cholesky factor is cut into
-panels once built, the kernel operator is built as panels, and
+The Cholesky factor and the kernel operator are kept in the dense store
+of ``kernels`` as row panels of their lower triangles, and
 ``kernels._apply`` forms every product with them.
 """
 from __future__ import annotations
@@ -26,8 +27,8 @@ import math
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid
-from .kernels import (KernelSpec, Regime, _apply, _check_dense, _dense_cached,
-                      _kernel_operator, _panels, fbm_covariance)
+from .kernels import (KernelSpec, Regime, _apply, _check_dense, _check_hurst,
+                      _dense_cached, _kernel_operator, _panels, fbm_covariance)
 from .noise import gaussian_increments
 
 __all__ = [
@@ -38,7 +39,14 @@ __all__ = [
 
 
 class DecompositionError(RuntimeError):
-    """Covariance matrix was not numerically positive definite."""
+    """A covariance was not numerically positive (semi)definite: LAPACK's
+    Cholesky factorization failed, or the circulant embedding of the fGn
+    covariance has an eigenvalue below -EIG_TOL times its largest."""
+
+
+# Circulant eigenvalues at or above -EIG_TOL times the largest are taken as
+# rounding of a nonnegative one and clipped to 0; lower ones are refused.
+EIG_TOL = 1e-12
 
 
 def _fgn_autocovariance(hurst: float, n: int) -> np.ndarray:
@@ -58,39 +66,6 @@ def _fgn_autocovariance(hurst: float, n: int) -> np.ndarray:
     return gamma
 
 
-def _schur_rows(gamma: np.ndarray, scale: float) -> np.ndarray:
-    """scale * U, U upper triangular with U^T U the symmetric Toeplitz matrix
-    of first column ``gamma`` (gamma[0] = 1), by the Schur algorithm.
-
-    Row k of U is the generator u after k steps; each step shifts u one
-    place and turns the pair (u, v) by the hyperbolic rotation that zeroes
-    v's leading entry, in the mixed form whose stability for positive
-    definite Toeplitz matrices Bojanczyk, Brent, de Hoog and Sweet proved
-    (SIAM J. Matrix Anal. Appl. 16, 1995).  A rotation needs |rho| < 1;
-    else the matrix is not positive definite and DecompositionError names
-    the step.
-    """
-    n = gamma.size
-    u = np.zeros((n, n))
-    u[0] = gamma
-    u[0] *= scale
-    v = u[0].copy()  # v[k + 1:] is the live part of the second generator
-    for k in range(n - 1):
-        prev, row, rest = u[k, k:-1], u[k + 1, k + 1:], v[k + 1:]
-        rho = rest[0] / prev[0]
-        if not abs(rho) < 1.0:
-            raise DecompositionError(
-                f"covariance is not positive definite: Schur step {k + 1} "
-                f"of {n - 1} has |rho| = {abs(rho):.6g}")
-        c = math.sqrt((1.0 - rho) * (1.0 + rho))
-        np.multiply(rest, -rho, out=row)
-        row += prev
-        row /= c
-        rest *= c
-        rest -= rho * row
-    return u
-
-
 def _is_uniform(grid: TimeGrid) -> bool:
     """Every t_i within 1e-12 T of i T / n: the stationary increments apply."""
     n, horizon = grid.n_cells, grid.horizon
@@ -98,20 +73,38 @@ def _is_uniform(grid: TimeGrid) -> bool:
     return bool(gap.max() <= 1e-12 * horizon)
 
 
+def _circulant_eigenvalues(hurst: float, n: int) -> np.ndarray:
+    """Eigenvalues of the 2n x 2n circulant with first row (gamma_0 ..
+    gamma_n, gamma_(n-1) .. gamma_1) at frequencies 0..n, from one rfft;
+    frequency 2n - k has the same one as k.  DecompositionError names the
+    smallest if it is negative beyond EIG_TOL."""
+    gamma = _fgn_autocovariance(hurst, n + 1)
+    lam = np.fft.rfft(np.concatenate((gamma, gamma[-2:0:-1]))).real
+    low, high = lam.min(), lam.max()
+    if not low >= -EIG_TOL * high:
+        raise DecompositionError(
+            f"circulant embedding is not positive semidefinite: smallest "
+            f"eigenvalue {low:.6g}, largest {high:.6g}")
+    return lam
+
+
+def _circulant_map(hurst: float, grid: TimeGrid, z: np.ndarray) -> np.ndarray:
+    """fBm at the positive points of the uniform ``grid`` from the (2, 2n)
+    standard normals ``z``: the prefix sums of the first n entries of
+    (T/n)^H Re FFT(sqrt(lambda / 2n) (z[0] + i z[1]))."""
+    n = grid.n_cells
+    lam = np.maximum(_circulant_eigenvalues(hurst, n), 0.0)
+    root = np.sqrt(np.concatenate((lam, lam[-2:0:-1])) / (2 * n))
+    root *= (grid.horizon / n) ** hurst
+    w = z[0] + 1j * z[1]
+    w *= root
+    return np.cumsum(np.fft.fft(w, out=w).real[:n])
+
+
 def _cholesky_panels(hurst: float, grid: TimeGrid) -> tuple:
     """Row panels of the Cholesky factor of R(t_i, t_j) over the positive
-    grid points (t = 0 is left out: B^H_0 = 0 would make R singular).
-
-    Uniform grids take the O(n^2) Schur route on the increments' Toeplitz
-    covariance, every other grid LAPACK on R itself.
-    """
+    grid points (t = 0 is left out: B^H_0 = 0 would make R singular)."""
     n, pts = grid.n_cells, grid.points[1:]
-    if _is_uniform(grid):
-        # (T/n)^H U = L_T^T; prefix sums along its rows give R's factor L^T
-        upper = _schur_rows(_fgn_autocovariance(hurst, n),
-                            (grid.horizon / n) ** hurst)
-        np.cumsum(upper, axis=1, out=upper)
-        return _panels(n, [(0, n, upper.T)])
     try:
         ell = np.linalg.cholesky(fbm_covariance(hurst, pts[None, :], pts[:, None]))
     except np.linalg.LinAlgError as exc:
@@ -120,16 +113,22 @@ def _cholesky_panels(hurst: float, grid: TimeGrid) -> tuple:
 
 
 def sample_fbm_exact(hurst: float, grid: TimeGrid, stream: NoiseStream) -> Path:
-    """Draw one fBm path with the exact finite-dimensional law N(0, R)."""
-    hurst = float(hurst)
+    """Draw one fBm path with the exact finite-dimensional law N(0, R).
+
+    A uniform grid takes the circulant route, which stores nothing; any
+    other grid maps n normals through R's stored Cholesky factor.
+    """
+    hurst = _check_hurst(float(hurst))
     n = grid.n_cells
-    # three matrices at once on the LAPACK route (cholesky's input, its copy
-    # and its output), reserved on both routes; the Schur route holds about
-    # 1.6, its factor and the panels
-    panels = _dense_cached(("cholesky", hurst, grid), _check_dense(n, 3),
-                           lambda: _cholesky_panels(hurst, grid))
-    z = stream.generator().standard_normal(n)
-    return Path(grid, np.concatenate(([0.0], _apply(panels, z))))
+    rng = stream.generator()
+    if _is_uniform(grid):
+        values = _circulant_map(hurst, grid, rng.standard_normal((2, 2 * n)))
+    else:
+        # three matrices at once: cholesky's input, its copy and its output
+        panels = _dense_cached(("cholesky", hurst, grid), _check_dense(n, 3),
+                               lambda: _cholesky_panels(hurst, grid))
+        values = _apply(panels, rng.standard_normal(n))
+    return Path(grid, np.concatenate(([0.0], values)))
 
 
 def sample_fbm_kernel(spec: KernelSpec, grid: TimeGrid, stream: NoiseStream) -> Path:

@@ -37,8 +37,9 @@ rows come from ``_kernel_blocks`` and the correction from
 one plain vector over the midpoints: the last row of the operator.
 
 One store, ``_dense_cached``, keeps kernel operators and the exact
-sampler's Cholesky factors within DENSE_BYTES_MAX, least recently used
-first out.  Both are lower-triangular and kept as C-contiguous row panels
+sampler's Cholesky factors of non-uniform grids (uniform ones take its
+circulant route, which stores nothing) within DENSE_BYTES_MAX, least
+recently used first out.  Both are lower-triangular and kept as C-contiguous row panels
 of their lower triangle, PANEL_ROWS rows each, never as a dense n x n
 array; ``_apply`` is the only product with them.  ``kernel_matrix`` and
 ``weight_matrix`` build a new dense array from the panels when called.
@@ -72,11 +73,10 @@ __all__ = [
 ]
 
 # Bytes the store keeps and one build holds at once: the row panels of one
-# kernel matrix (n <= 16131) or three dense n x n float64 matrices for a
-# Cholesky factor (n <= 6688).  Three is the LAPACK route's peak; the Schur
-# route on uniform grids holds less but keeps the same reservation, so one
-# cap refuses both.  kernel_matrix and weight_matrix, which return a new
-# dense n x n array, refuse one past this too (n <= 11585).
+# kernel matrix (n <= 16131) or three dense n x n float64 matrices for the
+# Cholesky factor of a non-uniform grid (n <= 6688), LAPACK's peak.
+# kernel_matrix and weight_matrix, which return a new dense n x n array,
+# refuse one past this too (n <= 11585).
 DENSE_BYTES_MAX = 1 << 30
 
 # Rows per panel of a stored lower-triangular operator L: panel p is the
@@ -187,6 +187,13 @@ class Regime(enum.Enum):
     STANDARD = "standard"
 
 
+def _check_hurst(hurst: float) -> float:
+    """``hurst`` itself, or ValueError unless 0 < H < 1 (nan included)."""
+    if not (0.0 < hurst < 1.0):
+        raise ValueError(f"Hurst index must lie in (0, 1); got {hurst!r}")
+    return hurst
+
+
 def beta_fn(a: float, b: float) -> float:
     """Euler Beta via log-Gamma, exp(lnG(a) + lnG(b) - lnG(a+b)).
 
@@ -215,9 +222,7 @@ class KernelSpec:
     c_h: float | None = field(init=False)
 
     def __post_init__(self):
-        h = self.hurst
-        if not (0.0 < h < 1.0):
-            raise ValueError(f"Hurst index must lie in (0, 1); got {h!r}")
+        h = _check_hurst(self.hurst)
         if h == 0.5:
             regime, c = Regime.STANDARD, None
         elif h > 0.5:
@@ -363,8 +368,7 @@ def _kernel_blocks(spec: KernelSpec, grid: TimeGrid):
 
 def fbm_covariance(hurst: float, s, t):
     """R(t, s) = (t^2H + s^2H - |t-s|^2H) / 2 for broadcasting s and t."""
-    if not (0.0 < hurst < 1.0):
-        raise ValueError(f"Hurst index must lie in (0, 1); got {hurst!r}")
+    _check_hurst(hurst)
     if np.any(np.less(s, 0)) or np.any(np.less(t, 0)):
         raise ValueError("covariance arguments must be nonnegative")
     two_h = 2.0 * hurst

@@ -81,12 +81,6 @@ class StepFunction:
         idx = np.searchsorted(self.breakpoints, s, side="right") - 1
         return self.levels[np.clip(idx, 0, self.levels.size - 1)]
 
-    def integral_to(self, x: float) -> float:
-        """Exact integral of the step function over [0, x]."""
-        upper = np.minimum(self.breakpoints[1:], x)
-        lengths = np.clip(upper - self.breakpoints[:-1], 0.0, None)
-        return float(self.levels @ lengths)
-
 
 def gaussian_increments(grid: TimeGrid, stream: NoiseStream) -> np.ndarray:
     """Independent N(0, t_i - t_{i-1}) variates, one per grid cell."""

@@ -82,6 +82,18 @@ def test_simulate_fbm_steps_over_dense_budget(runner, tmp_path):
     assert not out.exists()
 
 
+def test_simulate_fbm_exact_on_a_long_uniform_grid(runner, tmp_path):
+    # the exact route holds O(n) bytes on a uniform grid: a Cholesky factor
+    # at 20000 steps would be reserved three dense matrices, 8.9 GiB
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["simulate-fbm", "--hurst", "0.7", "--steps",
+                               "20000", "--paths", "1", "--seed", "1",
+                               "--method", "exact", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    _, data = read_csv(out)
+    assert data.shape == (20001, 2) and np.isfinite(data).all()
+
+
 def test_simulate_fbm_variance_report(runner, tmp_path):
     out = tmp_path / "fbm.csv"
     res = runner.invoke(main, ["simulate-fbm", "--hurst", "0.7", "--steps", "16",

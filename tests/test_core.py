@@ -164,4 +164,5 @@ def test_public_api_is_the_module_lists():
                  "cholesky_factor", "RSSeries"):
         assert not any(hasattr(mod, gone) for mod in (fraclangevin, *modules))
     assert not any(hasattr(TimeGrid, gone) for gone in ("index_of", "mesh"))
+    assert not hasattr(StepFunction, "integral_to")
     assert "weight_matrix" in fraclangevin.__all__

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -17,6 +18,14 @@ def grid_012():
 
 def grid_013():
     return TimeGrid([0.0, 1.0, 3.0])  # not uniform: the LAPACK route
+
+
+def moved_grid(horizon, n):
+    """uniform_grid(horizon, n) with t_(n//2) moved by 1e-9 T, n >= 2: past
+    the uniformity tolerance, so the exact sampler takes the LAPACK route."""
+    points = uniform_grid(horizon, n).points.copy()
+    points[n // 2] += 1e-9 * horizon
+    return TimeGrid(points)
 
 
 def covariance_matrix(hurst, grid):
@@ -94,14 +103,15 @@ def test_cholesky_rejects_indefinite(monkeypatch, empty_store):
     assert not empty_store  # a failed build is not kept
 
 
-def test_schur_rejects_indefinite(monkeypatch, empty_store):
-    # Toeplitz(1, 0.9, -0.9) has a negative determinant: step 1 turns by
-    # rho = 0.9, step 2 would need rho = -1.71 / 0.19 = -9
+def test_circulant_rejects_negative_eigenvalue(monkeypatch, empty_store):
+    # the circulant of first row (1, 0.9, -0.9, 0.5, -0.9, 0.9) has the
+    # eigenvalues 1.5, 2.3, 1.5 and -3.1 at frequencies 0..3
     monkeypatch.setattr(fbm, "_fgn_autocovariance",
-                        lambda h, n: np.array([1.0, 0.9, -0.9]))
+                        lambda h, n: np.array([1.0, 0.9, -0.9, 0.5]))
     with pytest.raises(DecompositionError,
-                       match=r"^covariance is not positive definite: "
-                             r"Schur step 2 of 2 has \|rho\| = 9$"):
+                       match=r"^circulant embedding is not positive "
+                             r"semidefinite: smallest eigenvalue -3\.1, "
+                             r"largest 2\.3$"):
         sample_fbm_exact(0.7, uniform_grid(1.0, 3), NoiseStream(1))
     assert not empty_store
 
@@ -110,24 +120,28 @@ def refuse(*args):
     raise AssertionError("the other route was taken")
 
 
-def test_perturbed_grid_takes_the_lapack_route(monkeypatch):
-    n, horizon = 64, 2.0
-    points = uniform_grid(horizon, n).points.copy()
-    points[n // 2] += 1e-9 * horizon
-    grid = TimeGrid(points)
-    monkeypatch.setattr(fbm, "_schur_rows", refuse)
+def test_perturbed_grid_takes_the_lapack_route(monkeypatch, empty_store):
+    grid = moved_grid(2.0, 64)
+    monkeypatch.setattr(fbm, "_circulant_map", refuse)
     panels = fbm._cholesky_panels(0.7, grid)
     assert np.array_equal(kernels._assemble(panels),
                           np.linalg.cholesky(covariance_matrix(0.7, grid)))
+    sample_fbm_exact(0.7, grid, NoiseStream(1))
+    assert list(empty_store) == [("cholesky", 0.7, grid)]
 
 
-def test_arange_grid_takes_the_schur_route(monkeypatch):
+def test_arange_grid_takes_the_circulant_route(monkeypatch, empty_store):
     n, step = 100, 0.1
     grid = TimeGrid(np.arange(n + 1) * step)
-    ell = np.linalg.cholesky(covariance_matrix(0.3, grid))
+    stream = NoiseStream(4)
+    z = stream.generator().standard_normal((2, 2 * n))
+    want = fbm._circulant_map(0.3, uniform_grid(n * step, n), z)
     monkeypatch.setattr(fbm, "fbm_covariance", refuse)
-    got = kernels._assemble(fbm._cholesky_panels(0.3, grid))
-    assert np.abs(got - ell).max() <= 1e-12 * np.abs(ell).max()
+    monkeypatch.setattr(fbm, "_cholesky_panels", refuse)
+    got = sample_fbm_exact(0.3, grid, stream).values
+    assert got[0] == 0.0
+    assert np.abs(got[1:] - want).max() <= 1e-12 * np.abs(want).max()
+    assert not empty_store
 
 
 def test_exact_sampler_pins_origin():
@@ -227,35 +241,49 @@ def test_increment_stationarity():
     assert abs(va - vb) <= 4 * joint_se
 
 
+@pytest.mark.parametrize("hurst", [0.0, 1.0, -0.2, 1.2, np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["uniform", "moved"])
+def test_exact_sampler_checks_hurst_first(hurst, kind, empty_store):
+    grid = uniform_grid(1.0, 64) if kind == "uniform" else moved_grid(1.0, 64)
+    with pytest.raises(ValueError,
+                       match=r"^Hurst index must lie in \(0, 1\); got "):
+        sample_fbm_exact(hurst, grid, NoiseStream(1))
+    assert not empty_store
+
+
 def test_exact_sampler_refuses_oversized_grid():
     # checked before the 3.2 GB covariance matrix is allocated; at n = 8000
     # one matrix is 0.5 GiB, but the factorization holds three
     for n in (20000, 8000):
         with pytest.raises(DenseSizeError, match=f"3 dense {n}x{n}"):
-            sample_fbm_exact(0.7, uniform_grid(1.0, n), NoiseStream(1))
+            sample_fbm_exact(0.7, moved_grid(1.0, n), NoiseStream(1))
     kernels._check_dense(6688, 3)
     with pytest.raises(DenseSizeError):
         kernels._check_dense(6689, 3)
 
 
-def schur_factor(hurst, grid):
-    """R's factor built as the Schur route builds it, as one dense array."""
-    n = grid.n_cells
-    upper = fbm._schur_rows(fbm._fgn_autocovariance(hurst, n),
-                            (grid.horizon / n) ** hurst)
-    return np.cumsum(upper, axis=1).T
+def test_uniform_grid_stores_nothing_and_holds_o_n_bytes(empty_store):
+    n = 2**16
+    grid = uniform_grid(1.0, n)
+    tracemalloc.start()
+    try:
+        path = sample_fbm_exact(0.7, grid, NoiseStream(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not empty_store
+    assert peak < 256 * n  # the Cholesky route would need 3 * 8 n^2 bytes
+    assert np.isfinite(path.values).all() and path.values[0] == 0.0
 
 
 @pytest.mark.parametrize("n", [513, 1537, 2048, 2500])
 def test_cholesky_panels_match_dense_product(n):
     hurst = 0.7
-    grid = uniform_grid(1.0, n)
+    grid = moved_grid(1.0, n)
     stream = NoiseStream(3)
     path = sample_fbm_exact(hurst, grid, stream)
     panels = kernels._DENSE[("cholesky", hurst, grid)]
-    ell = schur_factor(hurst, grid)
-    lapack = np.linalg.cholesky(covariance_matrix(hurst, grid))
-    assert np.abs(ell - lapack).max() <= 1e-8 * np.abs(ell).max()
+    ell = np.linalg.cholesky(covariance_matrix(hurst, grid))
     assert len(panels) == -(-n // PANEL_ROWS)
     for p, panel in enumerate(panels):
         rows = slice(p * PANEL_ROWS, min(n, (p + 1) * PANEL_ROWS))
@@ -272,30 +300,59 @@ def test_cholesky_panels_match_dense_product(n):
         assert np.all(np.abs(got - ell @ x) <= 1e-13 * (np.abs(ell) @ np.abs(x)))
 
 
+def circulant_operator(hurst, grid):
+    """The n x 4n matrix M with the circulant route's path M z.ravel(),
+    column by column: the route fed one unit draw at a time."""
+    n = grid.n_cells
+    out = np.empty((n, 4 * n))
+    unit = np.zeros(4 * n)
+    for j in range(4 * n):
+        unit[j - 1], unit[j] = 0.0, 1.0
+        out[:, j] = fbm._circulant_map(hurst, grid, unit.reshape(2, 2 * n))
+    return out
+
+
+# The next two tests check the circulant route on the H and n of the
+# Schur-factor tests whose names they keep: the circulant route replaced
+# the Schur factor on uniform grids.
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 513, 2048, 4096])
 @pytest.mark.parametrize("hurst", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
 def test_schur_factor_reconstructs_covariance(hurst, n):
+    # nonnegative eigenvalues of the circulant whose first row is
+    # (gamma_0 .. gamma_n, gamma_(n-1) .. gamma_1)
+    lam = fbm._circulant_eigenvalues(hurst, n)
+    assert lam.shape == (n + 1,) and (lam >= 0).all()
+    gamma = fbm._fgn_autocovariance(hurst, n + 1)
+    row = np.fft.irfft(lam)
+    assert np.abs(row[:n + 1] - gamma).max() <= 1e-13
+    assert np.abs(row[n:] - gamma[:0:-1]).max() <= 1e-13
+    if n > 513:
+        return
+    # the route's linear map M has M M^T = R: the law is exactly N(0, R)
     grid = uniform_grid(1.0, n)
-    ell = kernels._assemble(fbm._cholesky_panels(hurst, grid))
-    assert (np.diag(ell) > 0).all() and not np.triu(ell, 1).any()
+    m = circulant_operator(hurst, grid)
     cov = covariance_matrix(hurst, grid)
-    scale = np.abs(cov).max()
-    residual = ell @ ell.T
-    residual -= cov
-    assert np.abs(residual).max() <= 1e-12 * scale
-    del residual
-    # LAPACK's factor of the same matrix; at H = 0.99 the two part by R's
-    # conditioning (1.7e-9 of max |L| at n = 4096)
-    lapack = np.linalg.cholesky(cov)
-    assert np.abs(ell - lapack).max() <= 1e-8 * np.abs(ell).max()
+    assert np.abs(m @ m.T - cov).max() <= 1e-12 * np.abs(cov).max()
 
 
 @pytest.mark.parametrize("n", [1, 2, 64, 2048])
 def test_schur_factor_at_half_is_the_partial_sum_factor(n):
-    # R = min(s, t) = h S S^T for the ones matrix S below the diagonal
+    # at H = 1/2 the increments are white: every eigenvalue is 1, and the
+    # map's covariance is R = min(s, t)
+    assert np.abs(fbm._circulant_eigenvalues(0.5, n) - 1.0).max() <= 1e-13
+    if n > 64:
+        return
     grid = uniform_grid(3.0, n)
-    ell = kernels._assemble(fbm._cholesky_panels(0.5, grid))
-    assert np.abs(ell - np.sqrt(3.0 / n) * np.tri(n)).max() <= 1e-15
+    m = circulant_operator(0.5, grid)
+    pts = grid.points[1:]
+    assert np.abs(m @ m.T - np.minimum.outer(pts, pts)).max() <= 1e-13
+
+
+def test_circulant_eigenvalues_stay_positive_up_to_2_20():
+    for n in (2**10, 2**15, 2**20):
+        for hurst in np.linspace(0.01, 0.99, 15):
+            lam = fbm._circulant_eigenvalues(hurst, n)
+            assert lam.min() > 0, (hurst, n, lam.min() / lam.max())
 
 
 def test_substreams_drawn_in_any_order_give_identical_paths():

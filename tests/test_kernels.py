@@ -484,6 +484,14 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
     monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", budget)
     grid = uniform_grid(1.0, n)
 
+    def moved(m):
+        # one point moved by 1e-9 T: a grid the exact sampler factorizes
+        points = uniform_grid(1.0, m).points.copy()
+        points[m // 2] += 1e-9
+        return TimeGrid(points)
+
+    cgrid = moved(n)
+
     def kmat(h):
         # the stored panel, which kernel_matrix copies into a new array
         out = kernels._kernel_operator(make_kernel_spec(h), grid)[0]
@@ -491,7 +499,7 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
         return out
 
     def exact(h):
-        path = sample_fbm_exact(h, grid, NoiseStream(1))
+        path = sample_fbm_exact(h, cgrid, NoiseStream(1))
         assert kernels._dense_held() <= budget
         return path.values
 
@@ -506,13 +514,13 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
     assert kept() == [("kernel", 0.3), ("kernel", 0.4), ("kernel", 0.6)]
     b7 = exact(0.7)  # three matrices at once: everything else goes
     assert kept() == [("cholesky", 0.7)]
-    factor = kernels._DENSE[("cholesky", 0.7, grid)][0]
+    factor = kernels._DENSE[("cholesky", 0.7, cgrid)][0]
     assert not factor.flags.writeable
     again = kmat(0.7)  # evicted, rebuilt bit for bit
     assert again is not k7 and np.array_equal(again, k7)
     assert not again.flags.writeable
     assert np.array_equal(exact(0.7), b7)
-    assert kernels._DENSE[("cholesky", 0.7, grid)][0] is factor
+    assert kernels._DENSE[("cholesky", 0.7, cgrid)][0] is factor
     assert np.array_equal(kmat(0.4), k4)
     assert kept() == [("kernel", 0.7), ("cholesky", 0.7), ("kernel", 0.4)]
     kmat(0.3)
@@ -526,7 +534,7 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
     with pytest.raises(DenseSizeError, match="1 dense 111x111"):
         kernel_matrix(make_kernel_spec(0.3), uniform_grid(1.0, 111))
     with pytest.raises(DenseSizeError, match="3 dense 65x65"):
-        sample_fbm_exact(0.7, uniform_grid(1.0, 65), NoiseStream(1))
+        sample_fbm_exact(0.7, moved(65), NoiseStream(1))
     assert kept() == [("kernel", 0.4), ("kernel", 0.3), ("kernel", 0.2)]
 
 
