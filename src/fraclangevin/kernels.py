@@ -39,9 +39,9 @@ one plain vector over the midpoints: the last row of the operator.
 One store, ``_dense_cached``, keeps kernel operators and the exact
 sampler's Cholesky factors of non-uniform grids (uniform ones take its
 circulant route, which stores nothing) within DENSE_BYTES_MAX, least
-recently used first out.  Both are lower-triangular and kept as C-contiguous row panels
-of their lower triangle, PANEL_ROWS rows each, never as a dense n x n
-array; ``_apply`` is the only product with them.  ``kernel_matrix`` and
+recently used first out.  Both are lower-triangular and kept as
+C-contiguous row panels of their lower triangle, PANEL_ROWS rows each,
+never as a dense n x n array; ``_apply`` is the only product with them.  ``kernel_matrix`` and
 ``weight_matrix`` build a new dense array from the panels when called.
 """
 from __future__ import annotations
