@@ -11,14 +11,14 @@ part of FFT(sqrt(lambda / 2n) (z_1 + i z_2)) has that circulant as its
 covariance, so its first n entries are exact fGn (Davies & Harte,
 Biometrika 74, 1987; Wood & Chan, JCGS 3, 1994): O(n log n) time, O(n)
 memory, nothing stored.  Any other grid forms R and factors it densely
-by LAPACK in O(n^3).  The kernel route discretizes
-B^H_t = int_0^t K(t,s) dB_s with midpoint kernel values against raw
-Brownian increments; it is consistent as the mesh shrinks and reduces to
-plain Bm partial sums at H = 1/2.
+by LAPACK in O(n^3) on each call, and keeps nothing either.  The kernel
+route discretizes B^H_t = int_0^t K(t,s) dB_s with midpoint kernel
+values against raw Brownian increments; it is consistent as the mesh
+shrinks and reduces to plain Bm partial sums at H = 1/2.
 
-The Cholesky factor and the kernel operator are kept in the dense store
-of ``kernels`` as row panels of their lower triangles, and
-``kernels._apply`` forms every product with them.
+The kernel operator is kept in the dense store of ``kernels`` as row
+panels of its lower triangle, and ``kernels._apply`` forms every product
+with it.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid
 from .kernels import (KernelSpec, Regime, _apply, _check_dense, _check_hurst,
-                      _dense_cached, _kernel_operator, _panels, fbm_covariance)
+                      _kernel_operator, fbm_covariance)
 from .noise import gaussian_increments
 
 __all__ = [
@@ -101,22 +101,25 @@ def _circulant_map(hurst: float, grid: TimeGrid, z: np.ndarray) -> np.ndarray:
     return np.cumsum(np.fft.fft(w, out=w).real[:n])
 
 
-def _cholesky_panels(hurst: float, grid: TimeGrid) -> tuple:
-    """Row panels of the Cholesky factor of R(t_i, t_j) over the positive
-    grid points (t = 0 is left out: B^H_0 = 0 would make R singular)."""
+def _cholesky_factor(hurst: float, grid: TimeGrid) -> np.ndarray:
+    """The Cholesky factor of R(t_i, t_j) over the positive grid points
+    (t = 0 is left out: B^H_0 = 0 would make R singular).  Checked first
+    against DENSE_BYTES_MAX for three matrices at once: cholesky's input,
+    its copy and its output."""
     n, pts = grid.n_cells, grid.points[1:]
+    _check_dense(n, 3)
     try:
-        ell = np.linalg.cholesky(fbm_covariance(hurst, pts[None, :], pts[:, None]))
+        return np.linalg.cholesky(fbm_covariance(hurst, pts[None, :], pts[:, None]))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"covariance is not positive definite: {exc}") from exc
-    return _panels(n, [(0, n, ell)])
 
 
 def sample_fbm_exact(hurst: float, grid: TimeGrid, stream: NoiseStream) -> Path:
     """Draw one fBm path with the exact finite-dimensional law N(0, R).
 
-    A uniform grid takes the circulant route, which stores nothing; any
-    other grid maps n normals through R's stored Cholesky factor.
+    A uniform grid takes the circulant route; any other grid maps n
+    normals through R's Cholesky factor, factorized on each call.  Neither
+    stores anything.
     """
     hurst = _check_hurst(float(hurst))
     n = grid.n_cells
@@ -124,10 +127,7 @@ def sample_fbm_exact(hurst: float, grid: TimeGrid, stream: NoiseStream) -> Path:
     if _is_uniform(grid):
         values = _circulant_map(hurst, grid, rng.standard_normal((2, 2 * n)))
     else:
-        # three matrices at once: cholesky's input, its copy and its output
-        panels = _dense_cached(("cholesky", hurst, grid), _check_dense(n, 3),
-                               lambda: _cholesky_panels(hurst, grid))
-        values = _apply(panels, rng.standard_normal(n))
+        values = _cholesky_factor(hurst, grid) @ rng.standard_normal(n)
     return Path(grid, np.concatenate(([0.0], values)))
 
 

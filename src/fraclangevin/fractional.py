@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid, _midpoints, uniform_grid
-from .kernels import (KernelSpec, Regime, _cell_correction, _kernel_blocks,
-                      _kernel_integral, kernel_weights)
+from .kernels import (KernelSpec, Regime, _apply, _cell_correction,
+                      _kernel_blocks, _kernel_integral, kernel_weights)
 from .langevin import LangevinParams, _checked_increments, _em_values
 from .noise import gaussian_increments
 
@@ -134,7 +134,8 @@ def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
 
     r(t_i) = sum_j K(t_i, m_j) (m dV_j + b w_j V_j - sigma dB_j), V_j at the
     midpoints, plus the kernel's last-cell correction.  Rows stream from
-    :func:`_kernel_blocks`; no dense n x n matrix is held.
+    :func:`_kernel_blocks` through :func:`_apply`; no dense n x n matrix
+    is held.
     """
     n = grid.n_cells
     m, b, sig = params.mass, params.friction, params.sigma
@@ -142,10 +143,7 @@ def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
     vmid = _midpoints(values)
     db2 = db.reshape(n, -1)
     cells = m * np.diff(values, axis=0) + b * grid.widths[:, None] * vmid - sig * db2
-    rhs = np.hstack((cells, db2))
-    out = np.empty_like(rhs)
-    for i0, i1, block in _kernel_blocks(spec, grid):
-        out[i0:i1] = block @ rhs[:i1]
+    out = _apply(_kernel_blocks(spec, grid), np.hstack((cells, db2)))
     res, bh = np.hsplit(out, 2)
     corr = _cell_correction(spec, grid.points[1:], grid.midpoints, grid.widths)
     res += b * corr[:, None] * vmid

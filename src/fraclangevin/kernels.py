@@ -36,13 +36,14 @@ rows come from ``_kernel_blocks`` and the correction from
 ``kernel_weights`` returns the weights for t = T, the grid's horizon, as
 one plain vector over the midpoints: the last row of the operator.
 
-One store, ``_dense_cached``, keeps kernel operators and the exact
-sampler's Cholesky factors of non-uniform grids (uniform ones take its
-circulant route, which stores nothing) within DENSE_BYTES_MAX, least
-recently used first out.  Both are lower-triangular and kept as
-C-contiguous row panels of their lower triangle, PANEL_ROWS rows each,
-never as a dense n x n array; ``_apply`` is the only product with them.  ``kernel_matrix`` and
-``weight_matrix`` build a new dense array from the panels when called.
+One store, ``_DENSE``, keeps kernel operators only, within
+DENSE_BYTES_MAX, least recently used first out.  An operator is
+lower-triangular and kept as C-contiguous row panels of its lower
+triangle, PANEL_ROWS rows each, never as a dense n x n array.
+``_apply`` is the one product with a lower-triangular operator given as
+row blocks, the stored panels and the streamed ``_kernel_blocks`` alike.
+``kernel_matrix`` and ``weight_matrix`` build a new dense array from the
+panels when called.
 """
 from __future__ import annotations
 
@@ -72,11 +73,12 @@ __all__ = [
     "weight_matrix",
 ]
 
-# Bytes the store keeps and one build holds at once: the row panels of one
-# kernel matrix (n <= 16131) or three dense n x n float64 matrices for the
-# Cholesky factor of a non-uniform grid (n <= 6688), LAPACK's peak.
-# kernel_matrix and weight_matrix, which return a new dense n x n array,
-# refuse one past this too (n <= 11585).
+# Bytes the store keeps: the row panels of kernel operators (one alone
+# fits up to n = 16131).  Each dense build is checked against it on its
+# own: kernel_matrix and weight_matrix, which return a new dense n x n
+# array (n <= 11585), and the exact sampler's Cholesky factor of a
+# non-uniform grid, three dense n x n float64 matrices at LAPACK's peak
+# (n <= 6688).
 DENSE_BYTES_MAX = 1 << 30
 
 # Rows per panel of a stored lower-triangular operator L: panel p is the
@@ -119,19 +121,16 @@ def _check_panels(n: int) -> int:
 
 
 def _panels(n: int, blocks) -> tuple:
-    """The row panels of an n x n lower triangle L from (i0, i1, rows)
-    blocks covering rows 0..n-1, rows = L[i0:i1, :w] with zeros right of
-    the diagonal; no n x n array is allocated."""
+    """The row panels of an n x n lower triangle L from its row blocks
+    L[i0:i1, :i1] in order, none crossing a panel, zeros right of the
+    diagonal; no n x n array is allocated."""
     out = [np.zeros((min(n, p0 + PANEL_ROWS) - p0, min(n, p0 + PANEL_ROWS)))
            for p0 in range(0, n, PANEL_ROWS)]
-    for i0, i1, rows in blocks:
-        r0 = i0
-        while r0 < i1:
-            p, q = divmod(r0, PANEL_ROWS)
-            r1 = min(i1, (p + 1) * PANEL_ROWS)
-            part = rows[r0 - i0:r1 - i0, :out[p].shape[1]]
-            out[p][q:q + r1 - r0, :part.shape[1]] = part
-            r0 = r1
+    i0 = 0
+    for block in blocks:
+        p, q = divmod(i0, PANEL_ROWS)
+        out[p][q:q + len(block), :block.shape[1]] = block
+        i0 += len(block)
     return tuple(out)
 
 
@@ -146,39 +145,26 @@ def _assemble(panels) -> np.ndarray:
     return out
 
 
-def _apply(panels, x: np.ndarray) -> np.ndarray:
-    """L @ x for the lower triangle L held as row panels; x is (n,) or (n, S).
+def _apply(blocks, x: np.ndarray) -> np.ndarray:
+    """L @ x for the lower triangle L given as its row blocks L[i0:i1, :i1]
+    in order, the stored panels or streamed ones; x is (n,) or (n, S).
 
-    The one product with a stored operator: each panel multiplies only
-    the leading entries of x that its columns reach.
+    The one product with a lower-triangular operator: each block multiplies
+    only the leading entries of x that its columns reach.
     """
-    return np.concatenate([panel @ x[:panel.shape[1]] for panel in panels])
+    out = np.empty_like(x)
+    i0 = 0
+    for block in blocks:
+        i1 = i0 + len(block)
+        out[i0:i1] = block @ x[:block.shape[1]]
+        i0 = i1
+    return out
 
 
 def _dense_held() -> int:
     """Bytes of the 2-D arrays in the store (not the kernel's n-vectors)."""
     return sum(a.nbytes for arrays in _DENSE.values() for a in arrays
                if a.ndim == 2)
-
-
-def _dense_cached(key, need: int, build):
-    """The read-only arrays ``build()`` returned for ``key``, from the store.
-
-    A hit becomes the most recently used entry.  ``need`` is the checked
-    byte count a build holds at its peak (see :func:`_check_dense` and
-    :func:`_check_panels`); on a miss, least recently used entries go
-    until it fits beside the rest, and the result is kept.
-    """
-    if key in _DENSE:
-        _DENSE.move_to_end(key)
-        return _DENSE[key]
-    while _DENSE and _dense_held() + need > DENSE_BYTES_MAX:
-        _DENSE.popitem(last=False)
-    arrays = build()
-    for arr in arrays:
-        arr.flags.writeable = False
-    _DENSE[key] = arrays
-    return arrays
 
 
 class Regime(enum.Enum):
@@ -350,19 +336,20 @@ def kernel_value(spec: KernelSpec, t: float, s: float) -> float:
 
 
 def _kernel_blocks(spec: KernelSpec, grid: TimeGrid):
-    """(i0, i1, K[i0:i1, :i1]) blocks of the kernel matrix, zero right of the
-    diagonal, with (i1 - i0) * i1 <= _BLOCK_ELEMS entries (or one row): the
-    cached operator stores them, the residual pass streams them."""
+    """Row blocks K[i0:i1, :i1] of the kernel matrix in order, zero right of
+    the diagonal, with (i1 - i0) * i1 <= _BLOCK_ELEMS entries (or one row)
+    and none crossing a PANEL_ROWS boundary: the stored operator places
+    them in its panels, the residual pass streams them through _apply."""
     n = grid.n_cells
     times = grid.points[1:, None]
     mids = grid.midpoints
     i0 = 0
     while i0 < n:
         rows = max(1, (math.isqrt(i0 * i0 + 4 * _BLOCK_ELEMS) - i0) // 2)
-        i1 = min(n, i0 + rows)
+        i1 = min(n, i0 + rows, (i0 // PANEL_ROWS + 1) * PANEL_ROWS)
         k = _kernel_values(spec, times[i0:i1], mids[:i1])
         k *= np.tri(i1 - i0, i1, i0)
-        yield i0, i1, k
+        yield k
         i0 = i1
 
 
@@ -434,11 +421,25 @@ def kernel_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
 
 def _kernel_operator(spec: KernelSpec, grid: TimeGrid) -> tuple:
     """The read-only row panels of the kernel matrix, then its last-cell
-    correction, filled from :func:`_kernel_blocks`."""
+    correction, filled from :func:`_kernel_blocks` and kept in the store.
+
+    A hit becomes the most recently used entry.  On a miss, least recently
+    used entries go until the new panels fit beside the rest.
+    """
+    key = (spec, grid)
+    if key in _DENSE:
+        _DENSE.move_to_end(key)
+        return _DENSE[key]
     n = grid.n_cells
-    return _dense_cached(("kernel", spec, grid), _check_panels(n), lambda: (
-        *_panels(n, _kernel_blocks(spec, grid)),
-        _cell_correction(spec, grid.points[1:], grid.midpoints, grid.widths)))
+    need = _check_panels(n)
+    while _DENSE and _dense_held() + need > DENSE_BYTES_MAX:
+        _DENSE.popitem(last=False)
+    arrays = (*_panels(n, _kernel_blocks(spec, grid)),
+              _cell_correction(spec, grid.points[1:], grid.midpoints, grid.widths))
+    for arr in arrays:
+        arr.flags.writeable = False
+    _DENSE[key] = arrays
+    return arrays
 
 
 def weight_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:

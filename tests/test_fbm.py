@@ -9,7 +9,6 @@ from fraclangevin import (DecompositionError, DenseSizeError,
                           gaussian_increments, make_kernel_spec,
                           sample_fbm_exact, sample_fbm_kernel, uniform_grid)
 from fraclangevin import fbm, kernels
-from fraclangevin.kernels import PANEL_ROWS, _apply
 
 
 def grid_012():
@@ -82,14 +81,14 @@ def test_cholesky_identity(monkeypatch, empty_store):
 
 def test_cholesky_hand_factorization():
     # at H = 1/2 the covariance over points 1, 2 is min(s, t) = [[1, 1], [1, 2]]
-    (ell,) = fbm._cholesky_panels(0.5, grid_012())
+    ell = fbm._cholesky_factor(0.5, grid_012())
     assert np.allclose(ell, [[1.0, 0.0], [1.0, 1.0]], rtol=1e-15)
 
 
 def test_cholesky_fbm_pivots_and_reconstruction():
     grid = uniform_grid(1.0, 64)
     cov = covariance_matrix(0.7, grid)
-    (ell,) = fbm._cholesky_panels(0.7, grid)
+    ell = fbm._cholesky_factor(0.7, grid)
     assert (np.diag(ell) > 0).all()
     err = np.abs(ell @ ell.T - cov).max()
     assert err <= 1e-10 * np.abs(cov).max()
@@ -123,11 +122,10 @@ def refuse(*args):
 def test_perturbed_grid_takes_the_lapack_route(monkeypatch, empty_store):
     grid = moved_grid(2.0, 64)
     monkeypatch.setattr(fbm, "_circulant_map", refuse)
-    panels = fbm._cholesky_panels(0.7, grid)
-    assert np.array_equal(kernels._assemble(panels),
-                          np.linalg.cholesky(covariance_matrix(0.7, grid)))
+    ell = fbm._cholesky_factor(0.7, grid)
+    assert np.array_equal(ell, np.linalg.cholesky(covariance_matrix(0.7, grid)))
     sample_fbm_exact(0.7, grid, NoiseStream(1))
-    assert list(empty_store) == [("cholesky", 0.7, grid)]
+    assert not empty_store
 
 
 def test_arange_grid_takes_the_circulant_route(monkeypatch, empty_store):
@@ -137,7 +135,7 @@ def test_arange_grid_takes_the_circulant_route(monkeypatch, empty_store):
     z = stream.generator().standard_normal((2, 2 * n))
     want = fbm._circulant_map(0.3, uniform_grid(n * step, n), z)
     monkeypatch.setattr(fbm, "fbm_covariance", refuse)
-    monkeypatch.setattr(fbm, "_cholesky_panels", refuse)
+    monkeypatch.setattr(fbm, "_cholesky_factor", refuse)
     got = sample_fbm_exact(0.3, grid, stream).values
     assert got[0] == 0.0
     assert np.abs(got[1:] - want).max() <= 1e-12 * np.abs(want).max()
@@ -277,27 +275,36 @@ def test_uniform_grid_stores_nothing_and_holds_o_n_bytes(empty_store):
 
 
 @pytest.mark.parametrize("n", [513, 1537, 2048, 2500])
-def test_cholesky_panels_match_dense_product(n):
+def test_nonuniform_path_is_the_dense_cholesky_product(n, empty_store):
     hurst = 0.7
     grid = moved_grid(1.0, n)
     stream = NoiseStream(3)
     path = sample_fbm_exact(hurst, grid, stream)
-    panels = kernels._DENSE[("cholesky", hurst, grid)]
     ell = np.linalg.cholesky(covariance_matrix(hurst, grid))
-    assert len(panels) == -(-n // PANEL_ROWS)
-    for p, panel in enumerate(panels):
-        rows = slice(p * PANEL_ROWS, min(n, (p + 1) * PANEL_ROWS))
-        assert panel.flags.c_contiguous and not panel.flags.writeable
-        assert np.array_equal(panel, ell[rows, :rows.stop])
     z = stream.generator().standard_normal(n)
     bound = 1e-13 * (np.abs(ell) @ np.abs(z))
     assert np.all(np.abs(path.values[1:] - ell @ z) <= bound)
-    rng = np.random.default_rng(n)
-    for shape in [(n,), (n, 4)]:
-        x = rng.standard_normal(shape)
-        got = _apply(panels, x)
-        assert got.shape == shape
-        assert np.all(np.abs(got - ell @ x) <= 1e-13 * (np.abs(ell) @ np.abs(x)))
+    assert not empty_store
+
+
+def test_nonuniform_draw_keeps_nothing(empty_store):
+    n = 600
+    kernels._kernel_operator(make_kernel_spec(0.3), uniform_grid(1.0, n))
+    entries, held = list(empty_store.items()), kernels._dense_held()
+    sample_fbm_exact(0.7, moved_grid(1.0, 16), NoiseStream(5))  # warm-up
+    grid = moved_grid(1.0, n)
+    tracemalloc.start()
+    try:
+        path = sample_fbm_exact(0.7, grid, NoiseStream(6))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    after = list(empty_store.items())
+    assert [key for key, _ in after] == [key for key, _ in entries]
+    assert all(a is b for (_, a), (_, b) in zip(after, entries))
+    assert kernels._dense_held() == held
+    assert kept < 16 * n  # the path; a kept factor holds over 4 n^2 bytes
+    assert path.values.shape == (n + 1,)
 
 
 def circulant_operator(hurst, grid):

@@ -2,6 +2,7 @@ import gc
 import tracemalloc
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -117,6 +118,52 @@ def test_expected_transform_validates_input():
         expected_fractional_velocity(config, PARAMS, 0.0, 64)
     with pytest.raises(ValueError):
         expected_fractional_velocity(config, PARAMS, 1.0, 8)
+
+
+def kernel_exponential_integral(spec, t, rate):
+    """int_0^t K(t,s) e^(-rate s) ds in closed form, 30 digits: C_H
+    Gamma(H+1/2) Gamma(3/2-H) / (H+1/2) t^(H+1/2) 2F2(H+1/2, 3/2-H; H+3/2,
+    1; -rate t), C_H = c_H below 1/2 and c_H / (H-1/2) above."""
+    h = spec.hurst
+    c = spec.c_h / (h - 0.5) if h > 0.5 else spec.c_h
+    with mpmath.workdps(30):
+        a = mpmath.mpf(h) + 0.5
+        return float(c * mpmath.gamma(a) * mpmath.gamma(2 - a) / a
+                     * mpmath.mpf(t) ** a
+                     * mpmath.hyp2f2(a, 2 - a, a + 1, 1, -rate * mpmath.mpf(t)))
+
+
+# Largest relative error of the transform's integral part at n = 256,
+# 1024, 4096 cells: the midpoint quadrature's, about 10% above what it
+# reads today.
+ZERO_NOISE_BOUNDS = {0.1: (2.0e-2, 9.0e-3, 3.9e-3),
+                     0.3: (3.5e-3, 1.2e-3, 4.1e-4),
+                     0.7: (3.3e-3, 1.25e-3, 4.5e-4),
+                     0.9: (2.7e-2, 1.2e-2, 5.3e-3)}
+
+
+@pytest.mark.parametrize("hurst", sorted(ZERO_NOISE_BOUNDS))
+def test_zero_noise_transform_matches_closed_form(hurst):
+    # sigma = 0: V = v0 e^(-rt) exactly, so (V^H - v0) / phi(t) is the
+    # quadrature of int_0^t K(t,s) v0 e^(-rs) ds, checked against its
+    # closed form rather than against the same weights
+    quiet = LangevinParams(mass=1.0, friction=2.0, sigma=0.0, v0=1.0)
+    config = FractionalConfig(make_kernel_spec(hurst), 1.0)
+    errors = []
+    for n in (256, 1024, 4096):
+        grid = uniform_grid(1.0, n)
+        v = simulate_ou_exact(quiet, grid, NoiseStream(0))
+        assert np.array_equal(v.values, np.exp(-quiet.rate * grid.points))
+        values = fractional_velocity(config, v).transformed.values
+        late = np.flatnonzero(grid.points >= 0.125)
+        rows = np.union1d(late[::len(late) // 32], late[-1:])
+        t = grid.points[rows]
+        part = (values[rows] - quiet.v0) / phi(config, t)
+        want = np.array([kernel_exponential_integral(config.spec, ti, quiet.rate)
+                         for ti in t])
+        errors.append(float(np.max(np.abs(part - want) / np.abs(want))))
+    assert all(e <= b for e, b in zip(errors, ZERO_NOISE_BOUNDS[hurst]))
+    assert errors[0] > errors[1] > errors[2]
 
 
 def test_residual_noiseless_shrinks_with_refinement():

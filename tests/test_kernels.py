@@ -475,9 +475,10 @@ def test_dense_operators_refuse_oversized_grids():
 
 
 def test_dense_store_is_bounded_by_bytes(monkeypatch):
-    # a fresh store with room for three n = 64 matrices: a kernel operator
-    # is one panel, which is the dense matrix at n <= PANEL_ROWS; a
-    # Cholesky build holds three dense matrices at once
+    # a fresh store with room for three n = 64 kernel operators, each one
+    # panel, which is the dense matrix at n <= PANEL_ROWS; the exact
+    # sampler's Cholesky build on a non-uniform grid holds three dense
+    # matrices at once, within the same budget, and keeps nothing
     n = 64
     budget = 3 * 8 * n * n
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
@@ -490,43 +491,31 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
         points[m // 2] += 1e-9
         return TimeGrid(points)
 
-    cgrid = moved(n)
-
     def kmat(h):
         # the stored panel, which kernel_matrix copies into a new array
         out = kernels._kernel_operator(make_kernel_spec(h), grid)[0]
         assert kernels._dense_held() <= budget
         return out
 
-    def exact(h):
-        path = sample_fbm_exact(h, cgrid, NoiseStream(1))
-        assert kernels._dense_held() <= budget
-        return path.values
-
     def kept():
-        return [(k[0], getattr(k[1], "hurst", k[1])) for k in kernels._DENSE]
+        return [spec.hurst for spec, _ in kernels._DENSE]
 
     k3, k7 = kmat(0.3), kmat(0.7)
     assert kmat(0.3) is k3  # a hit, now the most recently used
     k4 = kmat(0.4)
-    assert kept() == [("kernel", 0.7), ("kernel", 0.3), ("kernel", 0.4)]
+    assert kept() == [0.7, 0.3, 0.4]
     kmat(0.6)  # no room: the least recently used, H = 0.7, goes
-    assert kept() == [("kernel", 0.3), ("kernel", 0.4), ("kernel", 0.6)]
-    b7 = exact(0.7)  # three matrices at once: everything else goes
-    assert kept() == [("cholesky", 0.7)]
-    factor = kernels._DENSE[("cholesky", 0.7, cgrid)][0]
-    assert not factor.flags.writeable
+    assert kept() == [0.3, 0.4, 0.6]
+    sample_fbm_exact(0.7, moved(n), NoiseStream(1))  # factorized per call
+    assert kept() == [0.3, 0.4, 0.6]
     again = kmat(0.7)  # evicted, rebuilt bit for bit
     assert again is not k7 and np.array_equal(again, k7)
     assert not again.flags.writeable
-    assert np.array_equal(exact(0.7), b7)
-    assert kernels._DENSE[("cholesky", 0.7, cgrid)][0] is factor
+    assert kept() == [0.4, 0.6, 0.7]
     assert np.array_equal(kmat(0.4), k4)
-    assert kept() == [("kernel", 0.7), ("cholesky", 0.7), ("kernel", 0.4)]
+    assert kept() == [0.6, 0.7, 0.4]
     kmat(0.3)
-    assert kept() == [("cholesky", 0.7), ("kernel", 0.4), ("kernel", 0.3)]
-    kmat(0.2)  # the Cholesky factor is now the least recently used
-    assert kept() == [("kernel", 0.4), ("kernel", 0.3), ("kernel", 0.2)]
+    assert kept() == [0.7, 0.4, 0.3]
 
     # one build over the budget is refused and evicts nothing
     with pytest.raises(DenseSizeError, match="row panels of a 111x111"):
@@ -535,15 +524,18 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
         kernel_matrix(make_kernel_spec(0.3), uniform_grid(1.0, 111))
     with pytest.raises(DenseSizeError, match="3 dense 65x65"):
         sample_fbm_exact(0.7, moved(65), NoiseStream(1))
-    assert kept() == [("kernel", 0.4), ("kernel", 0.3), ("kernel", 0.2)]
+    assert kept() == [0.7, 0.4, 0.3]
 
 
 def blocks_kernel_matrix(spec, grid):
     """The dense kernel matrix assembled from _kernel_blocks, not from panels."""
     n = grid.n_cells
     out = np.zeros((n, n))
-    for i0, i1, block in _kernel_blocks(spec, grid):
-        out[i0:i1, :i1] = block
+    i0 = 0
+    for block in _kernel_blocks(spec, grid):
+        i1 = i0 + len(block)
+        out[i0:i1, :block.shape[1]] = block
+        i0 = i1
     return out
 
 
@@ -859,3 +851,34 @@ def test_identity_rejects_bad_input():
         verify_covariance_identity(spec, 0.0, 1.0, 256)
     with pytest.raises(ValueError):
         verify_covariance_identity(spec, 1.0, 1.0, 8)
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1537, 2048])
+def test_streamed_blocks_stay_inside_one_panel(n):
+    i0 = 0
+    for block in _kernel_blocks(make_kernel_spec(0.3), uniform_grid(1.0, n)):
+        i1 = i0 + len(block)
+        assert block.shape == (i1 - i0, i1)
+        assert i0 // PANEL_ROWS == (i1 - 1) // PANEL_ROWS
+        assert block.size <= kernels._BLOCK_ELEMS or len(block) == 1
+        i0 = i1
+    assert i0 == n
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1537, 2048])
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_streamed_and_stored_products_agree(hurst, n, monkeypatch):
+    # one _apply for both forms; BLAS rounds a row's sum by the shape of
+    # the call it sits in, so the two partitions agree to rounding only
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    spec = make_kernel_spec(hurst)
+    grid = uniform_grid(1.0, n)
+    *panels, _ = _kernel_operator(spec, grid)
+    ref = np.abs(kernel_matrix(spec, grid))
+    rng = np.random.default_rng(n)
+    for shape in [(n,), (n, 3)]:
+        x = rng.standard_normal(shape)
+        got = _apply(_kernel_blocks(spec, grid), x)
+        assert got.shape == shape
+        assert np.all(np.abs(got - _apply(panels, x))
+                      <= 1e-14 * (ref @ np.abs(x)))
