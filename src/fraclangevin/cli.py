@@ -25,7 +25,7 @@ from . import __version__
 from .core import NoiseStream, Path, TimeGrid, uniform_grid
 from .fractional import (FractionalConfig, ah_ratios, estimate_ah,
                          fractional_velocity, residual_refinement_study)
-from .hurst import estimate_hurst
+from .hurst import DEFAULT_T_MIN, estimate_hurst
 from .kernels import (DenseSizeError, KernelSpec, Regime,
                       verify_covariance_identity)
 from .langevin import LangevinParams, simulate_ou_exact
@@ -245,7 +245,8 @@ def cmd_simulate_velocity(hurst, ah, mass, friction, sigma, v0, horizon, steps,
 
 @main.command("estimate-hurst")
 @click.argument("input_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--t-min", type=click.IntRange(min=2), default=16, show_default=True,
+@click.option("--t-min", type=click.IntRange(min=2), default=DEFAULT_T_MIN,
+              show_default=True,
               help="Smallest prefix length used in the log-log fit.")
 @click.option("--increments", is_flag=True,
               help="Difference each series before the analysis.")

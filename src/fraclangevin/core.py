@@ -20,6 +20,18 @@ def _midpoints(values: np.ndarray) -> np.ndarray:
     return 0.5 * values[:-1] + 0.5 * values[1:]
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int if it is a whole number (4, 4.0 and np.int64(4)
+    alike), else ValueError: 2.9 is not cut to 2, nor "4" parsed to 4."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be a whole number; got {value!r}")
+    return whole
+
+
 def _frozen(values) -> np.ndarray:
     """A read-only float copy of ``values``."""
     arr = np.array(values, dtype=float)
@@ -115,14 +127,7 @@ class NoiseStream:
     def __post_init__(self):
         # kept as ints: 1.0 is stream 1, while 1.5 or "1" is refused
         for name in ("seed", "stream_index"):
-            value = getattr(self, name)
-            try:
-                whole = int(value)
-            except (TypeError, ValueError, OverflowError):
-                whole = None
-            if whole is None or whole != value:
-                raise ValueError(f"{name} must be a whole number; got {value!r}")
-            object.__setattr__(self, name, whole)
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.stream_index < 0:
@@ -146,7 +151,7 @@ def uniform_grid(horizon: float, n: int) -> TimeGrid:
     """
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be a positive real")
-    n = int(n)
+    n = _whole(n, "n")
     if n < 1:
         raise ValueError("need at least one cell")
     return TimeGrid(np.linspace(0.0, float(horizon), n + 1))

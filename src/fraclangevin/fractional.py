@@ -18,19 +18,32 @@ ratios t^(H-1/2) (V^H_t - V_0) / int_0^t K(t,s) V_s ds.  The transform
 and the fit share that kernel integral: it is computed once per
 (kernel spec, velocity path) and lives as long as the path does.
 
+Under OU dynamics E V_s = V_0 e^(-(b/m)s), so the transform's
+expectation is E V^H_t = V_0 (1 + phi(t) int_0^t K(t,s) e^(-(b/m)s) ds),
+with the integral in closed form (Decreusefond & Ustunel's kernel):
+
+    C_H Gamma(H+1/2) Gamma(3/2-H) / (H+1/2) t^(H+1/2)
+        2F2(H+1/2, 3/2-H; H+3/2, 1; -(b/m)t),
+
+C_H = c_H below half and c_H / (H-1/2) above.  It is evaluated for
+(b/m) t in [0, 1000], where the tests hold it within 1e-12 relative of
+30-digit mpmath, and refused past that; at (b/m) t = 1000 one value
+costs 26 ms (2-core x86-64 host, Python 3.11).
+
 The t -> 0 boundary of the transform is defined by continuity: below
 half both factors vanish, above half the integral vanishes faster than
 phi diverges, so V^H(0) = V_0 and phi is never evaluated at 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseStream, Path, TimeGrid, _midpoints, uniform_grid
+from .core import NoiseStream, Path, TimeGrid, _midpoints, _whole, uniform_grid
 from .kernels import (KernelSpec, Regime, _apply, _cell_correction,
-                      _kernel_blocks, _kernel_integral, kernel_weights)
+                      _exponential_integral, _kernel_blocks, _kernel_integral)
 from .langevin import LangevinParams, _checked_increments, _em_values
 from .noise import gaussian_increments
 
@@ -111,20 +124,18 @@ def fractional_velocity(config: FractionalConfig, v: Path) -> FractionalPath:
 
 
 def expected_fractional_velocity(config: FractionalConfig, params: LangevinParams,
-                                 t: float, n: int) -> float:
-    """E V^H_t = E V_0 (1 + phi(t) int_0^t K(t,s) e^(-(b/m)s) ds).
-
-    The integral is evaluated with the kernel weights on an n-cell
-    uniform subgrid of [0, t].
-    """
-    if not t > 0:
-        raise ValueError("time must be positive")
-    if int(n) < 16:
-        raise ValueError("need at least 16 quadrature cells")
-    grid = uniform_grid(t, int(n))
-    integral = float(kernel_weights(config.spec, grid)
-                     @ np.exp(-params.rate * grid.midpoints))
-    return params.v0 * (1.0 + phi(config, t) * integral)
+                                 t: float) -> float:
+    """E V^H_t = V_0 (1 + phi(t) int_0^t K(t,s) e^(-(b/m)s) ds) in closed
+    form (see the module docstring); ValueError unless 0 < t < inf and
+    (b/m) t <= 1000."""
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite; got {t!r}")
+    integral = _exponential_integral(config.spec, params.rate, t)
+    out = params.v0 * (1.0 + phi(config, t) * integral)
+    if not math.isfinite(out):
+        raise OverflowError(f"E V^H at t={t!r} overflows: t^(H+1/2) or the "
+                            "value itself is past the float range")
+    return out
 
 
 def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
@@ -184,10 +195,11 @@ def residual_refinement_study(spec: KernelSpec, params: LangevinParams,
     compared on the same underlying noise.  Every cell count must divide
     the largest one.
     """
-    counts = sorted(int(c) for c in cell_counts)
+    counts = sorted(_whole(c, "each cell count") for c in cell_counts)
     if not (counts and counts[0] >= 1):
         raise ValueError("cell_counts must be one or more positive counts")
-    if int(n_seeds) < 1:
+    n_seeds = _whole(n_seeds, "n_seeds")
+    if n_seeds < 1:
         raise ValueError("n_seeds must be at least 1")
     if not params.sigma > 0:
         raise ValueError("sigma must be positive: the residual is normalized by it")
@@ -196,7 +208,7 @@ def residual_refinement_study(spec: KernelSpec, params: LangevinParams,
         raise ValueError("cell counts must divide the largest count")
     fine = uniform_grid(horizon, n_max)
     db_fine = np.column_stack([
-        gaussian_increments(fine, stream.substream(k)) for k in range(int(n_seeds))
+        gaussian_increments(fine, stream.substream(k)) for k in range(n_seeds)
     ])
     out = {}
     for count in counts:

@@ -51,13 +51,14 @@ import enum
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import cheb2poly, chebmulx
 from numpy.polynomial.polynomial import polyval
 
-from .core import TimeGrid, uniform_grid
+from .core import TimeGrid, _whole, uniform_grid
 
 __all__ = [
     "DenseSizeError",
@@ -322,10 +323,51 @@ def _kernel_values(spec: KernelSpec, t, s: np.ndarray) -> np.ndarray:
         r = np.exp(a * lg)  # (2y)^a
         e = np.expm1((1 - 2 * a) * lg)
         out[~near] = _horner(series.far, y) / r + r * (series.d0 + series.d1 * e)
-    c_h = spec.c_h / a if spec.regime is Regime.ABOVE_HALF else spec.c_h
     # t^a without the rounding of H - 1/2, which costs |log t| ulps
-    out *= c_h * (np.power(t, spec.hurst) / np.sqrt(t))
+    out *= _unified_constant(spec) * (np.power(t, spec.hurst) / np.sqrt(t))
     return out
+
+
+def _unified_constant(spec: KernelSpec) -> float:
+    """C_H of the closed form: c_H below half, c_H / (H-1/2) above."""
+    if spec.regime is Regime.ABOVE_HALF:
+        return spec.c_h / (spec.hurst - 0.5)
+    return spec.c_h
+
+
+def _exponential_integral(spec: KernelSpec, rate: float, t: float) -> float:
+    """int_0^t K(t,s) e^(-rate s) ds in closed form, for H != 1/2, t > 0 and
+    0 <= rate t <= 1000; ValueError past that.
+
+    With a = H + 1/2 it is C_H Gamma(a) Gamma(2-a) / a t^a 2F2(a, 2-a;
+    a+1, 1; -rate t).  That series alternates and its largest term is about
+    e^(rate t), so it is summed in decimal with 30 digits plus one per ln 10
+    of rate t: u_(k+1) = u_k (2-a+k) x / (k+1)^2, term a u_k / (a+k),
+    x = -rate t.  Past k = 2 rate t each term is below half the last; the
+    sum stops there once a term is below 2^-64 of it.
+    """
+    rate, t = float(rate), float(t)
+    x = rate * t
+    if not 0.0 <= x <= 1e3:
+        raise ValueError(
+            f"(b/m) t = {x!r} is outside [0, 1000], where the closed form "
+            "of int_0^t K(t,s) e^(-(b/m)s) ds is summed")
+    with localcontext() as ctx:
+        ctx.prec = 30 + int(x / math.log(10))
+        a = Decimal(spec.hurst) + Decimal("0.5")
+        z = -Decimal(rate) * Decimal(t)
+        tiny = Decimal(2) ** -64
+        u, total, k = Decimal(1), Decimal(0), 0
+        while True:
+            term = a * u / (a + k)
+            total += term
+            if k > 2 * x and abs(term) < tiny * abs(total):
+                break
+            u *= (2 - a + k) * z / ((k + 1) * (k + 1))
+            k += 1
+    h = spec.hurst
+    return (_unified_constant(spec) * math.gamma(h + 0.5) * math.gamma(1.5 - h)
+            / (h + 0.5) * (t ** h * math.sqrt(t)) * float(total))
 
 
 def kernel_value(spec: KernelSpec, t: float, s: float) -> float:
@@ -476,7 +518,7 @@ def verify_covariance_identity(spec: KernelSpec, s: float, t: float, n: int) -> 
         raise ValueError("identity check applies to the fractional regimes only")
     if not (s > 0 and t > 0):
         raise ValueError("s and t must be positive")
-    n = int(n)
+    n = _whole(n, "n")
     if n < 16:
         raise ValueError("need at least 16 quadrature cells")
     lo, hi = (s, t) if s <= t else (t, s)

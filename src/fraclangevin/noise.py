@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseStream, Path, TimeGrid, _frozen
+from .core import NoiseStream, Path, TimeGrid, _frozen, _whole
 from .kernels import KernelSpec, _kernel_integral
 
 __all__ = [
@@ -103,7 +103,7 @@ def donsker_path(n: int, horizon: float, dist: StepDistribution,
     loses nothing because the line is linear in between.  ``n * horizon``
     is rounded to the nearest integer cell count.
     """
-    n = int(n)
+    n = _whole(n, "n")
     if n < 1:
         raise ValueError("need n >= 1 steps per unit time")
     if not horizon > 0:

@@ -166,8 +166,7 @@ def test_c08_expected_fractional_velocity():
                 weights @ vmid[:weights.size])
     for hurst, config in configs.items():
         for t in probes:
-            expected = expected_fractional_velocity(
-                config, OU, t, int(round(4096 * t)))
+            expected = expected_fractional_velocity(config, OU, t)
             se = samples[hurst, t].std() / math.sqrt(m)
             gap = abs(samples[hurst, t].mean() - expected)
             ok &= gap <= 3 * se

@@ -25,6 +25,18 @@ def test_uniform_grid_rejects_degenerate(horizon, n):
         uniform_grid(horizon, n)
 
 
+@pytest.mark.parametrize("n", [2.9, "4", np.float64(4.5), np.nan])
+def test_uniform_grid_refuses_fractional_cell_counts(n):
+    # 2.9 built 2 cells and "4" built 4
+    with pytest.raises(ValueError, match="n must be a whole number"):
+        uniform_grid(1.0, n)
+
+
+@pytest.mark.parametrize("n", [4.0, np.int64(4), np.float64(4.0)])
+def test_uniform_grid_takes_whole_numbers_of_any_type(n):
+    assert uniform_grid(1.0, n) == uniform_grid(1.0, 4)
+
+
 def test_midpoints_do_not_overflow():
     for grid in (uniform_grid(1.0, 1024), uniform_grid(0.8125, 512),
                  TimeGrid(np.array([0.0, 1e-15, 0.5, 1.0 - 1e-15, 1.0]))):

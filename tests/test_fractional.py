@@ -107,17 +107,27 @@ def test_transform_linearity():
 def test_expected_transform_degenerate_cases():
     config = FractionalConfig(SPEC7, 1.0)
     zero_start = LangevinParams(mass=1.0, friction=2.0, sigma=0.5, v0=0.0)
-    assert expected_fractional_velocity(config, zero_start, 1.0, 64) == 0.0
+    assert expected_fractional_velocity(config, zero_start, 1.0) == 0.0
     flat = FractionalConfig(SPEC7, 0.0)
-    assert expected_fractional_velocity(flat, PARAMS, 1.0, 64) == PARAMS.v0
+    assert expected_fractional_velocity(flat, PARAMS, 1.0) == PARAMS.v0
 
 
 def test_expected_transform_validates_input():
     config = FractionalConfig(SPEC7, 1.0)
-    with pytest.raises(ValueError):
-        expected_fractional_velocity(config, PARAMS, 0.0, 64)
-    with pytest.raises(ValueError):
-        expected_fractional_velocity(config, PARAMS, 1.0, 8)
+    for t in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="time must be positive"):
+            expected_fractional_velocity(config, PARAMS, t)
+    # (b/m) t = 1000 is summed, just past it is refused by name; at
+    # t = 1e300 every e^(-(b/m)s) underflowed and the quadrature gave 1.0
+    expected_fractional_velocity(config, PARAMS, 500.0)
+    for t in (500.0 * (1 + 1e-15), 1e300):
+        with pytest.raises(ValueError, match=r"\(b/m\) t = .* outside \[0, 1000\]"):
+            expected_fractional_velocity(config, PARAMS, t)
+    # (b/m) t = 1, but t^(H+1/2) is past the float range
+    slow = LangevinParams(mass=1.0, friction=1e-300, sigma=0.5, v0=1.0)
+    with pytest.raises(OverflowError, match="overflows"):
+        expected_fractional_velocity(FractionalConfig(make_kernel_spec(0.99), 1.0),
+                                     slow, 1e300)
 
 
 def kernel_exponential_integral(spec, t, rate):
@@ -131,6 +141,24 @@ def kernel_exponential_integral(spec, t, rate):
         return float(c * mpmath.gamma(a) * mpmath.gamma(2 - a) / a
                      * mpmath.mpf(t) ** a
                      * mpmath.hyp2f2(a, 2 - a, a + 1, 1, -rate * mpmath.mpf(t)))
+
+
+CLOSED_FORM_HURSTS = (0.01, 0.1, 0.3, 0.45, 0.5 - 1e-7, 0.5 + 1e-7, 0.55, 0.7,
+                      0.9, 0.99)
+
+
+@pytest.mark.parametrize("hurst", CLOSED_FORM_HURSTS)
+@pytest.mark.parametrize("rt", [1e-8, 0.1, 1.0, 10.0, 50.0, 200.0, 1000.0])
+def test_expected_transform_is_the_closed_form(hurst, rt):
+    # t = 2 makes t^(H+1/2) count; amplitude 1e3 keeps the integral part
+    # clear of the rounding of 1 + phi(t) * integral
+    t = 2.0
+    params = LangevinParams(mass=1.0, friction=rt / t, sigma=0.5, v0=-3.0)
+    config = FractionalConfig(make_kernel_spec(hurst), 1e3)
+    got = expected_fractional_velocity(config, params, t)
+    part = (got - params.v0) / (params.v0 * phi(config, t))
+    want = kernel_exponential_integral(config.spec, t, params.rate)
+    assert abs(part - want) <= 1e-12 * abs(want)
 
 
 # Largest relative error of the transform's integral part at n = 256,
@@ -217,6 +245,20 @@ def test_residual_study_columns_match_single_path_runs(spec):
             v = simulate_ou_em(PARAMS, grid, db)
             single = normalized_residual_max(spec, PARAMS, v, db)
             assert abs(study[count][k] - single) <= 1e-13 * single
+
+
+def test_residual_study_takes_whole_numbers_only():
+    stream = NoiseStream(13)
+    want = residual_refinement_study(SPEC7, PARAMS, 1.0, [16, 32], 2, stream)
+    got = residual_refinement_study(SPEC7, PARAMS, 1.0,
+                                    [16.0, np.int64(32)], 2.0, stream)
+    assert set(got) == {16, 32}
+    assert all(np.array_equal(got[c], want[c]) for c in want)
+    # [16.5, 32.2] and 2.7 ran 16 and 32 cells with 2 seeds
+    with pytest.raises(ValueError, match="each cell count must be a whole"):
+        residual_refinement_study(SPEC7, PARAMS, 1.0, [16.5, 32.2], 2, stream)
+    with pytest.raises(ValueError, match="n_seeds must be a whole number"):
+        residual_refinement_study(SPEC7, PARAMS, 1.0, [16, 32], 2.7, stream)
 
 
 def test_residual_certificate_refuses_zero_sigma():

@@ -853,6 +853,16 @@ def test_identity_rejects_bad_input():
         verify_covariance_identity(spec, 1.0, 1.0, 8)
 
 
+def test_identity_takes_whole_cell_counts_only():
+    spec = make_kernel_spec(0.7)
+    want = verify_covariance_identity(spec, 0.5, 1.0, 16)
+    for n in (16.0, np.int64(16)):
+        assert verify_covariance_identity(spec, 0.5, 1.0, n) == want
+    # 16.9 used 16 cells
+    with pytest.raises(ValueError, match="n must be a whole number"):
+        verify_covariance_identity(spec, 0.5, 1.0, 16.9)
+
+
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537, 2048])
 def test_streamed_blocks_stay_inside_one_panel(n):
     i0 = 0

@@ -67,6 +67,17 @@ def test_donsker_starts_at_zero():
     assert path.values[0] == 0.0
 
 
+def test_donsker_takes_whole_step_counts_only():
+    want = donsker_path(10, 1.0, RADEMACHER, NoiseStream(0))
+    for n in (10.0, np.int64(10)):
+        path = donsker_path(n, 1.0, RADEMACHER, NoiseStream(0))
+        assert np.array_equal(path.values, want.values)
+        assert path.grid == want.grid
+    # 10.7 built the path of 10
+    with pytest.raises(ValueError, match="n must be a whole number"):
+        donsker_path(10.7, 1.0, RADEMACHER, NoiseStream(0))
+
+
 def test_donsker_single_step_magnitude():
     n = 400
     path = donsker_path(n, 1.0, RADEMACHER, NoiseStream(5))

@@ -18,5 +18,6 @@ def test_readme_quick_start_runs():
     names = {}
     exec(compile(quick_start_code(), str(README), "exec"), names)
     assert 0.0 < names["h_hat"] < 1.0
+    assert names["ev_h"] > names["params"].v0
     # a noiseless transform gives back its amplitude
     assert abs(names["a_hat"] - 1.0) <= 1e-9
