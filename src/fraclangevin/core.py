@@ -8,6 +8,7 @@ that (seed, stream_index) fully determines every variate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,12 @@ def _whole(value, name: str) -> int:
     if whole is None or whole != value:
         raise ValueError(f"{name} must be a whole number; got {value!r}")
     return whole
+
+
+def _positive_real(value, name: str) -> None:
+    """ValueError naming ``name`` unless 0 < value < inf (nan included)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive real; got {value!r}")
 
 
 def _frozen(values) -> np.ndarray:
@@ -149,8 +156,7 @@ def uniform_grid(horizon: float, n: int) -> TimeGrid:
 
     Returns the n+1 points 0, T/n, ..., T.
     """
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be a positive real")
+    _positive_real(horizon, "horizon")
     n = _whole(n, "n")
     if n < 1:
         raise ValueError("need at least one cell")

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid, _midpoints, _whole, uniform_grid
-from .kernels import (KernelSpec, Regime, _apply, _cell_correction,
-                      _exponential_integral, _kernel_blocks, _kernel_integral)
+from .kernels import (KernelSpec, Regime, _cell_correction, _exponential_integral,
+                      _kernel_integral, _kernel_product)
 from .langevin import LangevinParams, _checked_increments, _em_values
 from .noise import gaussian_increments
 
@@ -144,9 +144,11 @@ def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
     (grid points by rows, one path per column of ``db``), shaped like ``db``.
 
     r(t_i) = sum_j K(t_i, m_j) (m dV_j + b w_j V_j - sigma dB_j), V_j at the
-    midpoints, plus the kernel's last-cell correction.  Rows stream from
-    :func:`_kernel_blocks` through :func:`_apply`; no dense n x n matrix
-    is held.
+    midpoints, plus the kernel's last-cell correction.  The kernel sums come
+    from :func:`_kernel_product`: in row t_i the columns m_j >= t_i / 2 are
+    evaluated in streamed row blocks and those below t_i / 2 are summed as
+    prefix sums of the closed form's separable terms, about 0.3 n^2 kernel
+    values in all; no dense n x n matrix is held.
     """
     n = grid.n_cells
     m, b, sig = params.mass, params.friction, params.sigma
@@ -154,7 +156,7 @@ def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
     vmid = _midpoints(values)
     db2 = db.reshape(n, -1)
     cells = m * np.diff(values, axis=0) + b * grid.widths[:, None] * vmid - sig * db2
-    out = _apply(_kernel_blocks(spec, grid), np.hstack((cells, db2)))
+    out = _kernel_product(spec, grid, np.hstack((cells, db2)))
     res, bh = np.hsplit(out, 2)
     corr = _cell_correction(spec, grid.points[1:], grid.midpoints, grid.widths)
     res += b * corr[:, None] * vmid

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseStream, Path, TimeGrid, _frozen, _whole
+from .core import NoiseStream, Path, TimeGrid, _frozen, _positive_real, _whole
 from .kernels import KernelSpec, _kernel_integral
 
 __all__ = [
@@ -106,8 +106,7 @@ def donsker_path(n: int, horizon: float, dist: StepDistribution,
     n = _whole(n, "n")
     if n < 1:
         raise ValueError("need n >= 1 steps per unit time")
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    _positive_real(horizon, "horizon")
     cells = max(1, round(n * horizon))
     steps = dist.sample(stream.generator(), cells)
     values = np.concatenate(([0.0], np.cumsum(steps))) / (dist.sigma * math.sqrt(n))
@@ -117,10 +116,8 @@ def donsker_path(n: int, horizon: float, dist: StepDistribution,
 def theta_epsilon_path(epsilon: float, horizon: float, dist: StepDistribution,
                        stream: NoiseStream) -> StepFunction:
     """White-noise smoothing: level xi_k / eps on [(k-1) eps^2, k eps^2)."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    _positive_real(epsilon, "epsilon")
+    _positive_real(horizon, "horizon")
     cell = epsilon * epsilon
     count = max(1, math.ceil(horizon / cell - 1e-12))
     steps = dist.sample(stream.generator(), count)

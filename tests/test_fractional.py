@@ -15,7 +15,7 @@ from fraclangevin import (DegenerateDenominatorError, FractionalConfig,
                           residual_refinement_study, simulate_ou_em,
                           simulate_ou_exact, transformed_langevin_residual,
                           uniform_grid)
-from fraclangevin import fractional
+from fraclangevin import fractional, kernels
 from fraclangevin.core import _midpoints
 from fraclangevin.kernels import _kernel_integral
 
@@ -212,6 +212,27 @@ def test_residual_normalized_small_at_desk_resolution():
     db = gaussian_increments(grid, NoiseStream(7))
     v = simulate_ou_em(PARAMS, grid, db)
     assert normalized_residual_max(SPEC7, PARAMS, v, db) <= 0.05
+
+
+@pytest.mark.parametrize("spec", [SPEC7, SPEC3])
+def test_residual_pass_evaluates_only_near_kernel_entries(spec, monkeypatch):
+    # every row of the lower triangle was n^2 / 2 = 0.52 n^2 with the
+    # diagonal blocks; columns s < t/2 are summed in closed form
+    n = 1024
+    grid = uniform_grid(1.0, n)
+    db = gaussian_increments(grid, NoiseStream(7))
+    v = simulate_ou_em(PARAMS, grid, db)
+    evaluated = []
+    values = kernels._kernel_values
+
+    def counted(*args):
+        out = values(*args)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernels, "_kernel_values", counted)
+    assert normalized_residual_max(spec, PARAMS, v, db) <= 0.05
+    assert sum(evaluated) <= 0.33 * n * n
 
 
 def test_residual_rejects_mismatched_increments():

@@ -19,7 +19,7 @@ from fraclangevin import (DenseSizeError, KernelSpec, NoiseStream, Regime,
 from fraclangevin import kernels
 from fraclangevin.kernels import (PANEL_ROWS, SERIES_TOL, _apply,
                                   _cell_correction, _kernel_blocks,
-                                  _kernel_integral,
+                                  _kernel_integral, _kernel_product,
                                   _kernel_operator, _kernel_values, _series,
                                   _singular_cell)
 
@@ -892,3 +892,60 @@ def test_streamed_and_stored_products_agree(hurst, n, monkeypatch):
         assert got.shape == shape
         assert np.all(np.abs(got - _apply(panels, x))
                       <= 1e-14 * (ref @ np.abs(x)))
+
+
+PRODUCT_HURSTS = (0.01, 0.1, 0.3, 0.45, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.55, 0.7,
+                  0.9, 0.99, 1 - 1e-6, 1 - 1e-8)
+
+
+def product_gap(spec, grid, x):
+    """|_kernel_product - the row-block product| / (|K| @ |x|), largest entry."""
+    blocks = list(_kernel_blocks(spec, grid))
+    got = _kernel_product(spec, grid, x)
+    assert got.shape == x.shape
+    ref = _apply(blocks, x)
+    scale = _apply([np.abs(b) for b in blocks], np.abs(x))
+    return float(np.max(np.abs(got - ref) / scale))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 511, 512, 513, 1537, 2048])
+@pytest.mark.parametrize("hurst", PRODUCT_HURSTS)
+def test_near_and_far_split_product_agrees_with_row_blocks(hurst, n):
+    # far columns s_j < t_i / 2 are summed from the closed form's terms;
+    # the bound is the one the streamed and stored products keep
+    spec = make_kernel_spec(hurst)
+    rng = np.random.default_rng(n)
+    for horizon in (3e-7, 1.0, 1e150):
+        grid = uniform_grid(horizon, n)
+        for shape in [(n,), (n, 3)]:
+            assert product_gap(spec, grid, rng.standard_normal(shape)) <= 1e-14
+
+
+@pytest.mark.parametrize("hurst", PRODUCT_HURSTS)
+def test_near_and_far_split_product_on_uneven_grids(hurst):
+    # a geometric grid puts every row in its own band of t and reaches
+    # s/t = 1e-200 inside one row
+    spec = make_kernel_spec(hurst)
+    rng = np.random.default_rng(300)
+    uneven = np.cumsum(rng.uniform(0.01, 1.0, 300))
+    for horizon in (1.0, 1e150):
+        geometric = np.geomspace(1e-200 * horizon, horizon, 400)
+        for points in (uneven / uneven[-1] * horizon, geometric):
+            grid = TimeGrid(np.concatenate(([0.0], points)))
+            x = rng.standard_normal((grid.n_cells, 3))
+            assert product_gap(spec, grid, x) <= 1e-13
+
+
+def test_near_and_far_split_product_memory():
+    # 23 terms of (n, 16) float64 alone would be 5.75 MiB
+    spec = make_kernel_spec(0.3)
+    grid = uniform_grid(1.0, 2048)
+    x = np.random.default_rng(0).standard_normal((2048, 16))
+    _kernel_product(spec, grid, x)
+    tracemalloc.start()
+    try:
+        _kernel_product(spec, grid, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20

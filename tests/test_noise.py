@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -76,6 +78,17 @@ def test_donsker_takes_whole_step_counts_only():
     # 10.7 built the path of 10
     with pytest.raises(ValueError, match="n must be a whole number"):
         donsker_path(10.7, 1.0, RADEMACHER, NoiseStream(0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, 0.0])
+def test_noise_paths_refuse_nonpositive_or_nonfinite_reals(bad):
+    # inf used to reach round / math.ceil: a bare OverflowError
+    with pytest.raises(ValueError, match="horizon must be a positive real"):
+        donsker_path(10, bad, RADEMACHER, NoiseStream(0))
+    with pytest.raises(ValueError, match="horizon must be a positive real"):
+        theta_epsilon_path(0.1, bad, RADEMACHER, NoiseStream(0))
+    with pytest.raises(ValueError, match="epsilon must be a positive real"):
+        theta_epsilon_path(bad, 1.0, RADEMACHER, NoiseStream(0))
 
 
 def test_donsker_single_step_magnitude():
