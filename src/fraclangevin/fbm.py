@@ -14,11 +14,8 @@ memory, nothing stored.  Any other grid forms R and factors it densely
 by LAPACK in O(n^3) on each call, and keeps nothing either.  The kernel
 route discretizes B^H_t = int_0^t K(t,s) dB_s with midpoint kernel
 values against raw Brownian increments; it is consistent as the mesh
-shrinks and reduces to plain Bm partial sums at H = 1/2.
-
-The kernel operator is kept in the dense store of ``kernels`` as row
-panels of its lower triangle, and ``kernels._apply`` forms every product
-with it.
+shrinks and reduces to plain Bm partial sums at H = 1/2.  Its product is
+``kernels._stored_product``, with the operator kept in the kernels store.
 """
 from __future__ import annotations
 
@@ -27,8 +24,8 @@ import math
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid
-from .kernels import (KernelSpec, Regime, _apply, _check_dense, _check_hurst,
-                      _kernel_operator, fbm_covariance)
+from .kernels import (KernelSpec, Regime, _check_dense, _check_hurst,
+                      _stored_product, fbm_covariance)
 from .noise import gaussian_increments
 
 __all__ = [
@@ -141,5 +138,4 @@ def sample_fbm_kernel(spec: KernelSpec, grid: TimeGrid, stream: NoiseStream) -> 
     db = gaussian_increments(grid, stream)
     if spec.regime is Regime.STANDARD:
         return Path(grid, np.concatenate(([0.0], np.cumsum(db))))
-    panels = _kernel_operator(spec, grid)[:-1]
-    return Path(grid, np.concatenate(([0.0], _apply(panels, db))))
+    return Path(grid, np.concatenate(([0.0], _stored_product(spec, grid, db))))

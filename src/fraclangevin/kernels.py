@@ -31,7 +31,7 @@ final cell is integrated analytically instead.  So the weights are
 K(t, m_j) times the cell width plus a last-cell correction (zero unless
 H < 1/2), applied as K @ (widths f) + correction f from one kernel
 operator: no weight matrix is kept.  Only this module builds the operator:
-rows come from ``_kernel_blocks`` and the correction from
+rows come from ``_row_blocks`` and the correction from
 ``_cell_correction``.  ``kernel_weights`` returns the weights for t = T,
 the grid's horizon, as one plain vector over the midpoints: the last row
 of the operator.
@@ -39,9 +39,11 @@ of the operator.
 One store, ``_DENSE``, keeps kernel operators only, within
 DENSE_BYTES_MAX, least recently used first out.  An operator is
 lower-triangular and kept as C-contiguous row panels of its lower
-triangle, PANEL_ROWS rows each, never as a dense n x n array.
-``_apply`` is the one product with the stored panels.  ``kernel_matrix``
-and ``weight_matrix`` build a new dense array from the panels when called.
+triangle, PANEL_ROWS rows each, never as a dense n x n array.  Kernel
+rows take one form, the row blocks (i0, j0, K[i0:i1, j0:i1]) of
+``_row_blocks``: ``_placed`` writes them into the panels, and the panels
+into the new arrays of ``kernel_matrix`` and ``weight_matrix``; ``_apply``
+multiplies the stored panels and streamed blocks alike.
 
 The residual pass stores nothing: ``_kernel_product`` forms K @ x row by
 row, splitting row t at s = t/2.  The near half, s >= t/2, is evaluated
@@ -95,7 +97,8 @@ DENSE_BYTES_MAX = 1 << 30
 # took 4.7 ms against 6.3 ms dense; n = 1024, 0.22 against 0.21 ms.
 PANEL_ROWS = 512
 
-# The dense store: key -> read-only arrays, least recently used first.
+# The dense store: key -> (row panels as row blocks, correction), read-only,
+# least recently used first.
 _DENSE: OrderedDict = OrderedDict()
 
 
@@ -118,7 +121,7 @@ def _check_dense(n: int, count: int) -> int:
     return _check_bytes(8 * n * n * count, f"{count} dense {n}x{n} matrix(es)")
 
 
-def _check_panels(n: int) -> int:
+def _check_panel_bytes(n: int) -> int:
     """The bytes of the row panels of an n x n lower triangle, checked
     before they are held."""
     full, rest = divmod(n, PANEL_ROWS)
@@ -126,51 +129,29 @@ def _check_panels(n: int) -> int:
     return _check_bytes(8 * entries, f"row panels of a {n}x{n} lower triangle")
 
 
-def _panels(n: int, blocks) -> tuple:
-    """The row panels of an n x n lower triangle L from its row blocks
-    L[i0:i1, :i1] in order, none crossing a panel, zeros right of the
-    diagonal; no n x n array is allocated."""
-    out = [np.zeros((min(n, p0 + PANEL_ROWS) - p0, min(n, p0 + PANEL_ROWS)))
-           for p0 in range(0, n, PANEL_ROWS)]
-    i0 = 0
-    for block in blocks:
-        p, q = divmod(i0, PANEL_ROWS)
-        out[p][q:q + len(block), :block.shape[1]] = block
-        i0 += len(block)
-    return tuple(out)
-
-
-def _assemble(panels) -> np.ndarray:
-    """A new dense n x n array holding the lower triangle of ``panels``."""
-    n = panels[-1].shape[1]
-    out = np.zeros((n, n))
-    i0 = 0
-    for panel in panels:
-        out[i0:i0 + panel.shape[0], :panel.shape[1]] = panel
-        i0 += panel.shape[0]
+def _placed(blocks, rows: range) -> np.ndarray:
+    """A new len(rows) x rows.stop array holding the row blocks (i0, j0,
+    block) of ``rows``, zero elsewhere."""
+    out = np.zeros((len(rows), rows.stop))
+    for i0, j0, block in blocks:
+        i = i0 - rows.start
+        out[i:i + len(block), j0:j0 + block.shape[1]] = block
     return out
 
 
 def _apply(blocks, x: np.ndarray) -> np.ndarray:
-    """L @ x for the lower triangle L given as its row blocks L[i0:i1, :i1]
-    in order, the stored panels or streamed ones; x is (n,) or (n, S).
-
-    The one product with a lower-triangular operator: each block multiplies
-    only the leading entries of x that its columns reach.
-    """
+    """L @ x for L given as row blocks (i0, j0, L[i0:i1, j0:i1]) that cover
+    its rows in order, L zero outside them; x is (n,) or (n, S).  The one
+    product with kernel rows, stored panels and streamed blocks alike."""
     out = np.empty_like(x)
-    i0 = 0
-    for block in blocks:
-        i1 = i0 + len(block)
-        out[i0:i1] = block @ x[:block.shape[1]]
-        i0 = i1
+    for i0, j0, block in blocks:
+        out[i0:i0 + len(block)] = block @ x[j0:j0 + block.shape[1]]
     return out
 
 
 def _dense_held() -> int:
-    """Bytes of the 2-D arrays in the store (not the kernel's n-vectors)."""
-    return sum(a.nbytes for arrays in _DENSE.values() for a in arrays
-               if a.ndim == 2)
+    """Bytes of the row panels in the store."""
+    return sum(p.nbytes for blocks, _ in _DENSE.values() for _, _, p in blocks)
 
 
 class Regime(enum.Enum):
@@ -240,7 +221,6 @@ def make_kernel_spec(hurst: float) -> KernelSpec:
 _SERIES_TERMS = 60      # Taylor terms: at arguments <= 1/2 the last is < 2^-60
 _SERIES_DEGREE = 20     # Chebyshev degree kept on [0, 1/2]
 SERIES_TOL = 1e-11      # largest dropped Chebyshev tail accepted
-_BLOCK_ELEMS = 1 << 14  # entries per row block: 128 KiB temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,32 +362,34 @@ def kernel_value(spec: KernelSpec, t: float, s: float) -> float:
     return float(_kernel_values(spec, float(t), np.array([s]))[0])
 
 
-def _kernel_blocks(spec: KernelSpec, grid: TimeGrid):
-    """Row blocks K[i0:i1, :i1] of the kernel matrix in order, zero right of
-    the diagonal, with (i1 - i0) * i1 <= _BLOCK_ELEMS entries (or one row)
-    and none crossing a PANEL_ROWS boundary: the stored operator places
-    them in its panels."""
-    n = grid.n_cells
-    times = grid.points[1:, None]
-    mids = grid.midpoints
-    i0 = 0
-    while i0 < n:
-        rows = max(1, (math.isqrt(i0 * i0 + 4 * _BLOCK_ELEMS) - i0) // 2)
-        i1 = min(n, i0 + rows, (i0 // PANEL_ROWS + 1) * PANEL_ROWS)
-        k = _kernel_values(spec, times[i0:i1], mids[:i1])
-        k *= np.tri(i1 - i0, i1, i0)
-        yield k
+# Entries per row block: 64 KiB temporaries.  With 128 KiB ones glibc
+# mapped or trimmed memory again for every block: 1709 page faults per
+# residual pass at n = 1024 against none, 13 ms against 11 ms per pass
+# (2-core x86-64).
+_BLOCK_ELEMS = 1 << 13
+
+
+def _row_blocks(spec: KernelSpec, grid: TimeGrid, first: np.ndarray, rows: range):
+    """Row blocks (i0, j0, K[i0:i1, j0:i1]) of the kernel matrix covering
+    ``rows`` in order, j0 = first[i0], zero left of column first[i] and
+    right of the diagonal in row i; each holds at most _BLOCK_ELEMS entries
+    (or one row).  ``first`` is nondecreasing with first[i] <= i."""
+    times, mids = grid.points[1:, None], grid.midpoints
+    i0 = rows.start
+    while i0 < rows.stop:
+        j0 = int(first[i0])
+        w = i0 - j0
+        i1 = min(rows.stop,
+                 i0 + max(1, (math.isqrt(w * w + 4 * _BLOCK_ELEMS) - w) // 2))
+        k = _kernel_values(spec, times[i0:i1], mids[j0:i1])
+        cols = np.arange(j0, i1)
+        k *= (cols >= first[i0:i1, None]) & (cols <= np.arange(i0, i1)[:, None])
+        yield i0, j0, k
         i0 = i1
 
 
 # Largest over smallest t of the rows that share one set of far sums
 _BAND_RATIO = 256.0
-
-# Entries per row block of the near half: 64 KiB temporaries.  With the
-# 128 KiB ones of _kernel_blocks, glibc mapped or trimmed memory again for
-# every block: 1709 page faults per residual pass at n = 1024 against
-# none, 13 ms against 11 ms per pass (2-core x86-64).
-_NEAR_BLOCK_ELEMS = 1 << 13
 
 
 @lru_cache(maxsize=64)
@@ -484,10 +466,10 @@ def _kernel_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarr
     """kernel_matrix(spec, grid) @ x, streamed; x is (n,) or (n, S).
 
     Row i splits at far[i], the count of midpoints below t_i / 2.  Its near
-    columns far[i]..i come from :func:`_kernel_values`, in row blocks of at
-    most _NEAR_BLOCK_ELEMS entries (or one row); its far columns are summed in
-    closed form by :func:`_far_sums`.  Every entry j <= i is counted once.
-    K == 1 at H = 1/2: the product is the cumulative sum.
+    columns far[i]..i are the row blocks of :func:`_row_blocks` starting at
+    far, multiplied by :func:`_apply` as they come; its far columns are
+    summed in closed form by :func:`_far_sums`.  Every entry j <= i is
+    counted once.  K == 1 at H = 1/2: the product is the cumulative sum.
     """
     if spec.regime is Regime.STANDARD:
         return np.cumsum(x, axis=0)
@@ -495,18 +477,7 @@ def _kernel_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarr
     times = grid.points[1:]
     mids = grid.midpoints
     far = np.minimum(np.searchsorted(mids, times / 2), np.arange(n))
-    out = np.empty_like(x)
-    i0 = 0
-    while i0 < n:
-        j0 = int(far[i0])
-        w = i0 - j0
-        rows = (math.isqrt(w * w + 4 * _NEAR_BLOCK_ELEMS) - w) // 2
-        i1 = min(n, i0 + max(1, rows))
-        k = _kernel_values(spec, times[i0:i1, None], mids[j0:i1])
-        cols = np.arange(j0, i1)
-        k *= (cols >= far[i0:i1, None]) & (cols <= np.arange(i0, i1)[:, None])
-        out[i0:i1] = k @ x[j0:i1]
-        i0 = i1
+    out = _apply(_row_blocks(spec, grid, far, range(n)), x)
     _far_sums(spec, times, mids, far, x, out)
     return out
 
@@ -573,31 +544,38 @@ def kernel_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     which the library applies without forming M.  Raises
     :class:`DenseSizeError` when M alone exceeds DENSE_BYTES_MAX.
     """
-    _check_dense(grid.n_cells, 1)
-    return _assemble(_kernel_operator(spec, grid)[:-1])
+    n = grid.n_cells
+    _check_dense(n, 1)
+    return _placed(_kernel_operator(spec, grid)[0], range(n))
 
 
 def _kernel_operator(spec: KernelSpec, grid: TimeGrid) -> tuple:
-    """The read-only row panels of the kernel matrix, then its last-cell
-    correction, filled from :func:`_kernel_blocks` and kept in the store.
-
-    A hit becomes the most recently used entry.  On a miss, least recently
-    used entries go until the new panels fit beside the rest.
-    """
+    """The store's entry for (spec, grid): the kernel matrix's read-only row
+    panels as row blocks (i0, 0, panel), placed from :func:`_row_blocks`, and
+    its last-cell correction.  A hit becomes the most recently used entry; on
+    a miss, least recently used entries go until the new panels fit."""
     key = (spec, grid)
     if key in _DENSE:
         _DENSE.move_to_end(key)
         return _DENSE[key]
     n = grid.n_cells
-    need = _check_panels(n)
+    need = _check_panel_bytes(n)
     while _DENSE and _dense_held() + need > DENSE_BYTES_MAX:
         _DENSE.popitem(last=False)
-    arrays = (*_panels(n, _kernel_blocks(spec, grid)),
-              _cell_correction(spec, grid.points[1:], grid.midpoints, grid.widths))
-    for arr in arrays:
+    first = np.zeros(n, dtype=int)
+    spans = [range(p0, min(n, p0 + PANEL_ROWS)) for p0 in range(0, n, PANEL_ROWS)]
+    blocks = tuple((r.start, 0, _placed(_row_blocks(spec, grid, first, r), r))
+                   for r in spans)
+    corr = _cell_correction(spec, grid.points[1:], grid.midpoints, grid.widths)
+    for arr in (corr, *(panel for _, _, panel in blocks)):
         arr.flags.writeable = False
-    _DENSE[key] = arrays
-    return arrays
+    _DENSE[key] = blocks, corr
+    return blocks, corr
+
+
+def _stored_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
+    """kernel_matrix(spec, grid) @ x from the store; x is (n,) or (n, S)."""
+    return _apply(_kernel_operator(spec, grid)[0], x)
 
 
 def weight_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
@@ -607,19 +585,20 @@ def weight_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     panels; the library applies W through :func:`_kernel_integral`
     instead.  Raises :class:`DenseSizeError` like :func:`kernel_matrix`.
     """
-    _check_dense(grid.n_cells, 1)
-    *panels, corr = _kernel_operator(spec, grid)
-    out = _assemble(panels)
+    n = grid.n_cells
+    _check_dense(n, 1)
+    blocks, corr = _kernel_operator(spec, grid)
+    out = _placed(blocks, range(n))
     out *= grid.widths
-    out[np.diag_indices(grid.n_cells)] += corr
+    out[np.diag_indices(n)] += corr
     return out
 
 
 def _kernel_integral(spec: KernelSpec, grid: TimeGrid, f: np.ndarray):
     """weight_matrix(spec, grid) @ f without forming it; f is (n,) or (n, S)."""
-    *panels, corr = _kernel_operator(spec, grid)
+    blocks, corr = _kernel_operator(spec, grid)
     col = (-1,) + (1,) * (f.ndim - 1)
-    return _apply(panels, grid.widths.reshape(col) * f) + corr.reshape(col) * f
+    return _apply(blocks, grid.widths.reshape(col) * f) + corr.reshape(col) * f
 
 
 def verify_covariance_identity(spec: KernelSpec, s: float, t: float, n: int) -> float:

@@ -319,9 +319,9 @@ def circulant_operator(hurst, grid):
     return out
 
 
-# The next two tests check the circulant route on the H and n of the
-# Schur-factor tests whose names they keep: the circulant route replaced
-# the Schur factor on uniform grids.
+# The next test checks the circulant route on the H and n of the
+# Schur-factor test whose name it keeps: the circulant route replaced the
+# Schur factor on uniform grids.
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 513, 2048, 4096])
 @pytest.mark.parametrize("hurst", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
 def test_schur_factor_reconstructs_covariance(hurst, n):
@@ -343,7 +343,7 @@ def test_schur_factor_reconstructs_covariance(hurst, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 64, 2048])
-def test_schur_factor_at_half_is_the_partial_sum_factor(n):
+def test_circulant_at_half_has_unit_eigenvalues(n):
     # at H = 1/2 the increments are white: every eigenvalue is 1, and the
     # map's covariance is R = min(s, t)
     assert np.abs(fbm._circulant_eigenvalues(0.5, n) - 1.0).max() <= 1e-13

@@ -18,9 +18,9 @@ from fraclangevin import (DenseSizeError, KernelSpec, NoiseStream, Regime,
                           verify_covariance_identity, weight_matrix)
 from fraclangevin import kernels
 from fraclangevin.kernels import (PANEL_ROWS, SERIES_TOL, _apply,
-                                  _cell_correction, _kernel_blocks,
-                                  _kernel_integral, _kernel_product,
-                                  _kernel_operator, _kernel_values, _series,
+                                  _cell_correction, _kernel_integral,
+                                  _kernel_operator, _kernel_product,
+                                  _kernel_values, _row_blocks, _series,
                                   _singular_cell)
 
 # High-precision reference values (mpmath, 30 digits).  Kernel points come
@@ -493,7 +493,7 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
 
     def kmat(h):
         # the stored panel, which kernel_matrix copies into a new array
-        out = kernels._kernel_operator(make_kernel_spec(h), grid)[0]
+        (_, _, out), = kernels._kernel_operator(make_kernel_spec(h), grid)[0]
         assert kernels._dense_held() <= budget
         return out
 
@@ -528,35 +528,31 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
 
 
 def blocks_kernel_matrix(spec, grid):
-    """The dense kernel matrix assembled from _kernel_blocks, not from panels."""
-    n = grid.n_cells
-    out = np.zeros((n, n))
-    i0 = 0
-    for block in _kernel_blocks(spec, grid):
-        i1 = i0 + len(block)
-        out[i0:i1, :block.shape[1]] = block
-        i0 = i1
-    return out
+    """The dense kernel matrix from one _kernel_values call over the whole
+    grid, its strict upper triangle zeroed: no row blocks, no panels."""
+    values = _kernel_values(spec, grid.points[1:, None], grid.midpoints)
+    return values * np.tri(grid.n_cells)
 
 
-@pytest.mark.parametrize("n", [513, 1537, 2048, 2500])
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1537, 2048, 2500])
 @pytest.mark.parametrize("hurst", [0.3, 0.7])
 def test_kernel_panels_match_dense_product(hurst, n, monkeypatch):
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     spec = make_kernel_spec(hurst)
     grid = uniform_grid(1.0, n)
-    *panels, _ = _kernel_operator(spec, grid)
+    blocks, _ = _kernel_operator(spec, grid)
     ref = blocks_kernel_matrix(spec, grid)
-    assert len(panels) == -(-n // PANEL_ROWS)
-    for p, panel in enumerate(panels):
+    assert len(blocks) == -(-n // PANEL_ROWS)
+    for p, (i0, j0, panel) in enumerate(blocks):
         rows = slice(p * PANEL_ROWS, min(n, (p + 1) * PANEL_ROWS))
+        assert (i0, j0) == (rows.start, 0)
         assert panel.flags.c_contiguous and not panel.flags.writeable
         assert np.array_equal(panel, ref[rows, :rows.stop])
     assert np.array_equal(kernel_matrix(spec, grid), ref)
     rng = np.random.default_rng(n)
     for shape in [(n,), (n, 4)]:
         x = rng.standard_normal(shape)
-        got = _apply(panels, x)
+        got = _apply(blocks, x)
         assert got.shape == shape
         assert np.all(np.abs(got - ref @ x) <= 1e-13 * (np.abs(ref) @ np.abs(x)))
 
@@ -580,11 +576,11 @@ def test_kernel_operator_holds_panels_not_a_dense_matrix(monkeypatch):
 
 def test_store_budget_caps_kernel_panels_and_cholesky_builds():
     # budget arithmetic only: nothing of these sizes is allocated
-    assert kernels._check_panels(16131) <= kernels.DENSE_BYTES_MAX
-    assert kernels._check_panels(2048) == 20 * 2**20
-    assert kernels._check_panels(PANEL_ROWS) == 8 * PANEL_ROWS**2
+    assert kernels._check_panel_bytes(16131) <= kernels.DENSE_BYTES_MAX
+    assert kernels._check_panel_bytes(2048) == 20 * 2**20
+    assert kernels._check_panel_bytes(PANEL_ROWS) == 8 * PANEL_ROWS**2
     with pytest.raises(DenseSizeError, match="16132x16132"):
-        kernels._check_panels(16132)
+        kernels._check_panel_bytes(16132)
     with pytest.raises(DenseSizeError, match="16132x16132"):
         _kernel_operator(make_kernel_spec(0.3), uniform_grid(1.0, 16132))
     assert kernels._check_dense(6688, 3) <= kernels.DENSE_BYTES_MAX
@@ -863,16 +859,33 @@ def test_identity_takes_whole_cell_counts_only():
         verify_covariance_identity(spec, 0.5, 1.0, 16.9)
 
 
+def far_split(grid):
+    """The count of midpoints below t_i / 2 in each row i, at most i."""
+    n = grid.n_cells
+    return np.minimum(np.searchsorted(grid.midpoints, grid.points[1:] / 2),
+                      np.arange(n))
+
+
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537, 2048])
 def test_streamed_blocks_stay_inside_one_panel(n):
-    i0 = 0
-    for block in _kernel_blocks(make_kernel_spec(0.3), uniform_grid(1.0, n)):
-        i1 = i0 + len(block)
-        assert block.shape == (i1 - i0, i1)
-        assert i0 // PANEL_ROWS == (i1 - 1) // PANEL_ROWS
-        assert block.size <= kernels._BLOCK_ELEMS or len(block) == 1
-        i0 = i1
-    assert i0 == n
+    # the stored operator asks for one panel's rows at a time from column
+    # 0; the residual pass asks for every row from its far split
+    spec = make_kernel_spec(0.3)
+    grid = uniform_grid(1.0, n)
+    asks = [(np.zeros(n, dtype=int), range(p0, min(n, p0 + PANEL_ROWS)))
+            for p0 in range(0, n, PANEL_ROWS)]
+    for first, rows in asks + [(far_split(grid), range(n))]:
+        i = rows.start
+        for i0, j0, block in _row_blocks(spec, grid, first, rows):
+            i1 = i0 + len(block)
+            assert i0 == i and i1 <= rows.stop and j0 == first[i0]
+            assert block.shape == (i1 - i0, i1 - j0)
+            assert block.size <= kernels._BLOCK_ELEMS or len(block) == 1
+            cols = np.arange(j0, i1)
+            kept = (cols >= first[i0:i1, None]) & (cols <= np.arange(i0, i1)[:, None])
+            assert not block[~kept].any() and block[kept].all()
+            i = i1
+        assert i == rows.stop
 
 
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537, 2048])
@@ -883,15 +896,33 @@ def test_streamed_and_stored_products_agree(hurst, n, monkeypatch):
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     spec = make_kernel_spec(hurst)
     grid = uniform_grid(1.0, n)
-    *panels, _ = _kernel_operator(spec, grid)
+    stored, _ = _kernel_operator(spec, grid)
     ref = np.abs(kernel_matrix(spec, grid))
     rng = np.random.default_rng(n)
     for shape in [(n,), (n, 3)]:
         x = rng.standard_normal(shape)
-        got = _apply(_kernel_blocks(spec, grid), x)
+        got = _apply(_row_blocks(spec, grid, np.zeros(n, dtype=int), range(n)), x)
         assert got.shape == shape
-        assert np.all(np.abs(got - _apply(panels, x))
+        assert np.all(np.abs(got - _apply(stored, x))
                       <= 1e-14 * (ref @ np.abs(x)))
+
+
+def test_cold_kernel_operator_evaluates_the_lower_triangle_once(monkeypatch):
+    # n (n + 1) / 2 entries and the n corrections, plus the few entries
+    # right of the diagonal inside each row block
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    n = 2048
+    evaluated = []
+    values = kernels._kernel_values
+
+    def counted(*args):
+        out = values(*args)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernels, "_kernel_values", counted)
+    _kernel_operator(make_kernel_spec(0.3), uniform_grid(1.0, n))
+    assert n * (n + 1) // 2 < sum(evaluated) <= 0.52 * n * n
 
 
 PRODUCT_HURSTS = (0.01, 0.1, 0.3, 0.45, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.55, 0.7,
@@ -900,11 +931,12 @@ PRODUCT_HURSTS = (0.01, 0.1, 0.3, 0.45, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.55, 0.7,
 
 def product_gap(spec, grid, x):
     """|_kernel_product - the row-block product| / (|K| @ |x|), largest entry."""
-    blocks = list(_kernel_blocks(spec, grid))
+    n = grid.n_cells
+    blocks = list(_row_blocks(spec, grid, np.zeros(n, dtype=int), range(n)))
     got = _kernel_product(spec, grid, x)
     assert got.shape == x.shape
     ref = _apply(blocks, x)
-    scale = _apply([np.abs(b) for b in blocks], np.abs(x))
+    scale = _apply([(i0, j0, np.abs(b)) for i0, j0, b in blocks], np.abs(x))
     return float(np.max(np.abs(got - ref) / scale))
 
 

@@ -91,6 +91,23 @@ def test_noise_paths_refuse_nonpositive_or_nonfinite_reals(bad):
         theta_epsilon_path(bad, 1.0, RADEMACHER, NoiseStream(0))
 
 
+def test_noise_paths_refuse_step_counts_before_drawing(monkeypatch):
+    # 1e-200 and 1e-170 square to 0; 1e-160 squares to a subnormal that
+    # makes horizon / eps^2 infinite; the rest ask for 1e10 and 1e12 draws
+    def no_draws(*args):
+        raise AssertionError("drew variates")
+
+    monkeypatch.setattr(StepDistribution, "sample", no_draws)
+    for eps in (1e-200, 1e-170):
+        with pytest.raises(ValueError, match=r"epsilon\*\*2 underflows to 0"):
+            theta_epsilon_path(eps, 1.0, RADEMACHER, NoiseStream(1))
+    for eps in (1e-160, 1e-5):
+        with pytest.raises(ValueError, match=r"horizon / epsilon\*\*2 = .* GiB"):
+            theta_epsilon_path(eps, 1.0, RADEMACHER, NoiseStream(1))
+    with pytest.raises(ValueError, match=r"n \* horizon = 1e\+12 steps"):
+        donsker_path(10**6, 1e6, RADEMACHER, NoiseStream(1))
+
+
 def test_donsker_single_step_magnitude():
     n = 400
     path = donsker_path(n, 1.0, RADEMACHER, NoiseStream(5))
