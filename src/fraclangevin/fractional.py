@@ -145,9 +145,10 @@ def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
 
     r(t_i) = sum_j K(t_i, m_j) (m dV_j + b w_j V_j - sigma dB_j), V_j at the
     midpoints, plus the kernel's last-cell correction.  The kernel sums come
-    from :func:`_kernel_product`: in row t_i the columns m_j >= t_i / 2 are
-    evaluated in streamed row blocks and those below t_i / 2 are summed as
-    prefix sums of the closed form's separable terms, about 0.3 n^2 kernel
+    from :func:`_kernel_product`: in row t_i the columns next to the
+    diagonal are evaluated, column blocks further out but above about
+    t_i / 2 are interpolated at Chebyshev nodes, and the rest are summed as
+    prefix sums of the closed form's separable terms, O(n log n) kernel
     values in all; no dense n x n matrix is held.
     """
     n = grid.n_cells

@@ -358,7 +358,7 @@ def max_rel_dev(a, b):
 @pytest.mark.parametrize("hurst", [0.01, 0.05, 0.1, 0.3, 0.45, 0.49, 0.499998,
                                    0.500002, 0.51, 0.7, 0.95, 0.99, 1 - 1e-6,
                                    1 - 1e-8])
-def test_kernel_matrix_matches_quadrature_rows(hurst):
+def test_kernel_matrix_matches_60_term_series(hurst):
     spec = make_kernel_spec(hurst)
     grid = uniform_grid(1.0, 1024)
     kmat = kernel_matrix(spec, grid)
@@ -932,11 +932,15 @@ PRODUCT_HURSTS = (0.01, 0.1, 0.3, 0.45, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.55, 0.7,
 def product_gap(spec, grid, x):
     """|_kernel_product - the row-block product| / (|K| @ |x|), largest entry."""
     n = grid.n_cells
-    blocks = list(_row_blocks(spec, grid, np.zeros(n, dtype=int), range(n)))
     got = _kernel_product(spec, grid, x)
     assert got.shape == x.shape
-    ref = _apply(blocks, x)
-    scale = _apply([(i0, j0, np.abs(b)) for i0, j0, b in blocks], np.abs(x))
+    ref, scale = np.empty_like(x), np.empty_like(x)
+    for i0, j0, b in _row_blocks(spec, grid, np.zeros(n, dtype=int), range(n)):
+        # _apply's block product, one block at a time: at n = 8192 the
+        # blocks together hold 256 MiB
+        cols = slice(j0, j0 + b.shape[1])
+        ref[i0:i0 + len(b)] = b @ x[cols]
+        scale[i0:i0 + len(b)] = np.abs(b) @ np.abs(x[cols])
     return float(np.max(np.abs(got - ref) / scale))
 
 
@@ -968,6 +972,22 @@ def test_near_and_far_split_product_on_uneven_grids(hurst):
             assert product_gap(spec, grid, x) <= 1e-13
 
 
+@pytest.mark.parametrize("hurst", [0.01, 0.3, 0.7, 0.99])
+def test_near_and_far_split_product_on_large_uneven_grids(hurst):
+    # uneven cells put some column blocks nearer t or 0 than their width,
+    # which are evaluated, not interpolated; cells graded towards the
+    # horizon make blocks narrow against eps s, where a node's rounding
+    # counts
+    spec = make_kernel_spec(hurst)
+    rng = np.random.default_rng(2048)
+    uneven = np.cumsum(rng.uniform(0.01, 1.0, 2048))
+    graded = 1.0 + 1e-6 - np.geomspace(1.0, 1e-6, 2049)[1:]
+    for points in (uneven / uneven[-1], np.geomspace(1e-6, 1.0, 2048), graded):
+        grid = TimeGrid(np.concatenate(([0.0], points)))
+        x = rng.standard_normal((grid.n_cells, 3))
+        assert product_gap(spec, grid, x) <= 1e-14
+
+
 def test_near_and_far_split_product_memory():
     # 23 terms of (n, 16) float64 alone would be 5.75 MiB
     spec = make_kernel_spec(0.3)
@@ -981,3 +1001,30 @@ def test_near_and_far_split_product_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+@pytest.mark.parametrize("n", [4096, 8192])
+@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.9])
+def test_near_and_far_split_product_at_large_n(hurst, n):
+    # interpolated column blocks of 512 columns and more appear only past
+    # n = 2048; the bound is the one of the smaller grids
+    spec = make_kernel_spec(hurst)
+    x = np.random.default_rng(n).standard_normal((n, 2))
+    assert product_gap(spec, uniform_grid(1.0, n), x) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 16384])
+def test_near_and_far_split_product_evaluates_n_log_n_kernel_values(n, monkeypatch):
+    # the direct band is at most 64 values per row and each level adds
+    # 20 per interpolated block: 13.7, 16.2 and 18.2 n log2 n
+    evaluated = []
+    values = kernels._kernel_values
+
+    def counted(*args):
+        out = values(*args)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernels, "_kernel_values", counted)
+    _kernel_product(make_kernel_spec(0.3), uniform_grid(1.0, n), np.ones((n, 2)))
+    assert sum(evaluated) <= 20 * n * math.log2(n)

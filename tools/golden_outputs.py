@@ -18,9 +18,10 @@ The hashes depend on the platform (CPU, Python and numpy build).
 The n = 512 commands fit each stored operator in one 512-row panel
 (``kernels.PANEL_ROWS``), so the hashes cannot see how a stored product
 is split across panels.  ``validate`` stores no operator: its residual
-outputs go through ``kernels._kernel_product``, whose near/far split of
-each kernel row (entries evaluated for s >= t/2, prefix sums of the
-closed form below) they do see.
+outputs go through ``kernels._kernel_product``, whose split of each
+kernel row (entries evaluated next to the diagonal, column blocks
+interpolated further out, prefix sums of the closed form below about
+s = t/2) they do see.
 
 ``--against OTHER_OUTDIR`` compares with the outputs an earlier run left
 there, for instance from another checkout: for each file whose hash
