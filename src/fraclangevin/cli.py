@@ -113,7 +113,7 @@ def _read_csv(path):
 
 @contextlib.contextmanager
 def _dense_budget(steps):
-    """Report a dense operator over the memory budget against --steps."""
+    """Report an operator over the memory budget against --steps."""
     try:
         yield
     except DenseSizeError as exc:

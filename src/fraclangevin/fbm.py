@@ -14,8 +14,8 @@ memory, nothing stored.  Any other grid forms R and factors it densely
 by LAPACK in O(n^3) on each call, and keeps nothing either.  The kernel
 route discretizes B^H_t = int_0^t K(t,s) dB_s with midpoint kernel
 values against raw Brownian increments; it is consistent as the mesh
-shrinks and reduces to plain Bm partial sums at H = 1/2.  Its product is
-``kernels._stored_product``, with the operator kept in the kernels store.
+shrinks and reduces to plain Bm partial sums at H = 1/2.  Its product,
+``kernels._stored_product``, applies the kernel factors the store keeps.
 """
 from __future__ import annotations
 

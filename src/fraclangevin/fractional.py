@@ -144,12 +144,9 @@ def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
     (grid points by rows, one path per column of ``db``), shaped like ``db``.
 
     r(t_i) = sum_j K(t_i, m_j) (m dV_j + b w_j V_j - sigma dB_j), V_j at the
-    midpoints, plus the kernel's last-cell correction.  The kernel sums come
-    from :func:`_kernel_product`: in row t_i the columns next to the
-    diagonal are evaluated, column blocks further out but above about
-    t_i / 2 are interpolated at Chebyshev nodes, and the rest are summed as
-    prefix sums of the closed form's separable terms, O(n log n) kernel
-    values in all; no dense n x n matrix is held.
+    midpoints, plus the kernel's last-cell correction.  The kernel sums
+    stream through :func:`_kernel_product`, O(n log n) kernel values, and
+    nothing is stored.
     """
     n = grid.n_cells
     m, b, sig = params.mass, params.friction, params.sigma

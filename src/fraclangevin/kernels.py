@@ -29,35 +29,29 @@ nodes, never endpoints: K blows up at s = 0 in both regimes, and for
 H < 1/2 also at s = t, where the leading (t-s)^(H-1/2) factor of the
 final cell is integrated analytically instead.  So the weights are
 K(t, m_j) times the cell width plus a last-cell correction (zero unless
-H < 1/2), applied as K @ (widths f) + correction f from one kernel
-operator: no weight matrix is kept.  Only this module builds the operator:
-rows come from ``_row_blocks`` and the correction from
-``_cell_correction``.  ``kernel_weights`` returns the weights for t = T,
-the grid's horizon, as one plain vector over the midpoints: the last row
-of the operator.
+H < 1/2), applied as K @ (widths f) + correction f: no weight matrix is
+kept.  ``kernel_weights`` returns the weights for t = T, the grid's
+horizon: the last row of ``weight_matrix``.
 
-One store, ``_DENSE``, keeps kernel operators only, within
-DENSE_BYTES_MAX, least recently used first out.  An operator is
-lower-triangular and kept as C-contiguous row panels of its lower
-triangle, PANEL_ROWS rows each, never as a dense n x n array.  Kernel
-rows take one form, the row blocks (i0, j0, K[i0:i1, j0:i1]) of
-``_row_blocks``: ``_placed`` writes them into the panels, and the panels
-into the new arrays of ``kernel_matrix`` and ``weight_matrix``; ``_apply``
-multiplies the stored panels and streamed blocks alike.
-
-The residual pass stores nothing: ``_kernel_product`` forms K @ x row by
-row, splitting row t at a column block boundary below s = t/2.  The far
-half is the closed form's short sum of powers s^alpha t^beta, so each of
-its 23 terms is one prefix sum over the columns (``_far_terms``).  In the
-near half (``_near_sums``) the 32 to 64 columns next to the diagonal are
-evaluated; each column block further out, and at least its width from t
-and from 0, is interpolated in s at 20 Chebyshev nodes, its moments
-formed once per product.  On a uniform grid that evaluates O(n log n)
-kernel values, 137 n at n = 1024 and 254 n at 16384, against n^2 / 2.
+No kernel operator is held as an n x n array.  ``_layout`` splits row t
+at a column block boundary below s = t/2.  In the near half the 32 to 64
+columns next to the diagonal are evaluated, and each column block further
+out, at least its width from t and from 0, is interpolated in s at 20
+Chebyshev nodes (in the style of Hackbusch's H-matrices, Computing 62,
+1999): O(n log n) kernel values, 137 n at n = 1024 and 254 n at 16384.
+The far half is the closed form's short sum of powers s^alpha t^beta, so
+each of its 23 terms is one prefix sum over the columns (``_far_terms``).
+``_apply`` adds one part's share of K @ x: the residual pass streams the
+parts and drops them (``_kernel_product``); the one store, ``_DENSE``,
+keeps them per (H, grid) within DENSE_BYTES_MAX bytes, least recently
+used first out, 4.7 MiB at n = 2048 against 32 MiB dense.
+``kernel_matrix`` and ``weight_matrix`` build dense arrays from
+``_row_blocks``.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -84,24 +78,15 @@ __all__ = [
     "weight_matrix",
 ]
 
-# Bytes the store keeps: the row panels of kernel operators (one alone
-# fits up to n = 16131).  Each dense build is checked against it on its
-# own: kernel_matrix and weight_matrix, which return a new dense n x n
-# array (n <= 11585), and the exact sampler's Cholesky factor of a
-# non-uniform grid, three dense n x n float64 matrices at LAPACK's peak
-# (n <= 6688).
+# Bytes the store keeps: the parts of kernel operators, counted before they
+# are built (one alone fits up to n = 211840 on a uniform grid).  Each dense
+# build is checked against it on its own: kernel_matrix and weight_matrix,
+# a new dense n x n array (n <= 11585), and the exact sampler's Cholesky
+# factor of a non-uniform grid, three at LAPACK's peak (n <= 6688).
 DENSE_BYTES_MAX = 1 << 30
 
-# Rows per panel of a stored lower-triangular operator L: panel p is the
-# C-contiguous L[512p : 512(p+1), : 512(p+1)], the last one shorter.  At
-# n = 2048 four panels hold 5/8 of the dense bytes.  One mat-vec, two
-# operators used in turn (2-core Xeon, OpenBLAS): n = 2048 took 0.59 ms
-# in 512-row panels, 0.88 ms in 256-row ones and 0.78 ms dense; n = 4096
-# took 4.7 ms against 6.3 ms dense; n = 1024, 0.22 against 0.21 ms.
-PANEL_ROWS = 512
-
-# The dense store: key -> (row panels as row blocks, correction), read-only,
-# least recently used first.
+# The store: key -> (the operator's parts, correction), read-only, least
+# recently used first.
 _DENSE: OrderedDict = OrderedDict()
 
 
@@ -124,37 +109,14 @@ def _check_dense(n: int, count: int) -> int:
     return _check_bytes(8 * n * n * count, f"{count} dense {n}x{n} matrix(es)")
 
 
-def _check_panel_bytes(n: int) -> int:
-    """The bytes of the row panels of an n x n lower triangle, checked
-    before they are held."""
-    full, rest = divmod(n, PANEL_ROWS)
-    entries = PANEL_ROWS * PANEL_ROWS * full * (full + 1) // 2 + rest * n
-    return _check_bytes(8 * entries, f"row panels of a {n}x{n} lower triangle")
-
-
-def _placed(blocks, rows: range) -> np.ndarray:
-    """A new len(rows) x rows.stop array holding the row blocks (i0, j0,
-    block) of ``rows``, zero elsewhere."""
-    out = np.zeros((len(rows), rows.stop))
-    for i0, j0, block in blocks:
-        i = i0 - rows.start
-        out[i:i + len(block), j0:j0 + block.shape[1]] = block
-    return out
-
-
-def _apply(blocks, x: np.ndarray) -> np.ndarray:
-    """L @ x for L given as row blocks (i0, j0, L[i0:i1, j0:i1]) that cover
-    its rows in order, L zero outside them; x is (n,) or (n, S).  The one
-    product with kernel rows, stored panels and streamed blocks alike."""
-    out = np.empty_like(x)
-    for i0, j0, block in blocks:
-        out[i0:i0 + len(block)] = block @ x[j0:j0 + block.shape[1]]
-    return out
+def _arrays(parts: tuple, corr: np.ndarray) -> list:
+    """Every array of a store entry (parts, correction)."""
+    return [corr] + [a for part in parts for a in part if isinstance(a, np.ndarray)]
 
 
 def _dense_held() -> int:
-    """Bytes of the row panels in the store."""
-    return sum(p.nbytes for blocks, _ in _DENSE.values() for _, _, p in blocks)
+    """Bytes of every array in the store."""
+    return sum(a.nbytes for entry in _DENSE.values() for a in _arrays(*entry))
 
 
 class Regime(enum.Enum):
@@ -372,25 +334,19 @@ def kernel_value(spec: KernelSpec, t: float, s: float) -> float:
 _BLOCK_ELEMS = 1 << 13
 
 
-def _row_blocks(spec: KernelSpec, grid: TimeGrid, first: np.ndarray, rows: range):
-    """Row blocks (i0, j0, K[i0:i1, j0:i1]) of the kernel matrix covering
-    ``rows`` in order, j0 = first[i0], zero left of column first[i] and
-    right of the diagonal in row i; each holds at most _BLOCK_ELEMS entries
-    (or one row).  ``first`` is nondecreasing with first[i] <= i."""
+def _row_blocks(spec: KernelSpec, grid: TimeGrid):
+    """Row blocks (i0, K[i0:i1, :i1]) of the kernel matrix in order, zero
+    right of the diagonal, each at most _BLOCK_ELEMS entries (or one row):
+    the dense builder of :func:`kernel_matrix`."""
     times, mids = grid.points[1:, None], grid.midpoints
     tri = np.tri(math.isqrt(_BLOCK_ELEMS))  # a block has at most this many rows
-    i0 = rows.start
-    while i0 < rows.stop:
-        j0 = int(first[i0])
-        w = i0 - j0
-        i1 = min(rows.stop,
-                 i0 + max(1, (math.isqrt(w * w + 4 * _BLOCK_ELEMS) - w) // 2))
-        k = _kernel_values(spec, times[i0:i1], mids[j0:i1])
-        k[:, w:] *= tri[:i1 - i0, :i1 - i0]  # the corner right of the diagonal
-        strip = int(first[i1 - 1]) - j0  # columns left of first[i] in some row
-        if strip:
-            k[:, :strip] *= np.arange(j0, j0 + strip) >= first[i0:i1, None]
-        yield i0, j0, k
+    i0 = 0
+    while i0 < grid.n_cells:
+        i1 = min(grid.n_cells,
+                 i0 + max(1, (math.isqrt(i0 * i0 + 4 * _BLOCK_ELEMS) - i0) // 2))
+        k = _kernel_values(spec, times[i0:i1], mids[:i1])
+        k[:, i0:] *= tri[:i1 - i0, :i1 - i0]  # the corner right of the diagonal
+        yield i0, k
         i0 = i1
 
 
@@ -440,35 +396,6 @@ def _far_terms(spec: KernelSpec, s: np.ndarray, t: np.ndarray):
         yield sa * (np.expm1(p * np.log(2 * s)) / p), dp * (1 + p * b)
 
 
-def _far_sums(spec: KernelSpec, times: np.ndarray, mids: np.ndarray,
-              far: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """Add sum_(j < far[i]) K(t_i, m_j) x_j to out[i], where m_j < t_i / 2.
-
-    Each of :func:`_far_terms` is one prefix sum of its column factor times
-    x, read at far[i] and scaled by the row factor; the terms are added one
-    at a time, so the extra memory is O(n S).  Rows are taken in bands whose
-    t spans at most _BAND_RATIO, in units of the band's largest t, tau, so
-    no power overflows on any grid; tau^a is applied as tau^H / sqrt(tau),
-    as in :func:`_kernel_values`.  ``far`` need not be monotone.
-    """
-    col = (-1,) + (1,) * (x.ndim - 1)
-    hi = len(times)
-    while hi > 0:
-        tau = times[hi - 1]
-        lo = int(np.searchsorted(times, tau / _BAND_RATIO, "right"))
-        j = far[lo:hi] - 1
-        if j.max() >= 0:
-            s = mids[:j.max() + 1] / tau
-            acc = np.zeros((hi - lo,) + x.shape[1:])
-            for sf, tf in _far_terms(spec, s, times[lo:hi] / tau):
-                acc += tf.reshape(col) * np.cumsum(sf.reshape(col) * x[:len(s)],
-                                                   axis=0)[j]
-            acc[j < 0] = 0.0
-            acc *= _unified_constant(spec) * (tau**spec.hurst / math.sqrt(tau))
-            out[lo:hi] += acc
-        hi = lo
-
-
 # Rows per direct tile: row i evaluates its own _BAND-index column block
 # and the one before it, at most 2 _BAND kernel values.
 _BAND = 32
@@ -478,10 +405,14 @@ _BAND = 32
 # interpolated within about (3 + sqrt 8)^-20 = 5e-16 of its values.
 _NODES = 20
 
+# Rows per interpolated tile: a power of two, so a tile lies in one row
+# block at every level, with _NODES columns in _BLOCK_ELEMS entries
+_TILE = 1 << ((_BLOCK_ELEMS // _NODES).bit_length() - 1)
+
 
 def _chebyshev(u: np.ndarray) -> np.ndarray:
-    """T_0(u) .. T_(_NODES - 1)(u) by the three-term recurrence, stacked on
-    a new first axis."""
+    """T_0(u) .. T_(_NODES - 1)(u) for u (blocks, m) by the three-term
+    recurrence, as a (blocks, _NODES, m) view."""
     out = np.empty((_NODES,) + u.shape)
     out[0] = 1.0
     out[1] = u
@@ -489,93 +420,52 @@ def _chebyshev(u: np.ndarray) -> np.ndarray:
     for m in range(2, _NODES):
         np.multiply(u2, out[m - 1], out=out[m])
         out[m] -= out[m - 2]
-    return out
+    return out.transpose(1, 0, 2)
 
 
-def _level_moments(mids: np.ndarray, x: np.ndarray, b: int):
-    """Column blocks J of width b: the interpolation nodes of each in s, its
-    moments L_J^T x_J as batched products, and its s-range.
+def _layout(times: np.ndarray, mids: np.ndarray):
+    """The parts of the kernel matrix K, as indices only, in the order they
+    are applied to x (n, S): row i adds columns split[i] <= j <= i in tiles
+    and j < split[i] in far sums, every j <= i once.
 
-    L_J is the Lagrange basis at the nodes as rounded, not at the Chebyshev
-    points they stand for: rounding moves a node by about eps s, which is
-    not small against the width of a block near t on a fine grid.  So the
-    moments solve T(nodes)^T M = T(mids)^T x, T the Chebyshev basis on the
-    block's s-range.  The mids are not clipped to [-1, 1] in it: where the
-    rounded centre puts one just outside, clipping would move it.
+    * ("tiles", ti, c0, keep, nodes): tile q, rows R ti[q] + [0, R), adds
+      K(t_r, s_c) keep[q] @ z[c0[q] + [0, C)] over the columns of z, keep
+      (Q, R, C); s and z are the mids and x, or the level's nodes and
+      moments.  Row i, in tile I of 32 rows, first takes columns 32 (I - 1)
+      to i.
+    * ("moments", b, nodes, mid, half): column blocks J of width b, the
+      nodes of each in s, and the centre and half width of its s-range.
+      At level b = 32, 64, ..., row block I = i // b takes column block
+      I - 2, and I - 3 when I is odd, until a block ends at or below
+      far[i], the count of midpoints below t_i / 2.  A block at least its
+      width from t_i and from 0 is interpolated at _NODES Chebyshev nodes:
+      the row adds K(t_i, nodes) @ moments, formed at levels that have such
+      a block.  Any other (row, block) pair is a one-row tile of mids, so
+      every grid runs one path; on uniform grids every pair interpolates.
+    * ("far", rows, ends, stops, tau): rows with split above 0 in a band of
+      t spanning at most _BAND_RATIO, tau its largest t, grouped by split:
+      rows[stops[g - 1]:stops[g]] split at ends[g], ends increasing.
     """
-    nb = len(mids) // b
-    s = mids[:nb * b].reshape(nb, b)
-    lo, hi = s[:, :1], s[:, -1:]
-    mid, half = (hi + lo) / 2, (hi - lo) / 2
-    roots = np.cos(np.pi * np.arange(1, 2 * _NODES, 2) / (2 * _NODES))
-    nodes = mid + half * roots
-    cheb = _chebyshev((np.hstack((s, nodes)) - mid) / half).transpose(1, 0, 2)
-    raw = cheb[:, :, :b] @ x[:nb * b].reshape(nb, b, -1)
-    return nodes, np.linalg.solve(cheb[:, :, b:], raw), lo[:, 0], hi[:, 0]
-
-
-def _tile_products(spec: KernelSpec, t: np.ndarray, s: np.ndarray,
-                   v: np.ndarray, keep, out: np.ndarray, rows: np.ndarray) -> None:
-    """Add K(t[q, r], s[q, c]) keep[q, r, c] @ v[q] to out[rows[q, r]] for
-    tiles q, t and rows (Q, R), s (Q, C), v (Q, C, S); one _kernel_values
-    call per _BLOCK_ELEMS entries or per tile."""
-    per = max(1, _BLOCK_ELEMS // (t.shape[1] * s.shape[1]))
-    for q in range(0, len(t), per):
-        k = _kernel_values(spec, t[q:q + per, :, None], s[q:q + per, None, :])
-        k *= keep if np.ndim(keep) < 3 else keep[q:q + per]
-        out[rows[q:q + per]] += k @ v[q:q + per]
-
-
-def _direct_band(spec: KernelSpec, t: np.ndarray, mids: np.ndarray,
-                 x: np.ndarray, out: np.ndarray) -> None:
-    """Add sum_(32 (I - 1) <= j <= i) K(t_i, m_j) x_j to out[i] for row i in
-    tile I of _BAND = 32 rows: 32 x 64 tiles, the columns left of 0 and
-    right of n - 1 padded with zero x."""
-    n, cols = x.shape
-    tiles = -(-n // _BAND)
-    xs = np.zeros((_BAND * (tiles + 1), cols))
-    xs[_BAND:_BAND + n] = x
-    ms = np.concatenate((np.full(_BAND, mids[0]), mids,
-                         np.full(len(xs) - _BAND - n, mids[-1])))
-    window = np.lib.stride_tricks.sliding_window_view
-    rows = np.arange(tiles * _BAND).reshape(tiles, _BAND)
-    _tile_products(spec, t[rows], window(ms, 2 * _BAND)[::_BAND],
-                   window(xs, 2 * _BAND, axis=0)[::_BAND].transpose(0, 2, 1),
-                   np.tri(_BAND, 2 * _BAND, _BAND), out, rows)
-
-
-def _near_sums(spec: KernelSpec, times: np.ndarray, mids: np.ndarray,
-               far: np.ndarray, x: np.ndarray) -> tuple:
-    """sum_(split[i] <= j <= i) K(t_i, m_j) x_j for every row i, and split,
-    where split[i] <= far[i] is a block boundary of row i; x is (n, S).
-
-    Row i, in tile I of _BAND = 32 rows, evaluates columns 32 (I - 1) to i
-    directly (:func:`_direct_band`).  At each level b = 32, 64, ..., row
-    block I = i // b takes column block I - 2, and I - 3 when I is odd,
-    until a block ends at or below far[i]; these blocks tile the columns
-    below the direct band, so every j <= i is counted once.  A block at
-    least its width from t_i and from 0 is interpolated at _NODES
-    Chebyshev nodes: the row adds K(t_i, nodes) @ moments.  Any other
-    (row, block) pair is evaluated directly, so every grid runs this one
-    path; on uniform grids every pair interpolates.
-    """
-    n, cols = x.shape
-    # rows per interpolated tile: a power of two, so a tile lies in one row
-    # block at every level, with _NODES columns in _BLOCK_ELEMS entries
-    tile = 1 << ((_BLOCK_ELEMS // _NODES).bit_length() - 1)
-    size = -(-n // tile) * tile
-    t = np.concatenate((times, np.full(size - n, times[-1])))
+    n = len(times)
+    size = -(-n // _TILE) * _TILE
+    far = np.concatenate((np.minimum(np.searchsorted(mids, times / 2), np.arange(n)),
+                          np.full(size - n, size)))
     split = _BAND * np.maximum(np.arange(size) // _BAND - 1, 0)
-    far = np.concatenate((far, np.full(size - n, size)))
-    out = np.zeros((size, cols))
-    _direct_band(spec, t, mids, x, out)
+    ti = np.arange(-(-n // _BAND))
+    yield "tiles", ti, _BAND * (ti - 1), np.broadcast_to(
+        np.tri(_BAND, 2 * _BAND, _BAND), (len(ti), _BAND, 2 * _BAND)), None
 
+    roots = np.cos(np.pi * np.arange(1, 2 * _NODES, 2) / (2 * _NODES))
     b = _BAND
     while 2 * b < n:
-        nodes, moments, lo, hi = _level_moments(mids, x, b)
-        r = min(b, tile)
+        s = mids[:n // b * b].reshape(-1, b)
+        lo, hi = s[:, 0], s[:, -1]
+        mid, half = (hi + lo)[:, None] / 2, (hi - lo)[:, None] / 2
+        nodes = mid + half * roots
+        r = min(b, _TILE)
         starts = np.arange(0, n, r)
         block = starts // b
+        level = []
         for off in (2, 3):
             pick = (block >= off) & ((off == 2) | (block % 2 == 1))
             i0, j = starts[pick], block[pick] - off
@@ -584,43 +474,153 @@ def _near_sums(spec: KernelSpec, times: np.ndarray, mids: np.ndarray,
             if not used.any():
                 continue
             split[i[used]] = b * np.broadcast_to(j[:, None], i.shape)[used]
-            width = hi[j] - lo[j]
-            fit = (t[i] - hi[j, None] >= width[:, None]) & (lo[j] >= width)[:, None]
+            width = (hi - lo)[j, None]
+            fit = ((times.take(i, mode="clip") - hi[j, None] >= width)
+                   & (lo[j, None] >= width))
             keep = used & fit
             q = keep.any(axis=1)
             if q.any():
-                _tile_products(spec, t[i[q]], nodes[j[q]], moments[j[q]],
-                               keep[q, :, None], out, i[q])
+                level.append(("tiles", i0[q] // r, _NODES * j[q], np.broadcast_to(
+                    keep[q, :, None], (q.sum(), r, _NODES)), nodes))
             rr, cc = np.nonzero(used & ~fit)
-            per = max(1, _BLOCK_ELEMS // b)
-            for k in range(0, len(rr), per):
-                ii = i[rr[k:k + per], cc[k:k + per], None]
-                at = b * j[rr[k:k + per], None] + np.arange(b)
-                _tile_products(spec, t[ii], mids[at], x[at], 1.0, out, ii)
+            if len(rr):
+                level.append(("tiles", i[rr, cc], b * j[rr], np.broadcast_to(
+                    True, (len(rr), 1, b)), None))
+        if any(item[4] is nodes for item in level):
+            yield "moments", b, nodes, mid, half
+        yield from level
         b *= 2
-    return out[:n], split[:n]
+
+    hi = n
+    while hi > 0:
+        tau = times[hi - 1]
+        lo = int(np.searchsorted(times, tau / _BAND_RATIO, "right"))
+        rows = lo + np.flatnonzero(split[lo:hi])
+        rows = rows[np.argsort(split[rows], kind="stable")]
+        if len(rows):
+            ends, counts = np.unique(split[rows], return_counts=True)
+            yield "far", rows, ends, np.cumsum(counts), tau
+        hi = lo
+
+
+def _factor_bytes(items, n: int) -> int:
+    """Bytes of the stored parts of :func:`_layout`'s ``items`` and of the
+    n corrections, every array float64 or int64."""
+    total = n
+    for kind, *item in items:
+        if kind == "tiles":
+            total += item[2].size + 2 * len(item[0])
+        elif kind == "moments":
+            total += item[1].size * item[0]
+        else:  # rows, ends, stops and _SERIES_DEGREE + 3 terms of _far_terms
+            total += len(item[0]) + 2 * len(item[1]) + (
+                len(item[0]) + item[1][-1]) * (_SERIES_DEGREE + 3)
+    return 8 * total
+
+
+def _evaluated(spec: KernelSpec, times: np.ndarray, mids: np.ndarray, item: tuple):
+    """The parts of one :func:`_layout` item with their numbers, tiles and
+    far factors in chunks of at most _BLOCK_ELEMS numbers (or one tile or
+    term): ("tiles", ti, c0, K(t, s) keep, whether on the moments); ("far",
+    rows, ends, stops, sf, tf), the factors of :func:`_far_terms` with
+    C_H tau^a in tf; ("moments", T(mids), T(nodes)), T the Chebyshev basis
+    on each block's s-range: the moments of block J are T(nodes)_J^-1
+    T(mids)_J x_J, exact at the nodes as rounded (a rounding of eps s is
+    not small against a block near t on a fine grid), the mids not clipped
+    to [-1, 1] (that would move one just outside).
+    """
+    kind, *item = item
+    if kind == "tiles":
+        ti, c0, keep, nodes = item
+        points = mids if nodes is None else nodes.ravel()
+        _, rows, cols = keep.shape
+        per = max(1, _BLOCK_ELEMS // (rows * cols))
+        r, c = np.arange(rows), np.arange(cols)
+        for q in range(0, len(ti), per):
+            cq = c0[q:q + per, None] + c
+            k = _kernel_values(spec, times.take(rows * ti[q:q + per, None] + r,
+                                                mode="clip")[:, :, None],
+                               points.take(cq, mode="clip")[:, None, :])
+            k *= keep[q:q + per]
+            k.transpose(0, 2, 1)[(cq < 0) | (cq >= len(points))] = 0.0
+            yield kind, ti[q:q + per], c0[q:q + per], k, nodes is not None
+    elif kind == "moments":
+        b, nodes, mid, half = item
+        yield (kind, _chebyshev((mids[:len(nodes) * b].reshape(-1, b) - mid) / half),
+               _chebyshev((nodes - mid) / half))
+    else:
+        rows, ends, stops, tau = item
+        scale = _unified_constant(spec) * (tau**spec.hurst / math.sqrt(tau))
+        terms = _far_terms(spec, mids[:ends[-1]] / tau, times[rows] / tau)
+        per = max(1, _BLOCK_ELEMS // (len(rows) + ends[-1]))
+        while chunk := list(itertools.islice(terms, per)):
+            sf, tf = zip(*chunk)
+            yield kind, rows, ends, stops, np.array(sf), scale * np.array(tf)
+
+
+def _kept(parts: list) -> tuple:
+    """The stored part of one item from its chunks: the fields that differ
+    between chunks joined along their first axis; a level's moments as
+    one matrix, T(nodes)^-1 T(mids)."""
+    if parts[0][0] == "moments":
+        return "moments", np.linalg.solve(parts[0][2], parts[0][1]), None
+    return tuple(f[0] if all(g is f[0] for g in f) else np.concatenate(f)
+                 for f in zip(*parts))
+
+
+def _apply(part: tuple, x: np.ndarray, out: np.ndarray, moments: np.ndarray) -> None:
+    """Add one part's share of K @ x to out, x (n, S); a moments part
+    fills ``moments`` for the tiles of its level.  The one product with
+    kernel factors, stored and streamed alike; each gather holds at most
+    _BLOCK_ELEMS entries of x or of the moments (or one tile's)."""
+    kind, *args = part
+    cols = x.shape[1]
+    if kind == "tiles":
+        ti, c0, values, on_moments = args
+        src = moments if on_moments else x
+        _, rows, width = values.shape
+        per = max(1, _BLOCK_ELEMS // (width * cols))
+        for q in range(0, len(ti), per):
+            v = src.take(c0[q:q + per, None] + np.arange(width), axis=0, mode="clip")
+            out.reshape(-1, rows, cols)[ti[q:q + per]] += values[q:q + per] @ v
+    elif kind == "moments":  # stored as one matrix, T(nodes) is None
+        basis, nodes = args
+        blocks, _, b = basis.shape
+        z = basis @ x[:blocks * b].reshape(blocks, b, cols)
+        if nodes is not None:
+            z = np.linalg.solve(nodes, z)
+        moments[:_NODES * blocks] = z.reshape(-1, cols)
+    else:
+        rows, ends, stops, sf, tf = args
+        acc, sums = np.zeros((len(sf), cols)), np.empty((len(rows), cols))
+        e0 = r = 0
+        for e, r1 in zip(ends.tolist(), stops.tolist()):
+            acc += sf[:, e0:e] @ x[e0:e]
+            np.matmul(tf[:, r:r1].T, acc, out=sums[r:r1])
+            e0, r = e, r1
+        out[rows] += sums
+
+
+def _product(parts, x: np.ndarray) -> np.ndarray:
+    """K @ x from ``parts`` in order, x (n,) or (n, S)."""
+    x2 = x.reshape(len(x), -1)
+    out = np.zeros((-(-len(x) // _TILE) * _TILE, x2.shape[1]))
+    moments = np.empty((_NODES * (len(x) // _BAND), x2.shape[1]))
+    for part in parts:
+        _apply(part, x2, out, moments)
+        del part  # a streamed part goes before the next is evaluated
+    return out[:len(x)].reshape(x.shape)
 
 
 def _kernel_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
-    """kernel_matrix(spec, grid) @ x, streamed; x is (n,) or (n, S).
-
-    Row i splits at a block boundary at or below far[i], the count of
-    midpoints below t_i / 2.  Its near columns are :func:`_near_sums`'
-    direct band and interpolated column blocks, O(n log n) kernel values
-    in all; its far columns, all below t_i / 2, are summed in closed form
-    by :func:`_far_sums`.  Every entry j <= i is counted once.  K == 1 at
-    H = 1/2: the product is the cumulative sum.
-    """
+    """kernel_matrix(spec, grid) @ x, streamed: each part of :func:`_layout`
+    is evaluated, applied and dropped, O(n log n) kernel values in all.  K
+    == 1 at H = 1/2: the product is the cumulative sum."""
     if spec.regime is Regime.STANDARD:
         return np.cumsum(x, axis=0)
-    n = grid.n_cells
-    times = grid.points[1:]
-    mids = grid.midpoints
-    far = np.minimum(np.searchsorted(mids, times / 2), np.arange(n))
-    x2 = x.reshape(n, -1)
-    out, split = _near_sums(spec, times, mids, far, x2)
-    _far_sums(spec, times, mids, split, x2, out)
-    return out.reshape(x.shape)
+    times, mids = grid.points[1:], grid.midpoints
+    return _product(itertools.chain.from_iterable(
+        _evaluated(spec, times, mids, item) for item in _layout(times, mids)), x)
 
 
 def fbm_covariance(hurst: float, s, t):
@@ -681,65 +681,68 @@ def kernel_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
 
     Row i discretizes integrals up to the positive grid point t_{i+1}
     against cell midpoints; the strict upper triangle is zero.  Each call
-    returns a new array built from the row panels of the stored operator,
-    which the library applies without forming M.  Raises
-    :class:`DenseSizeError` when M alone exceeds DENSE_BYTES_MAX.
+    builds a new array from :func:`_row_blocks`, never from the store.
+    Raises :class:`DenseSizeError` when M alone exceeds DENSE_BYTES_MAX.
     """
     n = grid.n_cells
     _check_dense(n, 1)
-    return _placed(_kernel_operator(spec, grid)[0], range(n))
+    out = np.zeros((n, n))
+    for i0, k in _row_blocks(spec, grid):
+        out[i0:i0 + len(k), :k.shape[1]] = k
+    return out
 
 
 def _kernel_operator(spec: KernelSpec, grid: TimeGrid) -> tuple:
-    """The store's entry for (spec, grid): the kernel matrix's read-only row
-    panels as row blocks (i0, 0, panel), placed from :func:`_row_blocks`, and
-    its last-cell correction.  A hit becomes the most recently used entry; on
-    a miss, least recently used entries go until the new panels fit."""
+    """The store's entry for (spec, grid): the read-only parts of the kernel
+    matrix, one per :func:`_layout` item, and its last-cell correction.  A
+    hit becomes the most recently used entry; on a miss, least recently
+    used entries go until the new parts fit."""
     key = (spec, grid)
     if key in _DENSE:
         _DENSE.move_to_end(key)
         return _DENSE[key]
-    n = grid.n_cells
-    need = _check_panel_bytes(n)
+    times, mids, n = grid.points[1:], grid.midpoints, grid.n_cells
+    items = list(_layout(times, mids))
+    need = _check_bytes(_factor_bytes(items, n), f"kernel factors of {n} cells")
     while _DENSE and _dense_held() + need > DENSE_BYTES_MAX:
         _DENSE.popitem(last=False)
-    first = np.zeros(n, dtype=int)
-    spans = [range(p0, min(n, p0 + PANEL_ROWS)) for p0 in range(0, n, PANEL_ROWS)]
-    blocks = tuple((r.start, 0, _placed(_row_blocks(spec, grid, first, r), r))
-                   for r in spans)
-    corr = _cell_correction(spec, grid.points[1:], grid.midpoints, grid.widths)
-    for arr in (corr, *(panel for _, _, panel in blocks)):
-        arr.flags.writeable = False
-    _DENSE[key] = blocks, corr
-    return blocks, corr
+    parts = tuple(_kept(list(_evaluated(spec, times, mids, item))) for item in items)
+    corr = _cell_correction(spec, times, mids, grid.widths)
+    for a in _arrays(parts, corr):
+        a.flags.writeable = False
+    _DENSE[key] = entry = parts, corr
+    return entry
 
 
 def _stored_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
-    """kernel_matrix(spec, grid) @ x from the store; x is (n,) or (n, S)."""
-    return _apply(_kernel_operator(spec, grid)[0], x)
+    """kernel_matrix(spec, grid) @ x from the store; x is (n,) or (n, S).
+    K == 1 at H = 1/2: the product is the cumulative sum."""
+    if spec.regime is Regime.STANDARD:
+        return np.cumsum(x, axis=0)
+    return _product(_kernel_operator(spec, grid)[0], x)
 
 
 def weight_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """Stacked kernel_weights rows: W[i, j] weights f(m_j) for t_{i+1}.
 
-    Each call returns a new array built from the kernel matrix's row
-    panels; the library applies W through :func:`_kernel_integral`
-    instead.  Raises :class:`DenseSizeError` like :func:`kernel_matrix`.
+    Each call returns a new array built from :func:`kernel_matrix`; the
+    library applies W through :func:`_kernel_integral` instead.  Raises
+    :class:`DenseSizeError` like :func:`kernel_matrix`.
     """
-    n = grid.n_cells
-    _check_dense(n, 1)
-    blocks, corr = _kernel_operator(spec, grid)
-    out = _placed(blocks, range(n))
+    out = kernel_matrix(spec, grid)
     out *= grid.widths
-    out[np.diag_indices(n)] += corr
+    out[np.diag_indices(grid.n_cells)] += _cell_correction(
+        spec, grid.points[1:], grid.midpoints, grid.widths)
     return out
 
 
 def _kernel_integral(spec: KernelSpec, grid: TimeGrid, f: np.ndarray):
     """weight_matrix(spec, grid) @ f without forming it; f is (n,) or (n, S)."""
-    blocks, corr = _kernel_operator(spec, grid)
     col = (-1,) + (1,) * (f.ndim - 1)
-    return _apply(blocks, grid.widths.reshape(col) * f) + corr.reshape(col) * f
+    out = _stored_product(spec, grid, grid.widths.reshape(col) * f)
+    if spec.regime is not Regime.STANDARD:
+        out += _kernel_operator(spec, grid)[1].reshape(col) * f
+    return out
 
 
 def verify_covariance_identity(spec: KernelSpec, s: float, t: float, n: int) -> float:

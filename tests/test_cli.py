@@ -71,13 +71,15 @@ def test_simulate_fbm_requires_seed(runner, tmp_path):
 
 
 def test_simulate_fbm_steps_over_dense_budget(runner, tmp_path):
+    # the kernel factors of 300000 cells need 1.5 GiB, counted before any
+    # is built; they fit up to 211840 cells
     out = tmp_path / "x.csv"
     res = runner.invoke(main, ["simulate-fbm", "--hurst", "0.3", "--steps",
-                               "200000", "--seed", "1", "--method", "kernel",
+                               "300000", "--seed", "1", "--method", "kernel",
                                "--out", str(out)])
     assert res.exit_code != 0
     assert isinstance(res.exception, SystemExit)
-    assert "--steps 200000 is too large" in res.output
+    assert "--steps 300000 is too large" in res.output
     assert "Traceback" not in res.output
     assert not out.exists()
 
@@ -92,6 +94,20 @@ def test_simulate_fbm_exact_on_a_long_uniform_grid(runner, tmp_path):
     assert res.exit_code == 0, res.output
     _, data = read_csv(out)
     assert data.shape == (20001, 2) and np.isfinite(data).all()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate-fbm", "--hurst", "0.3", "--method", "kernel"],
+    ["simulate-velocity", "--hurst", "0.7"]])
+def test_kernel_route_runs_at_20000_steps(runner, tmp_path, command):
+    # the kernel factors of 20000 cells hold 69 MiB; a dense operator
+    # would be 3.2 GB
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, command + ["--steps", "20000", "--seed", "1",
+                                         "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    _, data = read_csv(out)
+    assert len(data) == 20001 and np.isfinite(data).all()
 
 
 def test_simulate_fbm_variance_report(runner, tmp_path):

@@ -17,11 +17,11 @@ from fraclangevin import (DenseSizeError, KernelSpec, NoiseStream, Regime,
                           sample_fbm_exact, uniform_grid,
                           verify_covariance_identity, weight_matrix)
 from fraclangevin import kernels
-from fraclangevin.kernels import (PANEL_ROWS, SERIES_TOL, _apply,
-                                  _cell_correction, _kernel_integral,
-                                  _kernel_operator, _kernel_product,
-                                  _kernel_values, _row_blocks, _series,
-                                  _singular_cell)
+from fraclangevin.kernels import (SERIES_TOL, _cell_correction,
+                                  _kernel_integral, _kernel_operator,
+                                  _kernel_product, _kernel_values,
+                                  _row_blocks, _series, _singular_cell,
+                                  _stored_product)
 
 # High-precision reference values (mpmath, 30 digits).  Kernel points come
 # from the exact closed form of the inner integral,
@@ -474,16 +474,22 @@ def test_dense_operators_refuse_oversized_grids():
             build(spec, grid)
 
 
+def factor_bytes(spec, grid):
+    """The bytes the store checks before it builds (spec, grid)."""
+    items = list(kernels._layout(grid.points[1:], grid.midpoints))
+    return kernels._factor_bytes(items, grid.n_cells)
+
+
 def test_dense_store_is_bounded_by_bytes(monkeypatch):
-    # a fresh store with room for three n = 64 kernel operators, each one
-    # panel, which is the dense matrix at n <= PANEL_ROWS; the exact
-    # sampler's Cholesky build on a non-uniform grid holds three dense
-    # matrices at once, within the same budget, and keeps nothing
+    # a fresh store with room for three n = 64 kernel operators' factors;
+    # the exact sampler's Cholesky build on a non-uniform grid holds three
+    # dense matrices at once, within the same budget, and keeps nothing
     n = 64
-    budget = 3 * 8 * n * n
+    grid = uniform_grid(1.0, n)
+    budget = 3 * factor_bytes(make_kernel_spec(0.3), grid)
+    assert 3 * 8 * n * n <= budget < 3 * 8 * 65 * 65
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", budget)
-    grid = uniform_grid(1.0, n)
 
     def moved(m):
         # one point moved by 1e-9 T: a grid the exact sampler factorizes
@@ -492,8 +498,8 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
         return TimeGrid(points)
 
     def kmat(h):
-        # the stored panel, which kernel_matrix copies into a new array
-        (_, _, out), = kernels._kernel_operator(make_kernel_spec(h), grid)[0]
+        # the stored entry, whose factors kernel_matrix never reads
+        out = kernels._kernel_operator(make_kernel_spec(h), grid)
         assert kernels._dense_held() <= budget
         return out
 
@@ -509,19 +515,20 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
     sample_fbm_exact(0.7, moved(n), NoiseStream(1))  # factorized per call
     assert kept() == [0.3, 0.4, 0.6]
     again = kmat(0.7)  # evicted, rebuilt bit for bit
-    assert again is not k7 and np.array_equal(again, k7)
-    assert not again.flags.writeable
+    assert again is not k7
+    for a, b in zip(kernels._arrays(*again), kernels._arrays(*k7), strict=True):
+        assert np.array_equal(a, b) and not a.flags.writeable
     assert kept() == [0.4, 0.6, 0.7]
-    assert np.array_equal(kmat(0.4), k4)
+    assert all(a is b for a, b in zip(kernels._arrays(*kmat(0.4)), kernels._arrays(*k4)))
     assert kept() == [0.6, 0.7, 0.4]
     kmat(0.3)
     assert kept() == [0.7, 0.4, 0.3]
 
     # one build over the budget is refused and evicts nothing
-    with pytest.raises(DenseSizeError, match="row panels of a 111x111"):
-        kernels._kernel_operator(make_kernel_spec(0.3), uniform_grid(1.0, 111))
-    with pytest.raises(DenseSizeError, match="1 dense 111x111"):
-        kernel_matrix(make_kernel_spec(0.3), uniform_grid(1.0, 111))
+    with pytest.raises(DenseSizeError, match="kernel factors of 112 cells"):
+        kernels._kernel_operator(make_kernel_spec(0.3), uniform_grid(1.0, 112))
+    with pytest.raises(DenseSizeError, match="1 dense 112x112"):
+        kernel_matrix(make_kernel_spec(0.3), uniform_grid(1.0, 112))
     with pytest.raises(DenseSizeError, match="3 dense 65x65"):
         sample_fbm_exact(0.7, moved(65), NoiseStream(1))
     assert kept() == [0.7, 0.4, 0.3]
@@ -529,7 +536,7 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
 
 def blocks_kernel_matrix(spec, grid):
     """The dense kernel matrix from one _kernel_values call over the whole
-    grid, its strict upper triangle zeroed: no row blocks, no panels."""
+    grid, its strict upper triangle zeroed: no row blocks, no factors."""
     values = _kernel_values(spec, grid.points[1:, None], grid.midpoints)
     return values * np.tri(grid.n_cells)
 
@@ -537,27 +544,42 @@ def blocks_kernel_matrix(spec, grid):
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537, 2048, 2500])
 @pytest.mark.parametrize("hurst", [0.3, 0.7])
 def test_kernel_panels_match_dense_product(hurst, n, monkeypatch):
+    # the name predates the factors: the stored product against the
+    # one-call dense matrix, which kernel_matrix reproduces bit for bit
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     spec = make_kernel_spec(hurst)
     grid = uniform_grid(1.0, n)
-    blocks, _ = _kernel_operator(spec, grid)
     ref = blocks_kernel_matrix(spec, grid)
-    assert len(blocks) == -(-n // PANEL_ROWS)
-    for p, (i0, j0, panel) in enumerate(blocks):
-        rows = slice(p * PANEL_ROWS, min(n, (p + 1) * PANEL_ROWS))
-        assert (i0, j0) == (rows.start, 0)
-        assert panel.flags.c_contiguous and not panel.flags.writeable
-        assert np.array_equal(panel, ref[rows, :rows.stop])
     assert np.array_equal(kernel_matrix(spec, grid), ref)
     rng = np.random.default_rng(n)
     for shape in [(n,), (n, 4)]:
         x = rng.standard_normal(shape)
-        got = _apply(blocks, x)
+        got = _stored_product(spec, grid, x)
         assert got.shape == shape
         assert np.all(np.abs(got - ref @ x) <= 1e-13 * (np.abs(ref) @ np.abs(x)))
+    assert all(not a.flags.writeable for a in kernels._arrays(*_kernel_operator(spec, grid)))
+
+
+@pytest.mark.parametrize("hurst", [0.01, 0.3, 0.7, 0.99])
+def test_factor_bytes_are_checked_before_the_build(hurst, monkeypatch):
+    # the bytes counted from the layout alone are the bytes then held, on
+    # grids with evaluated pairs and several bands of far sums
+    spec = make_kernel_spec(hurst)
+    rng = np.random.default_rng(7)
+    uneven = np.cumsum(rng.uniform(0.01, 1.0, 700))
+    grids = [uniform_grid(1.0, n) for n in (1, 33, 64, 65, 1000, 2048)]
+    grids += [TimeGrid(np.concatenate(([0.0], points))) for points in
+              (uneven / uneven[-1], np.geomspace(1e-200, 1.0, 400))]
+    for grid in grids:
+        monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+        need = factor_bytes(spec, grid)
+        _kernel_operator(spec, grid)
+        assert kernels._dense_held() == need
 
 
 def test_kernel_operator_holds_panels_not_a_dense_matrix(monkeypatch):
+    # the name predates the factors: one n = 2048 operator and its build
+    # hold at most 8 MiB, a quarter of the dense matrix
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     n = 2048
     grid = uniform_grid(1.0, n)
@@ -569,20 +591,17 @@ def test_kernel_operator_holds_panels_not_a_dense_matrix(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # four panels of 512 rows: (1 + 2 + 3 + 4) 512^2 entries, 5/8 of 8 n^2
-    assert kernels._dense_held() == 20 * 2**20
-    assert peak < 0.7 * 8 * n * n  # a dense n x n build would need 32 MiB
+    assert kernels._dense_held() <= 8 * 2**20
+    assert peak < 8 * 2**20
 
 
 def test_store_budget_caps_kernel_panels_and_cholesky_builds():
-    # budget arithmetic only: nothing of these sizes is allocated
-    assert kernels._check_panel_bytes(16131) <= kernels.DENSE_BYTES_MAX
-    assert kernels._check_panel_bytes(2048) == 20 * 2**20
-    assert kernels._check_panel_bytes(PANEL_ROWS) == 8 * PANEL_ROWS**2
-    with pytest.raises(DenseSizeError, match="16132x16132"):
-        kernels._check_panel_bytes(16132)
-    with pytest.raises(DenseSizeError, match="16132x16132"):
-        _kernel_operator(make_kernel_spec(0.3), uniform_grid(1.0, 16132))
+    # the name predates the factors; budget arithmetic only: nothing of
+    # these sizes is allocated
+    spec = make_kernel_spec(0.3)
+    assert factor_bytes(spec, uniform_grid(1.0, 211840)) <= kernels.DENSE_BYTES_MAX
+    with pytest.raises(DenseSizeError, match="kernel factors of 211841 cells"):
+        _kernel_operator(spec, uniform_grid(1.0, 211841))
     assert kernels._check_dense(6688, 3) <= kernels.DENSE_BYTES_MAX
     with pytest.raises(DenseSizeError, match="3 dense 6689x6689"):
         kernels._check_dense(6689, 3)
@@ -859,57 +878,64 @@ def test_identity_takes_whole_cell_counts_only():
         verify_covariance_identity(spec, 0.5, 1.0, 16.9)
 
 
-def far_split(grid):
-    """The count of midpoints below t_i / 2 in each row i, at most i."""
-    n = grid.n_cells
-    return np.minimum(np.searchsorted(grid.midpoints, grid.points[1:] / 2),
-                      np.arange(n))
-
-
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537, 2048])
-def test_streamed_blocks_stay_inside_one_panel(n):
-    # the stored operator asks for one panel's rows at a time from column
-    # 0; the residual pass asks for every row from its far split
+def test_row_blocks_cover_the_lower_triangle(n):
+    # the dense builder's blocks: rows in order from column 0, zero right
+    # of the diagonal, each at most _BLOCK_ELEMS entries or one row
     spec = make_kernel_spec(0.3)
     grid = uniform_grid(1.0, n)
-    asks = [(np.zeros(n, dtype=int), range(p0, min(n, p0 + PANEL_ROWS)))
-            for p0 in range(0, n, PANEL_ROWS)]
-    for first, rows in asks + [(far_split(grid), range(n))]:
-        i = rows.start
-        for i0, j0, block in _row_blocks(spec, grid, first, rows):
-            i1 = i0 + len(block)
-            assert i0 == i and i1 <= rows.stop and j0 == first[i0]
-            assert block.shape == (i1 - i0, i1 - j0)
-            assert block.size <= kernels._BLOCK_ELEMS or len(block) == 1
-            cols = np.arange(j0, i1)
-            kept = (cols >= first[i0:i1, None]) & (cols <= np.arange(i0, i1)[:, None])
-            assert not block[~kept].any() and block[kept].all()
-            i = i1
-        assert i == rows.stop
+    i = 0
+    for i0, block in _row_blocks(spec, grid):
+        i1 = i0 + len(block)
+        assert i0 == i and block.shape == (i1 - i0, i1)
+        assert block.size <= kernels._BLOCK_ELEMS or len(block) == 1
+        kept = np.arange(i1) <= np.arange(i0, i1)[:, None]
+        assert not block[~kept].any() and block[kept].all()
+        i = i1
+    assert i == n
+
+
+@pytest.mark.parametrize("n", [1, 511, 2048])
+def test_streamed_parts_hold_bounded_numbers(n):
+    # each streamed part holds at most _BLOCK_ELEMS kernel values (or one
+    # tile) or far factors (or one term); a level's moments hold 20 n + 400
+    # n / b numbers
+    spec = make_kernel_spec(0.3)
+    grid = uniform_grid(1.0, n)
+    times, mids = grid.points[1:], grid.midpoints
+    for item in kernels._layout(times, mids):
+        for part in kernels._evaluated(spec, times, mids, item):
+            if part[0] == "tiles":
+                values = part[3]
+                assert values.size <= kernels._BLOCK_ELEMS or len(values) == 1
+            elif part[0] == "far":
+                sf, tf = part[4:]
+                assert sf.size + tf.size <= kernels._BLOCK_ELEMS or len(sf) == 1
+            else:
+                assert sum(a.size for a in part[1:]) <= 20 * n + 400 * n / 32
 
 
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537, 2048])
 @pytest.mark.parametrize("hurst", [0.3, 0.7])
 def test_streamed_and_stored_products_agree(hurst, n, monkeypatch):
     # one _apply for both forms; BLAS rounds a row's sum by the shape of
-    # the call it sits in, so the two partitions agree to rounding only
+    # the call it sits in, so the two agree to rounding only
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     spec = make_kernel_spec(hurst)
     grid = uniform_grid(1.0, n)
-    stored, _ = _kernel_operator(spec, grid)
     ref = np.abs(kernel_matrix(spec, grid))
     rng = np.random.default_rng(n)
     for shape in [(n,), (n, 3)]:
         x = rng.standard_normal(shape)
-        got = _apply(_row_blocks(spec, grid, np.zeros(n, dtype=int), range(n)), x)
+        got = _kernel_product(spec, grid, x)
         assert got.shape == shape
-        assert np.all(np.abs(got - _apply(stored, x))
+        assert np.all(np.abs(got - _stored_product(spec, grid, x))
                       <= 1e-14 * (ref @ np.abs(x)))
 
 
 def test_cold_kernel_operator_evaluates_the_lower_triangle_once(monkeypatch):
-    # n (n + 1) / 2 entries and the n corrections, plus the few entries
-    # right of the diagonal inside each row block
+    # the name predates the factors: a cold build evaluates what one
+    # streamed product does, O(n log n) entries, and the n corrections
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     n = 2048
     evaluated = []
@@ -922,7 +948,7 @@ def test_cold_kernel_operator_evaluates_the_lower_triangle_once(monkeypatch):
 
     monkeypatch.setattr(kernels, "_kernel_values", counted)
     _kernel_operator(make_kernel_spec(0.3), uniform_grid(1.0, n))
-    assert n * (n + 1) // 2 < sum(evaluated) <= 0.52 * n * n
+    assert sum(evaluated) <= 20 * n * math.log2(n)
 
 
 PRODUCT_HURSTS = (0.01, 0.1, 0.3, 0.45, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.55, 0.7,
@@ -930,17 +956,16 @@ PRODUCT_HURSTS = (0.01, 0.1, 0.3, 0.45, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.55, 0.7,
 
 
 def product_gap(spec, grid, x):
-    """|_kernel_product - the row-block product| / (|K| @ |x|), largest entry."""
-    n = grid.n_cells
-    got = _kernel_product(spec, grid, x)
-    assert got.shape == x.shape
+    """|product - the row-block product| / (|K| @ |x|), largest entry, of
+    the streamed and the stored product; the store keeps nothing of it."""
+    got = np.stack((_kernel_product(spec, grid, x), _stored_product(spec, grid, x)))
+    kernels._DENSE.pop((spec, grid), None)
+    assert got.shape[1:] == x.shape
     ref, scale = np.empty_like(x), np.empty_like(x)
-    for i0, j0, b in _row_blocks(spec, grid, np.zeros(n, dtype=int), range(n)):
-        # _apply's block product, one block at a time: at n = 8192 the
-        # blocks together hold 256 MiB
-        cols = slice(j0, j0 + b.shape[1])
-        ref[i0:i0 + len(b)] = b @ x[cols]
-        scale[i0:i0 + len(b)] = np.abs(b) @ np.abs(x[cols])
+    for i0, b in _row_blocks(spec, grid):
+        # one block at a time: at n = 8192 the blocks together hold 256 MiB
+        ref[i0:i0 + len(b)] = b @ x[:b.shape[1]]
+        scale[i0:i0 + len(b)] = np.abs(b) @ np.abs(x[:b.shape[1]])
     return float(np.max(np.abs(got - ref) / scale))
 
 
@@ -1001,6 +1026,22 @@ def test_near_and_far_split_product_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def test_kernel_product_reads_x_per_tile():
+    # x is 128 KiB: the direct band reads it one tile at a time, with no
+    # zero-padded copy of it
+    spec = make_kernel_spec(0.3)
+    grid = uniform_grid(1.0, 1024)
+    x = np.random.default_rng(1).standard_normal((1024, 16))
+    _kernel_product(spec, grid, x)
+    tracemalloc.start()
+    try:
+        _kernel_product(spec, grid, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 768 * 2**10
 
 
 @pytest.mark.parametrize("n", [4096, 8192])

@@ -15,13 +15,11 @@ stdout is kept as ``out_<name>.txt`` next to its CSV or JSON file, and one
 ``sha256  file`` line is printed per file (28 in all), sorted by name.
 A refactor meant to leave results unchanged leaves every line alone.
 The hashes depend on the platform (CPU, Python and numpy build).
-The n = 512 commands fit each stored operator in one 512-row panel
-(``kernels.PANEL_ROWS``), so the hashes cannot see how a stored product
-is split across panels.  ``validate`` stores no operator: its residual
-outputs go through ``kernels._kernel_product``, whose split of each
-kernel row (entries evaluated next to the diagonal, column blocks
-interpolated further out, prefix sums of the closed form below about
-s = t/2) they do see.
+Every kernel product goes through the parts of ``kernels._layout``:
+entries evaluated next to the diagonal, column blocks interpolated
+further out and prefix sums of the closed form below about s = t/2.
+The n = 512 commands apply them from the store, ``validate`` streams
+them through ``kernels._kernel_product``; the hashes see both.
 
 ``--against OTHER_OUTDIR`` compares with the outputs an earlier run left
 there, for instance from another checkout: for each file whose hash
