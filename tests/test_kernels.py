@@ -898,8 +898,8 @@ def test_row_blocks_cover_the_lower_triangle(n):
 @pytest.mark.parametrize("n", [1, 511, 2048])
 def test_streamed_parts_hold_bounded_numbers(n):
     # each streamed part holds at most _BLOCK_ELEMS kernel values (or one
-    # tile) or far factors (or one term); a level's moments hold 20 n + 400
-    # n / b numbers
+    # tile) or far factors (or one term); a level's Chebyshev bases hold
+    # 20 n / b (b + 20) numbers, b >= 32
     spec = make_kernel_spec(0.3)
     grid = uniform_grid(1.0, n)
     times, mids = grid.points[1:], grid.midpoints
