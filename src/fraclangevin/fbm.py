@@ -24,8 +24,8 @@ import math
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid
-from .kernels import (KernelSpec, Regime, _check_dense, _check_hurst,
-                      _stored_product, fbm_covariance)
+from .kernels import (KernelSpec, _check_dense, _check_hurst, _stored_product,
+                      fbm_covariance)
 from .noise import gaussian_increments
 
 __all__ = [
@@ -136,6 +136,4 @@ def sample_fbm_kernel(spec: KernelSpec, grid: TimeGrid, stream: NoiseStream) -> 
     of the same increments (K == 1).
     """
     db = gaussian_increments(grid, stream)
-    if spec.regime is Regime.STANDARD:
-        return Path(grid, np.concatenate(([0.0], np.cumsum(db))))
     return Path(grid, np.concatenate(([0.0], _stored_product(spec, grid, db))))

@@ -82,7 +82,8 @@ __all__ = [
 # are built (one alone fits up to n = 211840 on a uniform grid).  Each dense
 # build is checked against it on its own: kernel_matrix and weight_matrix,
 # a new dense n x n array (n <= 11585), and the exact sampler's Cholesky
-# factor of a non-uniform grid, three at LAPACK's peak (n <= 6688).
+# factor of a non-uniform grid, three at LAPACK's peak (n <= 6688); so are
+# the 8-byte step draws of noise.donsker_path and noise.theta_epsilon_path.
 DENSE_BYTES_MAX = 1 << 30
 
 # The store: key -> (the operator's parts, correction), read-only, least
@@ -91,7 +92,8 @@ _DENSE: OrderedDict = OrderedDict()
 
 
 class DenseSizeError(ValueError):
-    """Dense n x n operators would exceed DENSE_BYTES_MAX."""
+    """Kernel factors, dense n x n operators or the step draws of
+    ``donsker_path`` and ``theta_epsilon_path`` would exceed DENSE_BYTES_MAX."""
 
 
 def _check_bytes(need: int, what: str) -> int:
@@ -191,10 +193,14 @@ SERIES_TOL = 1e-11      # largest dropped Chebyshev tail accepted
 @dataclass(frozen=True, eq=False)
 class _Series:
     """Degree-20 F and 2^a Q in u = 4z - 1, and 2^-a D = d0 + d1 expm1(p log 2y);
-    ``deviation``, the larger dropped Chebyshev tail, bounds both moves."""
+    ``deviation``, the larger dropped Chebyshev tail, bounds both moves.
+    ``monomials`` is 2^-a pi_k with P(y) = 2^a Q(y) = sum_k pi_k y^k: the
+    change of variable from u = 4y - 1 is made in integers over one power of
+    two, so pi_k is P's own coefficient, rounded once."""
 
     near: np.ndarray
     far: np.ndarray
+    monomials: np.ndarray
     d0: float
     d1: float
     deviation: float
@@ -235,7 +241,13 @@ def _series(hurst: float) -> _Series:
         raise ArithmeticError(
             f"kernel series at H={hurst!r} deviates {tail:.2e} from its "
             f"{_SERIES_TERMS}-term sum (tolerance {SERIES_TOL:g})")
-    return _Series(*kept, 2**-a * (g - 4**a / 2),
+    ratios = [float(v).as_integer_ratio() for v in kept[1][::-1]]
+    den = max(d for _, d in ratios)
+    c = [num * (den // d) for num, d in ratios]
+    pi = [4**k * sum((-1) ** (m - k) * math.comb(m, k) * c[m]
+                     for m in range(k, len(c))) / den
+          for k in range(len(c))]
+    return _Series(*kept, 2**-a * np.array(pi), 2**-a * (g - 4**a / 2),
                    -a * (1 - a) * 2**(a - 1) / (1 - 2 * a), tail)
 
 
@@ -354,21 +366,6 @@ def _row_blocks(spec: KernelSpec, grid: TimeGrid):
 _BAND_RATIO = 256.0
 
 
-@lru_cache(maxsize=64)
-def _far_monomials(hurst: float) -> np.ndarray:
-    """2^-a pi_k with P(y) = sum_k pi_k y^k, P the far polynomial of
-    :func:`_series` in u = 4y - 1: the change of variable is made in
-    integers over one power of two, so pi_k is P's own coefficient, rounded
-    once."""
-    ratios = [float(v).as_integer_ratio() for v in _series(hurst).far[::-1]]
-    den = max(d for _, d in ratios)
-    c = [n * (den // d) for n, d in ratios]
-    pi = [4**k * sum((-1) ** (m - k) * math.comb(m, k) * c[m]
-                     for m in range(k, len(c))) / den
-          for k in range(len(c))]
-    return 2 ** (0.5 - hurst) * np.array(pi)
-
-
 def _far_terms(spec: KernelSpec, s: np.ndarray, t: np.ndarray):
     """The 23 pairs (column factor of s, row factor of t) whose products sum
     to K(t, s) / (C_H tau^a) for s < t/2, s and t in units of tau.
@@ -383,7 +380,7 @@ def _far_terms(spec: KernelSpec, s: np.ndarray, t: np.ndarray):
     a = spec.hurst - 0.5
     p = 1 - 2 * a
     series = _series(spec.hurst)
-    for k, c in enumerate(_far_monomials(spec.hurst)):
+    for k, c in enumerate(series.monomials):
         yield np.power(s, k - a), c * np.power(t, 2 * a - k)
     sa = np.power(s, a)
     if a < 0:

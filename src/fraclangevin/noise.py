@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid, _frozen, _positive_real, _whole
-from .kernels import DENSE_BYTES_MAX, KernelSpec, _kernel_integral
+from .kernels import KernelSpec, _check_bytes, _kernel_integral
 
 __all__ = [
     "StepKind",
@@ -94,16 +94,6 @@ def quadratic_variation(path: Path) -> float:
     return float(d @ d)
 
 
-def _draw_count(count: float, what: str) -> float:
-    """``count`` itself, or ValueError naming ``what`` when it is not finite
-    or its 8-byte draws would exceed DENSE_BYTES_MAX; nothing is drawn."""
-    if not 8 * count <= DENSE_BYTES_MAX:
-        raise ValueError(
-            f"{what} = {count:.6g} steps: their 8-byte draws exceed the "
-            f"{DENSE_BYTES_MAX / 2**30:g} GiB budget")
-    return count
-
-
 def donsker_path(n: int, horizon: float, dist: StepDistribution,
                  stream: NoiseStream) -> Path:
     """Rescaled random-walk polygonal line sampled at its kinks.
@@ -112,13 +102,15 @@ def donsker_path(n: int, horizon: float, dist: StepDistribution,
     sums of the steps divided by sigma * sqrt(n); sampling exactly there
     loses nothing because the line is linear in between.  ``n * horizon``
     is rounded to the nearest integer cell count, refused past the draw
-    budget.
+    budget (DenseSizeError, before anything is drawn).
     """
     n = _whole(n, "n")
     if n < 1:
         raise ValueError("need n >= 1 steps per unit time")
     _positive_real(horizon, "horizon")
-    cells = max(1, round(_draw_count(n * horizon, "n * horizon")))
+    count = n * horizon
+    _check_bytes(8 * count, f"n * horizon = {count:.6g} steps")
+    cells = max(1, round(count))
     steps = dist.sample(stream.generator(), cells)
     values = np.concatenate(([0.0], np.cumsum(steps))) / (dist.sigma * math.sqrt(n))
     return Path(TimeGrid(np.arange(cells + 1) / n), values)
@@ -128,15 +120,16 @@ def theta_epsilon_path(epsilon: float, horizon: float, dist: StepDistribution,
                        stream: NoiseStream) -> StepFunction:
     """White-noise smoothing: level xi_k / eps on [(k-1) eps^2, k eps^2).
 
-    Refused when eps^2 underflows to 0 or horizon / eps^2 steps are past
-    the draw budget."""
+    Refused when eps^2 underflows to 0, or with DenseSizeError when
+    horizon / eps^2 steps are past the draw budget."""
     _positive_real(epsilon, "epsilon")
     _positive_real(horizon, "horizon")
     cell = epsilon * epsilon
     if cell == 0.0:
         raise ValueError(f"epsilon**2 underflows to 0 for epsilon = {epsilon!r}")
-    count = max(1, math.ceil(_draw_count(horizon / cell, "horizon / epsilon**2")
-                             - 1e-12))
+    count = horizon / cell
+    _check_bytes(8 * count, f"horizon / epsilon**2 = {count:.6g} steps")
+    count = max(1, math.ceil(count - 1e-12))
     steps = dist.sample(stream.generator(), count)
     return StepFunction(np.arange(count + 1) * cell, steps / epsilon)
 

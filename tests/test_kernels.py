@@ -543,9 +543,9 @@ def blocks_kernel_matrix(spec, grid):
 
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537, 2048, 2500])
 @pytest.mark.parametrize("hurst", [0.3, 0.7])
-def test_kernel_panels_match_dense_product(hurst, n, monkeypatch):
-    # the name predates the factors: the stored product against the
-    # one-call dense matrix, which kernel_matrix reproduces bit for bit
+def test_stored_product_matches_dense_product(hurst, n, monkeypatch):
+    # the stored product against the one-call dense matrix, which
+    # kernel_matrix reproduces bit for bit
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     spec = make_kernel_spec(hurst)
     grid = uniform_grid(1.0, n)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fraclangevin import (NoiseStream, Path, StepDistribution, StepKind,
-                          donsker_path, gaussian_increments, make_kernel_spec,
+from fraclangevin import (DenseSizeError, NoiseStream, Path, StepDistribution,
+                          StepKind, donsker_path, gaussian_increments, make_kernel_spec,
                           quadratic_variation, smoothed_fbm,
                           theta_epsilon_path, uniform_grid, weight_matrix)
+from fraclangevin import kernels
 from fraclangevin.kernels import _kernel_integral
 
 RADEMACHER = StepDistribution(StepKind.RADEMACHER)
@@ -106,6 +107,20 @@ def test_noise_paths_refuse_step_counts_before_drawing(monkeypatch):
             theta_epsilon_path(eps, 1.0, RADEMACHER, NoiseStream(1))
     with pytest.raises(ValueError, match=r"n \* horizon = 1e\+12 steps"):
         donsker_path(10**6, 1e6, RADEMACHER, NoiseStream(1))
+
+
+def test_noise_paths_read_the_live_store_budget(monkeypatch):
+    # step draws are refused against kernels.DENSE_BYTES_MAX as it is at
+    # the call: 2000 and 10000 steps of 8 bytes each exceed 8000 B
+    def no_draws(*args):
+        raise AssertionError("drew variates")
+
+    monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", 8000)
+    monkeypatch.setattr(StepDistribution, "sample", no_draws)
+    with pytest.raises(DenseSizeError, match=r"n \* horizon = 2000 steps"):
+        donsker_path(1000, 2.0, RADEMACHER, NoiseStream(1))
+    with pytest.raises(DenseSizeError, match=r"horizon / epsilon\*\*2 = 10000 steps"):
+        theta_epsilon_path(0.01, 1.0, RADEMACHER, NoiseStream(1))
 
 
 def test_donsker_single_step_magnitude():
