@@ -26,8 +26,7 @@ from .core import NoiseStream, Path, TimeGrid, uniform_grid
 from .fractional import (FractionalConfig, ah_ratios, estimate_ah,
                          fractional_velocity, residual_refinement_study)
 from .hurst import DEFAULT_T_MIN, estimate_hurst
-from .kernels import (DenseSizeError, KernelSpec, Regime,
-                      verify_covariance_identity)
+from .kernels import DenseSizeError, KernelSpec, verify_covariance_identity
 from .langevin import LangevinParams, simulate_ou_exact
 from .fbm import sample_fbm_exact, sample_fbm_kernel
 from .noise import (StepDistribution, StepKind, donsker_path,
@@ -48,7 +47,7 @@ def _load_config(ctx, _param, path):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise click.ClickException(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise click.ClickException(f"config {path} must hold a JSON object")
@@ -106,7 +105,7 @@ def _read_csv(path):
                         raise click.ClickException(
                             f"{path}:{lineno}: {field!r} is not a finite number")
                     columns[i].append(value)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"cannot read {path}: {exc}")
     return header, [np.asarray(c) for c in columns]
 
@@ -229,7 +228,7 @@ def cmd_simulate_velocity(hurst, ah, mass, friction, sigma, v0, horizon, steps,
     grid = _grid(horizon, steps)
     v = simulate_ou_exact(params, grid, NoiseStream(seed))
     spec = KernelSpec(hurst)
-    if spec.regime is Regime.STANDARD:
+    if spec.hurst == 0.5:
         _write_csv(out, ["t", "V"], [grid.points, v.values])
         click.echo(f"wrote t,V to {out} (H = 1/2 has no transform)")
         return

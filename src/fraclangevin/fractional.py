@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid, _midpoints, _whole, uniform_grid
-from .kernels import (KernelSpec, Regime, _cell_correction, _exponential_integral,
+from .kernels import (KernelSpec, _cell_correction, _exponential_integral,
                       _kernel_integral, _kernel_product)
 from .langevin import LangevinParams, _checked_increments, _em_values
 from .noise import gaussian_increments
@@ -74,7 +74,7 @@ class FractionalConfig:
     amplitude: float
 
     def __post_init__(self):
-        if self.spec.regime is Regime.STANDARD:
+        if self.spec.hurst == 0.5:
             raise ValueError("the fractional transform needs H != 1/2")
         if not np.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite; got {self.amplitude!r}")

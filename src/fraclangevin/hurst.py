@@ -30,7 +30,6 @@ __all__ = [
     "HurstEstimate",
     "DegenerateSeriesError",
     "rs_series",
-    "loglog_regression",
     "estimate_hurst",
 ]
 
@@ -138,19 +137,12 @@ def _prefix_ranges(sums, drift, t) -> np.ndarray:
     return (sums[hi] - drift * t[hi]) - (sums[lo] - drift * t[lo])
 
 
-def loglog_regression(lengths, ratios) -> tuple[float, float, float]:
-    """OLS of ln(ratio) on ln(length): returns (slope, intercept, r^2)."""
-    t = np.asarray(lengths, dtype=float)
-    rs = np.asarray(ratios, dtype=float)
-    if t.size < 2:
-        raise ValueError("regression needs at least two points")
-    if (t < 1).any() or (rs <= 0).any():
-        raise ValueError("regression needs lengths >= 1 and positive ratios")
-    x = np.log(t)
-    y = np.log(rs)
+def _loglog_fit(lengths, ratios) -> tuple[float, float, float]:
+    """OLS of ln(ratio) on ln(length), at two or more distinct lengths and
+    positive ratios: returns (slope, intercept, r^2)."""
+    x = np.log(lengths)
+    y = np.log(ratios)
     sxx = float(np.sum((x - x.mean()) ** 2))
-    if sxx == 0.0:
-        raise ValueError("regression needs at least two distinct lengths")
     slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * x.mean())
     ss_res = float(np.sum((y - intercept - slope * x) ** 2))
@@ -173,5 +165,5 @@ def estimate_hurst(series, t_min: int = DEFAULT_T_MIN) -> HurstEstimate:
     if int(sel.sum()) < 2:
         raise ValueError(
             f"fewer than two rescaled-range entries at t >= {t_min}")
-    slope, intercept, r_sq = loglog_regression(lengths[sel], ratios[sel])
+    slope, intercept, r_sq = _loglog_fit(lengths[sel], ratios[sel])
     return HurstEstimate(slope, math.exp(intercept), r_sq, int(sel.sum()))

@@ -50,7 +50,6 @@ used first out, 4.7 MiB at n = 2048 against 32 MiB dense.
 """
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from collections import OrderedDict
@@ -66,9 +65,7 @@ from .core import TimeGrid, _whole, uniform_grid
 
 __all__ = [
     "DenseSizeError",
-    "Regime",
     "KernelSpec",
-    "beta_fn",
     "make_kernel_spec",
     "kernel_value",
     "fbm_covariance",
@@ -121,12 +118,6 @@ def _dense_held() -> int:
     return sum(a.nbytes for entry in _DENSE.values() for a in _arrays(*entry))
 
 
-class Regime(enum.Enum):
-    ABOVE_HALF = "above_half"
-    BELOW_HALF = "below_half"
-    STANDARD = "standard"
-
-
 def _check_hurst(hurst: float) -> float:
     """``hurst`` itself, or ValueError unless 0 < H < 1 (nan included)."""
     if not (0.0 < hurst < 1.0):
@@ -134,44 +125,34 @@ def _check_hurst(hurst: float) -> float:
     return hurst
 
 
-def beta_fn(a: float, b: float) -> float:
-    """Euler Beta via log-Gamma, exp(lnG(a) + lnG(b) - lnG(a+b)).
-
-    The log-Gamma route avoids the overflow/cancellation a direct
-    Gamma quotient hits for small arguments; ``math.lgamma`` is the
-    C library's Lanczos-type implementation.
-    """
-    if not (a > 0 and b > 0):
-        raise ValueError("beta_fn requires positive arguments")
+def _beta(a: float, b: float) -> float:
+    """Euler Beta of a, b > 0 via log-Gamma, which neither overflows nor
+    cancels at small arguments as a Gamma quotient does."""
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Hurst index H with the regime tag and normalizing constant it fixes.
+    """Hurst index H with the normalizing constant c_H it fixes.
 
-    Built from H alone: ``regime`` and ``c_h`` are derived, never passed.
-    H is kept as given.  Only H = 1/2 exactly is the STANDARD regime (plain
-    Brownian motion), where ``c_h`` is None; every other H, however near
-    1/2, keeps its ABOVE_HALF or BELOW_HALF regime and constant.
-    Equality, hash and repr cover all three fields.
+    Built from H alone: ``c_h`` is derived, never passed.  H is kept as
+    given, and the side of 1/2 it lies on picks the kernel's form.  Only
+    H = 1/2 exactly is plain Brownian motion, where ``c_h`` is None; every
+    other H, however near 1/2, keeps its fractional kernel and constant.
+    Equality, hash and repr cover both fields.
     """
 
     hurst: float
-    regime: Regime = field(init=False)
     c_h: float | None = field(init=False)
 
     def __post_init__(self):
         h = _check_hurst(self.hurst)
         if h == 0.5:
-            regime, c = Regime.STANDARD, None
+            c = None
         elif h > 0.5:
-            regime = Regime.ABOVE_HALF
-            c = math.sqrt(h * (2 * h - 1) / beta_fn(2 - 2 * h, h - 0.5))
+            c = math.sqrt(h * (2 * h - 1) / _beta(2 - 2 * h, h - 0.5))
         else:
-            regime = Regime.BELOW_HALF
-            c = math.sqrt(2 * h / ((1 - 2 * h) * beta_fn(1 - 2 * h, h + 0.5)))
-        object.__setattr__(self, "regime", regime)
+            c = math.sqrt(2 * h / ((1 - 2 * h) * _beta(1 - 2 * h, h + 0.5)))
         object.__setattr__(self, "c_h", c)
 
 
@@ -268,7 +249,7 @@ def _kernel_values(spec: KernelSpec, t, s: np.ndarray) -> np.ndarray:
     the same elementwise operations, so they agree bit for bit."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if spec.regime is Regime.STANDARD:
+    if spec.hurst == 0.5:
         return np.ones(np.broadcast_shapes(t.shape, s.shape))
     a = spec.hurst - 0.5
     series = _series(spec.hurst)
@@ -292,7 +273,7 @@ def _kernel_values(spec: KernelSpec, t, s: np.ndarray) -> np.ndarray:
 
 def _unified_constant(spec: KernelSpec) -> float:
     """C_H of the closed form: c_H below half, c_H / (H-1/2) above."""
-    if spec.regime is Regime.ABOVE_HALF:
+    if spec.hurst > 0.5:
         return spec.c_h / (spec.hurst - 0.5)
     return spec.c_h
 
@@ -613,7 +594,7 @@ def _kernel_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarr
     """kernel_matrix(spec, grid) @ x, streamed: each part of :func:`_layout`
     is evaluated, applied and dropped, O(n log n) kernel values in all.  K
     == 1 at H = 1/2: the product is the cumulative sum."""
-    if spec.regime is Regime.STANDARD:
+    if spec.hurst == 0.5:
         return np.cumsum(x, axis=0)
     times, mids = grid.points[1:], grid.midpoints
     return _product(itertools.chain.from_iterable(
@@ -654,7 +635,7 @@ def _cell_correction(spec: KernelSpec, t: np.ndarray, m: np.ndarray,
     """Singular-cell weight minus K(t, m) delta per grid point t, m and delta
     its last cell's midpoint and width; zero unless H < 1/2.  Elementwise:
     a slice of the points gives that slice of the corrections, bit for bit."""
-    if spec.regime is not Regime.BELOW_HALF:
+    if spec.hurst >= 0.5:
         return np.zeros(t.shape)
     k = _kernel_values(spec, t, m)
     return _singular_cell(spec, t, m, delta, k)[2] - k * delta
@@ -714,7 +695,7 @@ def _kernel_operator(spec: KernelSpec, grid: TimeGrid) -> tuple:
 def _stored_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
     """kernel_matrix(spec, grid) @ x from the store; x is (n,) or (n, S).
     K == 1 at H = 1/2: the product is the cumulative sum."""
-    if spec.regime is Regime.STANDARD:
+    if spec.hurst == 0.5:
         return np.cumsum(x, axis=0)
     return _product(_kernel_operator(spec, grid)[0], x)
 
@@ -737,7 +718,7 @@ def _kernel_integral(spec: KernelSpec, grid: TimeGrid, f: np.ndarray):
     """weight_matrix(spec, grid) @ f without forming it; f is (n,) or (n, S)."""
     col = (-1,) + (1,) * (f.ndim - 1)
     out = _stored_product(spec, grid, grid.widths.reshape(col) * f)
-    if spec.regime is not Regime.STANDARD:
+    if spec.hurst != 0.5:
         out += _kernel_operator(spec, grid)[1].reshape(col) * f
     return out
 
@@ -750,7 +731,7 @@ def verify_covariance_identity(spec: KernelSpec, s: float, t: float, n: int) -> 
     exact at s = t; the residual shrinks as n grows, which is the numerical
     witness that the kernels really reproduce the fBm covariance.
     """
-    if spec.regime is Regime.STANDARD:
+    if spec.hurst == 0.5:
         raise ValueError("identity check applies to the fractional regimes only")
     if not (s > 0 and t > 0):
         raise ValueError("s and t must be positive")
@@ -762,7 +743,7 @@ def verify_covariance_identity(spec: KernelSpec, s: float, t: float, n: int) -> 
     nodes = grid.midpoints
     k_hi = _kernel_values(spec, hi, nodes)
     terms = k_hi * kernel_weights(spec, grid)
-    if hi == lo and spec.regime is Regime.BELOW_HALF:
+    if hi == lo and spec.hurst < 0.5:
         # int (a x^(H-1/2) + r)^2 over the last cell; its cross term
         # 2 a r delta^(H+1/2)/(H+1/2) equals 2 r (w - r delta)
         h = spec.hurst

@@ -395,6 +395,16 @@ def test_validate_covariance_check(runner):
     assert res.exit_code == 0
 
 
+def test_validate_residual_check(runner):
+    res = runner.invoke(main, ["validate", "--check", "residual", "--n", "256"])
+    assert res.exit_code == 0, res.output
+    lines = res.output.strip().splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == ["[PASS]"]
+    measured = json.loads(lines[-1])["checks"][0]["measured"]
+    assert measured["worst_normalized_residual"] <= 0.05
+    assert "fraction_improved_vs_coarse" in measured
+
+
 def test_validate_donsker_check(runner):
     res = runner.invoke(main, ["validate", "--check", "donsker", "--n", "2000"])
     assert res.exit_code == 0
@@ -441,6 +451,22 @@ def test_config_rejects_unknown_key(runner, tmp_path):
                                "--out", str(tmp_path / "x.csv")])
     assert res.exit_code != 0
     assert "bogus" in res.output
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"hurst = 0.7", "cannot read config {}: Expecting value"),
+    (b"\xff\xfe{}", "cannot read config {}: 'utf-8' codec can't decode"),
+    (b"[0.7, 5]", "config {} must hold a JSON object"),
+], ids=["not-json", "not-utf8", "not-object"])
+def test_config_file_refusals(runner, tmp_path, content, reason):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    res = runner.invoke(main, ["simulate-fbm", "--hurst", "0.7", "--seed", "1",
+                               "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert reason.format(cfg) in res.output
+    assert "Traceback" not in res.output
 
 
 # The options and arguments of each command, `--config` included.  A change
@@ -500,6 +526,62 @@ def test_json_out_into_missing_directory(runner, tmp_path, velocity_csv, command
     assert isinstance(res.exception, SystemExit)
     assert f"cannot write {out}: " in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", ["simulate-fbm", "simulate-velocity"])
+def test_csv_out_into_missing_directory(runner, tmp_path, command):
+    out = tmp_path / "missing" / "path.csv"
+    res = runner.invoke(main, [command, "--hurst", "0.7", "--steps", "8",
+                               "--seed", "1", "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"cannot write {out}: " in res.output
+    assert "Traceback" not in res.output
+
+
+GRID3 = b"t,V,VH\n0.0,1.0,1.0\n0.5,0.9,1.1\n1.0,0.8,1.2\n"
+
+
+@pytest.mark.parametrize("command, first, second, reason", [
+    ("estimate-hurst", b"", None, "{first}: file is empty"),
+    ("estimate-hurst", b"x,y\n1.0,2.0\n3.0\n", None,
+     "{first}:3: expected 2 fields, got 1"),
+    ("estimate-hurst", b"x\n1.0\n\xff\n", None,
+     "cannot read {first}: 'utf-8' codec can't decode"),
+    ("estimate-ah", b"t\n0.0\n0.5\n1.0\n", GRID3,
+     "observed file needs a t column plus a value column"),
+    ("estimate-ah", GRID3, b"t\n0.0\n0.5\n1.0\n",
+     "velocity file needs a t column plus a value column"),
+    ("estimate-ah", GRID3, b"t,V\n0.0,1.0\n1.0,0.8\n",
+     "grids differ in length: 3 vs 2 rows"),
+], ids=["empty", "field-count", "not-utf8", "one-column-observed",
+        "one-column-velocity", "grid-lengths"])
+def test_csv_input_refusals(runner, tmp_path, command, first, second, reason):
+    paths = []
+    for name, content in (("first.csv", first), ("second.csv", second)):
+        if content is not None:
+            (tmp_path / name).write_bytes(content)
+            paths.append(str(tmp_path / name))
+    extra = ["--hurst", "0.7"] if command == "estimate-ah" else []
+    res = runner.invoke(main, [command, *paths, *extra])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert reason.format(first=paths[0]) in res.output
+    assert "Traceback" not in res.output
+
+
+def test_estimate_ah_reads_the_last_observed_column(runner, tmp_path, velocity_csv):
+    # with neither VH nor V, the observed file's last column is the transform
+    lines = velocity_csv.read_text().splitlines()
+    obs = tmp_path / "obs.csv"
+    obs.write_text("\n".join(["t,W"] + [f"{r.split(',')[0]},{r.split(',')[2]}"
+                                        for r in lines[1:]]) + "\n")
+    want = runner.invoke(main, ["estimate-ah", str(velocity_csv), str(velocity_csv),
+                                "--hurst", "0.7"])
+    got = runner.invoke(main, ["estimate-ah", str(obs), str(velocity_csv),
+                               "--hurst", "0.7"])
+    assert want.exit_code == got.exit_code == 0, got.output
+    assert got.output == want.output
 
 
 def test_estimate_hurst_keeps_a_first_column_not_named_t(runner, tmp_path):

@@ -54,6 +54,9 @@ def test_grid_validation():
         TimeGrid(np.array([0.1, 0.5]))  # must start at zero
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 0.5, 0.5]))  # not strictly increasing
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="grid points must be finite"):
+            TimeGrid(np.array([0.0, 0.5, bad]))
 
 
 def test_grid_equality_and_hash():
@@ -167,13 +170,14 @@ def test_public_api_is_the_module_lists():
     modules = (core, fbm, fractional, hurst, kernels, langevin, noise)
     names = [name for mod in modules for name in mod.__all__]
     assert fraclangevin.__all__ == names
-    assert len(set(names)) == len(names) == 47
+    assert len(set(names)) == len(names) == 44
     for mod in modules:
         for name in mod.__all__:
             assert getattr(fraclangevin, name) is getattr(mod, name)
     for gone in ("kernel_dt", "simulate_ou_conditional", "CovMatrix",
                  "QuadratureRule", "increments", "covariance_matrix",
-                 "cholesky_factor", "RSSeries"):
+                 "cholesky_factor", "RSSeries", "Regime", "beta_fn",
+                 "loglog_regression"):
         assert not any(hasattr(mod, gone) for mod in (fraclangevin, *modules))
     assert not any(hasattr(TimeGrid, gone) for gone in ("index_of", "mesh"))
     assert not hasattr(StepFunction, "integral_to")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fraclangevin import (DegenerateDenominatorError, FractionalConfig,
-                          LangevinParams, NoiseStream, Path, ah_ratios,
+                          FractionalPath, LangevinParams, NoiseStream, Path, ah_ratios,
                           estimate_ah, expected_fractional_velocity,
                           fractional_velocity, gaussian_increments,
                           kernel_weights, make_kernel_spec,
@@ -30,6 +30,12 @@ ONE_PLUS_KERNEL_MASS_07 = 1.972582966122813
 def test_config_rejects_standard_regime():
     with pytest.raises(ValueError):
         FractionalConfig(make_kernel_spec(0.5), 1.0)
+
+
+def test_fractional_path_refuses_two_grids():
+    a, b = uniform_grid(1.0, 4), uniform_grid(2.0, 4)
+    with pytest.raises(ValueError, match="must share a grid"):
+        FractionalPath(Path(a, np.zeros(5)), Path(b, np.zeros(5)))
 
 
 @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])

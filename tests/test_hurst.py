@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fraclangevin import (DegenerateSeriesError, NoiseStream, estimate_hurst,
-                          loglog_regression, rs_series, sample_fbm_exact,
+from fraclangevin import (DegenerateSeriesError, HurstEstimate, NoiseStream,
+                          estimate_hurst, rs_series, sample_fbm_exact,
                           uniform_grid)
-from fraclangevin.hurst import _prefix_ranges
+from fraclangevin.hurst import _loglog_fit, _prefix_ranges
 
 EPS = np.finfo(float).eps
 
@@ -200,31 +200,22 @@ def test_rs_entries_positive_and_finite(values):
 
 def test_loglog_exact_power_law():
     t = np.arange(2, 50)
-    slope, intercept, r_sq = loglog_regression(t, 2.0 * t**0.6)
+    slope, intercept, r_sq = _loglog_fit(t, 2.0 * t**0.6)
     assert slope == pytest.approx(0.6, rel=1e-12)
     assert intercept == pytest.approx(np.log(2.0), rel=1e-12)
     assert r_sq == pytest.approx(1.0, abs=1e-12)
 
 
 def test_loglog_two_points_fit_perfectly():
-    _, _, r_sq = loglog_regression([2, 7], [1.0, 3.0])
+    _, _, r_sq = _loglog_fit([2, 7], [1.0, 3.0])
     assert r_sq == 1.0
 
 
 def test_loglog_small_perturbation():
     t = np.arange(2, 200)
     noise = 1.0 + 0.01 * (-1.0) ** np.arange(t.size)
-    slope, _, _ = loglog_regression(t, t**0.6 * noise)
+    slope, _, _ = _loglog_fit(t, t**0.6 * noise)
     assert abs(slope - 0.6) <= 0.02
-
-
-def test_loglog_rejects_degenerate_inputs():
-    with pytest.raises(ValueError):
-        loglog_regression([2], [1.0])
-    with pytest.raises(ValueError):
-        loglog_regression([3, 3], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        loglog_regression([2, 3], [1.0, -2.0])
 
 
 def test_estimate_iid_gaussian_band():
@@ -294,3 +285,9 @@ def test_estimate_insufficient_points():
         estimate_hurst(x, t_min=64)
     with pytest.raises(ValueError):
         estimate_hurst(x, t_min=1)
+
+
+def test_estimate_needs_two_fit_points():
+    assert HurstEstimate(0.7, 1.0, 1.0, 2).points_used == 2
+    with pytest.raises(ValueError, match="at least two fit points"):
+        HurstEstimate(0.7, 1.0, 1.0, points_used=1)

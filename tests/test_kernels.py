@@ -10,14 +10,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate, special
 
-from fraclangevin import (DenseSizeError, KernelSpec, NoiseStream, Regime,
-                          TimeGrid,
-                          beta_fn, fbm_covariance, kernel_matrix,
+from fraclangevin import (DenseSizeError, KernelSpec, NoiseStream, TimeGrid,
+                          fbm_covariance, kernel_matrix,
                           kernel_value, kernel_weights, make_kernel_spec,
                           sample_fbm_exact, uniform_grid,
                           verify_covariance_identity, weight_matrix)
 from fraclangevin import kernels
-from fraclangevin.kernels import (SERIES_TOL, _cell_correction,
+from fraclangevin.kernels import (SERIES_TOL, _beta, _cell_correction,
                                   _kernel_integral, _kernel_operator,
                                   _kernel_product, _kernel_values,
                                   _row_blocks, _series, _singular_cell,
@@ -143,24 +142,17 @@ def quad_kernel_oracle(hurst, t, s):
 
 
 def test_beta_trivial():
-    assert beta_fn(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert _beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_beta_symmetry():
-    assert beta_fn(0.5, 0.25) == pytest.approx(beta_fn(0.25, 0.5), rel=1e-14)
+    assert _beta(0.5, 0.25) == pytest.approx(_beta(0.25, 0.5), rel=1e-14)
 
 
 def test_beta_against_integral_oracle():
     for a, b in [(0.5, 0.25), (0.9, 1.7), (0.05, 0.4), (2.0, 3.0)]:
-        assert beta_fn(a, b) == pytest.approx(beta_integral_oracle(a, b), rel=1e-10)
-    assert beta_fn(0.5, 0.25) == pytest.approx(BETA_HALF_QUARTER, rel=1e-12)
-
-
-def test_beta_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        beta_fn(0.0, 1.0)
-    with pytest.raises(ValueError):
-        beta_fn(1.0, -2.0)
+        assert _beta(a, b) == pytest.approx(beta_integral_oracle(a, b), rel=1e-10)
+    assert _beta(0.5, 0.25) == pytest.approx(BETA_HALF_QUARTER, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +162,11 @@ def test_beta_rejects_nonpositive():
 
 def test_spec_regimes_and_constants():
     above = make_kernel_spec(0.75)
-    assert above.regime is Regime.ABOVE_HALF
     assert above.c_h == pytest.approx(C_ABOVE_075, rel=1e-12)
     below = make_kernel_spec(0.25)
-    assert below.regime is Regime.BELOW_HALF
     assert below.c_h == pytest.approx(C_BELOW_025, rel=1e-12)
     std = make_kernel_spec(0.5)
-    assert std.regime is Regime.STANDARD and std.c_h is None
+    assert std.c_h is None
 
 
 def test_spec_keeps_hurst_near_half():
@@ -184,43 +174,41 @@ def test_spec_keeps_hurst_near_half():
     steps = (1e-5, 1e-6, 1e-7, 1e-13)
     above = [0.5 + d for d in steps] + [np.nextafter(0.5, 1)]
     below = [0.5 - d for d in steps] + [np.nextafter(0.5, 0)]
-    for hursts, regime in ((above, Regime.ABOVE_HALF), (below, Regime.BELOW_HALF)):
-        for h in hursts:
-            spec = make_kernel_spec(h)
-            assert (spec.hurst, spec.regime) == (h, regime)
-    assert make_kernel_spec(0.5).regime is Regime.STANDARD
+    for h in above + below:
+        spec = make_kernel_spec(h)
+        assert spec.hurst == h and spec.c_h > 0
+    assert make_kernel_spec(0.5).c_h is None
 
 
-# (H, stored H, regime, c_h); H near 1/2 is stored as given
+# (H, stored H, c_h); H near 1/2 is stored as given
 SPEC_FIELDS = [
-    (1e-3, 1e-3, Regime.BELOW_HALF, 0.03166659342762825),
-    (0.1, 0.1, Regime.BELOW_HALF, 0.3576857734223353),
-    (0.3, 0.3, Regime.BELOW_HALF, 0.7302829340799232),
-    (0.5 - 2e-6, 0.5 - 2e-6, Regime.BELOW_HALF, 0.9999979999914198),
-    (0.5 + 2e-6, 0.5 + 2e-6, Regime.ABOVE_HALF, 2.00000399992933e-06),
-    (0.5 - 5e-7, 0.5 - 5e-7, Regime.BELOW_HALF, 0.999999499999464),
-    (0.5 + 5e-7, 0.5 + 5e-7, Regime.ABOVE_HALF, 5.000002499585987e-07),
-    (0.5, 0.5, Regime.STANDARD, None),
-    (0.7, 0.7, Regime.ABOVE_HALF, 0.21836182617678243),
-    (0.9, 0.9, Regime.ABOVE_HALF, 0.32448825925734104),
-    (1 - 1e-8, 1 - 1e-8, Regime.ABOVE_HALF, 0.00014142135251077716),
+    (1e-3, 1e-3, 0.03166659342762825),
+    (0.1, 0.1, 0.3576857734223353),
+    (0.3, 0.3, 0.7302829340799232),
+    (0.5 - 2e-6, 0.5 - 2e-6, 0.9999979999914198),
+    (0.5 + 2e-6, 0.5 + 2e-6, 2.00000399992933e-06),
+    (0.5 - 5e-7, 0.5 - 5e-7, 0.999999499999464),
+    (0.5 + 5e-7, 0.5 + 5e-7, 5.000002499585987e-07),
+    (0.5, 0.5, None),
+    (0.7, 0.7, 0.21836182617678243),
+    (0.9, 0.9, 0.32448825925734104),
+    (1 - 1e-8, 1 - 1e-8, 0.00014142135251077716),
 ]
 
 
-@pytest.mark.parametrize("hurst, stored, regime, c_h", SPEC_FIELDS)
-def test_spec_is_built_from_hurst_alone(hurst, stored, regime, c_h):
+@pytest.mark.parametrize("hurst, stored, c_h", SPEC_FIELDS)
+def test_spec_is_built_from_hurst_alone(hurst, stored, c_h):
     spec = KernelSpec(hurst)
-    assert (spec.hurst, spec.regime, spec.c_h) == (stored, regime, c_h)
+    assert (spec.hurst, spec.c_h) == (stored, c_h)
     assert make_kernel_spec(hurst) == spec
     assert hash(make_kernel_spec(hurst)) == hash(spec)
-    assert repr(spec) == (f"KernelSpec(hurst={stored!r}, regime={regime!r}, "
-                          f"c_h={c_h!r})")
+    assert repr(spec) == f"KernelSpec(hurst={stored!r}, c_h={c_h!r})"
 
 
 def test_spec_takes_only_the_hurst_index():
     assert [f.name for f in dataclasses.fields(KernelSpec) if f.init] == ["hurst"]
     with pytest.raises(TypeError):
-        KernelSpec(0.3, Regime.ABOVE_HALF, 1.0)
+        KernelSpec(0.3, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         KernelSpec(0.3).c_h = 1.0
 
@@ -323,7 +311,7 @@ def series60_kernel(spec, t, s):
     s/t >= 1/2, below as the rescaled value at s/t = 1/2 plus the
     binomial series of the integral to s/t."""
     a = spec.hurst - 0.5
-    c_h = spec.c_h / a if spec.regime is Regime.ABOVE_HALF else spec.c_h
+    c_h = spec.c_h / a if a > 0 else spec.c_h
     k = np.arange(59)
     near = np.cumprod(np.concatenate(([1.0], (k - a) / (k + a + 1))))
     binom = np.cumprod(np.concatenate(([1.0], (k + 1 - a) / (k + 1))))
@@ -434,7 +422,7 @@ def test_cell_correction_of_a_slice_is_the_slice_of_all(hurst):
     for grid in (uniform_grid(1.0, 1024), uniform_grid(2.7, 17), random):
         t, m, delta = grid.points[1:], grid.midpoints, grid.widths
         full = _cell_correction(spec, t, m, delta)
-        assert full.any() == (spec.regime is Regime.BELOW_HALF)
+        assert full.any() == (hurst < 0.5)
         for part in (slice(-1, None), slice(0, 1), slice(5, 9), slice(None)):
             got = _cell_correction(spec, t[part], m[part], delta[part])
             assert np.array_equal(got.view(np.int64), full[part].view(np.int64))
@@ -577,9 +565,9 @@ def test_factor_bytes_are_checked_before_the_build(hurst, monkeypatch):
         assert kernels._dense_held() == need
 
 
-def test_kernel_operator_holds_panels_not_a_dense_matrix(monkeypatch):
-    # the name predates the factors: one n = 2048 operator and its build
-    # hold at most 8 MiB, a quarter of the dense matrix
+def test_kernel_operator_holds_factors_not_a_dense_matrix(monkeypatch):
+    # one n = 2048 operator and its build hold at most 8 MiB, a quarter of
+    # the dense matrix
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     n = 2048
     grid = uniform_grid(1.0, n)
@@ -595,9 +583,8 @@ def test_kernel_operator_holds_panels_not_a_dense_matrix(monkeypatch):
     assert peak < 8 * 2**20
 
 
-def test_store_budget_caps_kernel_panels_and_cholesky_builds():
-    # the name predates the factors; budget arithmetic only: nothing of
-    # these sizes is allocated
+def test_store_budget_caps_kernel_factors_and_cholesky_builds():
+    # budget arithmetic only: nothing of these sizes is allocated
     spec = make_kernel_spec(0.3)
     assert factor_bytes(spec, uniform_grid(1.0, 211840)) <= kernels.DENSE_BYTES_MAX
     with pytest.raises(DenseSizeError, match="kernel factors of 211841 cells"):
@@ -639,11 +626,11 @@ def kernel_dt(spec, t, s):
     """
     if not (0.0 < s < t):
         raise ValueError("kernel_dt requires 0 < s < t (it diverges at s = t)")
-    if spec.regime is Regime.STANDARD:
+    if spec.hurst == 0.5:
         return 0.0
     h = spec.hurst
     val = spec.c_h * (t / s) ** (h - 0.5) * (t - s) ** (h - 1.5)
-    if spec.regime is Regime.BELOW_HALF:
+    if h < 0.5:
         val *= h - 0.5
     return float(val)
 
@@ -933,9 +920,9 @@ def test_streamed_and_stored_products_agree(hurst, n, monkeypatch):
                       <= 1e-14 * (ref @ np.abs(x)))
 
 
-def test_cold_kernel_operator_evaluates_the_lower_triangle_once(monkeypatch):
-    # the name predates the factors: a cold build evaluates what one
-    # streamed product does, O(n log n) entries, and the n corrections
+def test_cold_kernel_operator_evaluates_n_log_n_values(monkeypatch):
+    # a cold build evaluates what one streamed product does, O(n log n)
+    # entries, and the n corrections
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     n = 2048
     evaluated = []

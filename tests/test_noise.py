@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from fraclangevin import (DenseSizeError, NoiseStream, Path, StepDistribution,
-                          StepKind, donsker_path, gaussian_increments, make_kernel_spec,
+                          StepFunction, StepKind, donsker_path, gaussian_increments, make_kernel_spec,
                           quadratic_variation, smoothed_fbm,
                           theta_epsilon_path, uniform_grid, weight_matrix)
 from fraclangevin import kernels
@@ -79,6 +79,11 @@ def test_donsker_takes_whole_step_counts_only():
     # 10.7 built the path of 10
     with pytest.raises(ValueError, match="n must be a whole number"):
         donsker_path(10.7, 1.0, RADEMACHER, NoiseStream(0))
+
+
+def test_donsker_refuses_zero_steps_per_unit_time():
+    with pytest.raises(ValueError, match="need n >= 1 steps per unit time"):
+        donsker_path(0, 1.0, RADEMACHER, NoiseStream(0))
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, 0.0])
@@ -180,6 +185,17 @@ def test_step_function_right_open_intervals():
     # breakpoints at 0, 0.25, 0.5, ...: value at a breakpoint belongs right
     assert theta.value_at(0.25) == theta.levels[1]
     assert theta.value_at(0.2499999) == theta.levels[0]
+
+
+@pytest.mark.parametrize("breakpoints, levels, reason", [
+    ([0.0, 0.5, 1.0], [1.0], "one level per interval"),
+    ([0.0, 0.5, 0.5], [1.0, 2.0], "strictly increasing"),
+    ([0.0, 1.0, 0.5], [1.0, 2.0], "strictly increasing"),
+    ([0.0, 0.5, 1.0], [1.0, np.nan], "levels must be finite"),
+])
+def test_step_function_refuses_bad_pieces(breakpoints, levels, reason):
+    with pytest.raises(ValueError, match=reason):
+        StepFunction(np.array(breakpoints), np.array(levels))
 
 
 def test_smoothed_fbm_matches_weight_quadrature():
