@@ -29,8 +29,8 @@ from .hurst import DEFAULT_T_MIN, estimate_hurst
 from .kernels import DenseSizeError, KernelSpec, verify_covariance_identity
 from .langevin import LangevinParams, simulate_ou_exact
 from .fbm import sample_fbm_exact, sample_fbm_kernel
-from .noise import (StepDistribution, StepKind, donsker_path,
-                    gaussian_increments, quadratic_variation)
+from .noise import (StepKind, donsker_path, gaussian_increments,
+                    quadratic_variation)
 
 __all__ = ["main"]
 
@@ -397,9 +397,8 @@ def _check_qv(n, seed, horizon):
 def _check_donsker(n, seed):
     n = n or 10_000
     m = 2000
-    dist = StepDistribution(StepKind.RADEMACHER)
     samples = np.array([
-        donsker_path(n, 1.0, dist, NoiseStream(seed, k)).values[-1]
+        donsker_path(n, 1.0, StepKind.RADEMACHER, NoiseStream(seed, k)).values[-1]
         for k in range(m)
     ])
     ks = _ks_distance_normal(samples)

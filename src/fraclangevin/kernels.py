@@ -21,8 +21,10 @@ integral in K(t,s) = (2y)^a K(t,t/2) + a C_H s^a int_y^(1/2) (1-v)^(a-1)
 v^(-2a-1) dv; g makes both forms meet at y = 1/2.  Once per H, 60 Taylor
 terms of F and of Q are economized to degree 20 on [0, 1/2], checking the
 dropped tail (<= 2.8e-16 for H in [0.001, 1 - 1e-8]).  Values are within
-2.2e-15 relative of 40-digit references for s/t in [1e-14, 1 - 1e-14],
+2.2e-15 relative of 60-digit references for s/t in [1e-300, 1 - 1e-14],
 at t = 1 and at t = 1e200 alike (t (t-s) / s overflows: it is not formed).
+The powers (2y)^a and t^a are formed as x^H / sqrt(x): H - 1/2 is exact
+only for H in [1/4, 1], and its rounding would cost |log x| ulps.
 
 Quadrature weights for integrals int_0^t K(t,s) f(s) ds use midpoint
 nodes, never endpoints: K blows up at s = 0 in both regimes, and for
@@ -262,11 +264,11 @@ def _kernel_values(spec: KernelSpec, t, s: np.ndarray) -> np.ndarray:
         out[near] = _horner(series.near, x) * np.power(d, a, out=d)
     if not near.all():
         y = y[~near]
-        lg = np.log(2 * y)
-        r = np.exp(a * lg)  # (2y)^a
+        y2 = 2 * y
+        lg = np.log(y2)
+        r = np.power(y2, spec.hurst) / np.sqrt(y2)  # (2y)^a
         e = np.expm1((1 - 2 * a) * lg)
         out[~near] = _horner(series.far, y) / r + r * (series.d0 + series.d1 * e)
-    # t^a without the rounding of H - 1/2, which costs |log t| ulps
     out *= _unified_constant(spec) * (np.power(t, spec.hurst) / np.sqrt(t))
     return out
 

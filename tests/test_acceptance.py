@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from scipy import stats
 
 from fraclangevin import (FractionalConfig, LangevinParams, NoiseStream, Path,
-                          StepDistribution, StepKind, TimeGrid,
+                          StepKind, TimeGrid,
                           donsker_path, estimate_ah, estimate_hurst,
                           expected_fractional_velocity, fbm_covariance,
                           fractional_velocity,
@@ -107,9 +107,8 @@ def test_c04_quadratic_variation():
 
 def test_c05_donsker_invariance():
     n, m = 10_000, 2000
-    dist = StepDistribution(StepKind.RADEMACHER)
     samples = np.array([
-        donsker_path(n, 1.0, dist, NoiseStream(5, k)).values[-1]
+        donsker_path(n, 1.0, StepKind.RADEMACHER, NoiseStream(5, k)).values[-1]
         for k in range(m)
     ])
     ks = stats.kstest(samples, "norm").statistic

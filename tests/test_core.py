@@ -170,14 +170,14 @@ def test_public_api_is_the_module_lists():
     modules = (core, fbm, fractional, hurst, kernels, langevin, noise)
     names = [name for mod in modules for name in mod.__all__]
     assert fraclangevin.__all__ == names
-    assert len(set(names)) == len(names) == 44
+    assert len(set(names)) == len(names) == 43
     for mod in modules:
         for name in mod.__all__:
             assert getattr(fraclangevin, name) is getattr(mod, name)
     for gone in ("kernel_dt", "simulate_ou_conditional", "CovMatrix",
                  "QuadratureRule", "increments", "covariance_matrix",
                  "cholesky_factor", "RSSeries", "Regime", "beta_fn",
-                 "loglog_regression"):
+                 "loglog_regression", "StepDistribution"):
         assert not any(hasattr(mod, gone) for mod in (fraclangevin, *modules))
     assert not any(hasattr(TimeGrid, gone) for gone in ("index_of", "mesh"))
     assert not hasattr(StepFunction, "integral_to")

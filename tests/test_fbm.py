@@ -319,12 +319,9 @@ def circulant_operator(hurst, grid):
     return out
 
 
-# The next test checks the circulant route on the H and n of the
-# Schur-factor test whose name it keeps: the circulant route replaced the
-# Schur factor on uniform grids.
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 513, 2048, 4096])
 @pytest.mark.parametrize("hurst", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
-def test_schur_factor_reconstructs_covariance(hurst, n):
+def test_circulant_map_reconstructs_covariance(hurst, n):
     # nonnegative eigenvalues of the circulant whose first row is
     # (gamma_0 .. gamma_n, gamma_(n-1) .. gamma_1)
     lam = fbm._circulant_eigenvalues(hurst, n)

@@ -272,6 +272,19 @@ def test_kernel_value_matches_mpmath(hurst):
             assert abs(kernel_value(spec, t, s) / ref - 1) <= 1e-13, (t, s)
 
 
+@pytest.mark.parametrize("hurst", [0.001, 0.01, 0.1, 0.2, 0.3, 0.45, 0.499998,
+                                   0.500002, 0.55, 0.7, 0.9, 0.99, 1 - 1e-6,
+                                   1 - 1e-8])
+def test_far_kernel_value_matches_mpmath_down_to_1e_300(hurst):
+    # the far branch, s < t/2, down to the s/t of graded grids: an
+    # exponent rounded from H - 1/2 costs |log 2y| ulps there
+    spec = make_kernel_spec(hurst)
+    for t in (1.0, 0.3, 1e200):
+        for s in np.logspace(-300, np.log10(0.49), 16) * t:
+            ref = mpmath_kernel(hurst, t, s)
+            assert abs(kernel_value(spec, t, s) / ref - 1) <= 5e-15, (t, s)
+
+
 def test_kernel_against_runtime_quadrature_oracle():
     for hurst, t, s in [(0.7, 1.0, 0.5), (0.75, 1.0, 0.5), (0.3, 1.0, 0.25),
                         (0.25, 2.0, 1.3), (0.9, 0.5, 0.04)]:

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fraclangevin import (DenseSizeError, NoiseStream, Path, StepDistribution,
-                          StepFunction, StepKind, donsker_path, gaussian_increments, make_kernel_spec,
+from fraclangevin import (DenseSizeError, NoiseStream, Path, StepFunction,
+                          StepKind, donsker_path, gaussian_increments, make_kernel_spec,
                           quadratic_variation, smoothed_fbm,
                           theta_epsilon_path, uniform_grid, weight_matrix)
 from fraclangevin import kernels
 from fraclangevin.kernels import _kernel_integral
 
-RADEMACHER = StepDistribution(StepKind.RADEMACHER)
+RADEMACHER = StepKind.RADEMACHER
 
 
 def integral_to(step, x):
@@ -103,7 +103,7 @@ def test_noise_paths_refuse_step_counts_before_drawing(monkeypatch):
     def no_draws(*args):
         raise AssertionError("drew variates")
 
-    monkeypatch.setattr(StepDistribution, "sample", no_draws)
+    monkeypatch.setattr(StepKind, "sample", no_draws)
     for eps in (1e-200, 1e-170):
         with pytest.raises(ValueError, match=r"epsilon\*\*2 underflows to 0"):
             theta_epsilon_path(eps, 1.0, RADEMACHER, NoiseStream(1))
@@ -121,7 +121,7 @@ def test_noise_paths_read_the_live_store_budget(monkeypatch):
         raise AssertionError("drew variates")
 
     monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", 8000)
-    monkeypatch.setattr(StepDistribution, "sample", no_draws)
+    monkeypatch.setattr(StepKind, "sample", no_draws)
     with pytest.raises(DenseSizeError, match=r"n \* horizon = 2000 steps"):
         donsker_path(1000, 2.0, RADEMACHER, NoiseStream(1))
     with pytest.raises(DenseSizeError, match=r"horizon / epsilon\*\*2 = 10000 steps"):
@@ -203,7 +203,7 @@ def test_smoothed_fbm_matches_weight_quadrature():
     grid = uniform_grid(1.0, 64)
     stream = NoiseStream(17)
     path = smoothed_fbm(spec, 0.125, grid, stream)
-    theta = theta_epsilon_path(0.125, 1.0, StepDistribution(StepKind.GAUSSIAN), stream)
+    theta = theta_epsilon_path(0.125, 1.0, StepKind.GAUSSIAN, stream)
     expected = weight_matrix(spec, grid) @ theta.value_at(grid.midpoints)
     assert path.values[0] == 0.0
     assert np.allclose(path.values[1:], expected, rtol=1e-12, atol=0.0)
@@ -231,10 +231,9 @@ def test_smoothed_fbm_zero_levels_gives_zero_path():
 def test_smoothed_fbm_variance_approaches_fbm():
     spec = make_kernel_spec(0.7)
     grid = uniform_grid(1.0, 2500)  # cells aligned with eps^2 = 4e-4
-    gaussian = StepDistribution(StepKind.GAUSSIAN)
     # the 2000 streams of smoothed_fbm, one kernel integral over all columns
     levels = np.column_stack([
-        theta_epsilon_path(0.02, 1.0, gaussian, NoiseStream(7, k)).value_at(
+        theta_epsilon_path(0.02, 1.0, StepKind.GAUSSIAN, NoiseStream(7, k)).value_at(
             grid.midpoints)
         for k in range(2000)
     ])
@@ -245,30 +244,38 @@ def test_smoothed_fbm_variance_approaches_fbm():
     assert np.var(paths[-1]) == pytest.approx(1.0, rel=0.10)
 
 
-def test_step_distribution_moments():
+def test_step_kind_moments():
+    # every kind draws centred steps of unit variance; Rademacher steps
+    # are +/-1, so their fourth moment is 1 too
     rng = NoiseStream(3).generator()
-    for kind in (StepKind.GAUSSIAN, StepKind.RADEMACHER):
-        draws = StepDistribution(kind, sigma=2.0).sample(rng, 20_000)
-        assert abs(draws.mean()) <= 4 * 2.0 / np.sqrt(draws.size)
-        assert draws.var() == pytest.approx(4.0, rel=0.05)
-    with pytest.raises(ValueError):
-        StepDistribution(StepKind.GAUSSIAN, sigma=0.0)
+    for kind in StepKind:
+        draws = kind.sample(rng, 20_000)
+        assert abs(draws.mean()) <= 4 / np.sqrt(draws.size)
+        assert draws.var() == pytest.approx(1.0, rel=0.05)
+    draws = StepKind.RADEMACHER.sample(rng, 1000)
+    assert set(draws) == {-1.0, 1.0}
+    assert np.mean(draws**4) == 1.0
 
 
-def test_step_distribution_reads_its_kind_by_value():
+def test_noise_paths_read_their_step_kind_by_value():
     # "gaussian" once fell through to +/-1 steps
-    dist = StepDistribution("gaussian")
-    assert dist.kind is StepKind.GAUSSIAN
-    assert dist == StepDistribution(StepKind.GAUSSIAN)
-    draws = dist.sample(NoiseStream(4).generator(), 1000)
+    grid = uniform_grid(1.0, 16)
+    spec = make_kernel_spec(0.7)
     assert np.array_equal(
-        draws, NoiseStream(4).generator().standard_normal(1000))
-    assert StepDistribution("rademacher").kind is StepKind.RADEMACHER
+        donsker_path(16, 1.0, "gaussian", NoiseStream(4)).values,
+        donsker_path(16, 1.0, StepKind.GAUSSIAN, NoiseStream(4)).values)
+    assert np.array_equal(
+        theta_epsilon_path(0.25, 1.0, "gaussian", NoiseStream(4)).levels,
+        NoiseStream(4).generator().standard_normal(16) / 0.25)
+    assert np.array_equal(
+        smoothed_fbm(spec, 0.25, grid, NoiseStream(4), "gaussian").values,
+        smoothed_fbm(spec, 0.25, grid, NoiseStream(4)).values)
+    assert np.array_equal(
+        smoothed_fbm(spec, 0.25, grid, NoiseStream(4), "rademacher").values,
+        smoothed_fbm(spec, 0.25, grid, NoiseStream(4), RADEMACHER).values)
     with pytest.raises(ValueError, match="StepKind"):
-        StepDistribution("normal")
-
-
-@pytest.mark.parametrize("sigma", [np.inf, -np.inf, np.nan])
-def test_step_distribution_refuses_non_finite_sigma(sigma):
-    with pytest.raises(ValueError, match="finite"):
-        StepDistribution(StepKind.RADEMACHER, sigma=sigma)
+        donsker_path(16, 1.0, "normal", NoiseStream(4))
+    with pytest.raises(ValueError, match="StepKind"):
+        theta_epsilon_path(0.25, 1.0, "normal", NoiseStream(4))
+    with pytest.raises(ValueError, match="StepKind"):
+        smoothed_fbm(spec, 0.25, grid, NoiseStream(4), "normal")
