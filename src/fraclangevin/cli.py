@@ -12,6 +12,7 @@ keys are refused.
 """
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import json
@@ -62,12 +63,11 @@ def _load_config(ctx, _param, path):
 
 
 def _write_csv(path, header, columns):
-    rows = np.column_stack(columns).tolist()
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(map(repr, row)) + "\n")
+            for row in np.column_stack(columns):
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
     except OSError as exc:
         raise click.ClickException(f"cannot write {path}: {exc}")
 
@@ -90,7 +90,7 @@ def _read_csv(path):
                 header = next(reader)
             except StopIteration:
                 raise click.ClickException(f"{path}: file is empty")
-            columns = [[] for _ in header]
+            columns = [array.array("d") for _ in header]
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise click.ClickException(

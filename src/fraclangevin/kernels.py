@@ -28,12 +28,14 @@ only for H in [1/4, 1], and its rounding would cost |log x| ulps.
 
 Quadrature weights for integrals int_0^t K(t,s) f(s) ds use midpoint
 nodes, never endpoints: K blows up at s = 0 in both regimes, and for
-H < 1/2 also at s = t, where the leading (t-s)^(H-1/2) factor of the
-final cell is integrated analytically instead.  So the weights are
-K(t, m_j) times the cell width plus a last-cell correction (zero unless
-H < 1/2), applied as K @ (widths f) + correction f: no weight matrix is
-kept.  ``kernel_weights`` returns the weights for t = T, the grid's
-horizon: the last row of ``weight_matrix``.
+H < 1/2 also at s = t.  There the last cell integrates the leading
+factor a (t-s)^(H-1/2), a = c_H (t/m)^(H-1/2), exactly (product
+integration, de Hoog & Weiss, Math. Comp. 27, 1973): the weights are
+K(t, m_j) times the cell width plus a last-cell correction a
+delta^(H+1/2) (1/(H+1/2) - 2^(1/2-H)), zero from H = 1/2 up, in closed
+form with no kernel value.  They are applied as K @ (widths f) +
+correction f: no weight matrix is kept.  ``kernel_weights`` returns the
+weights for t = T, the grid's horizon: the last row of ``weight_matrix``.
 
 No kernel operator is held as an n x n array.  ``_layout`` splits row t
 at a column block boundary below s = t/2.  In the near half the 32 to 64
@@ -60,7 +62,7 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import cheb2poly, chebmulx
+from numpy.polynomial.chebyshev import cheb2poly, chebmulx, chebvander
 from numpy.polynomial.polynomial import polyval
 
 from .core import TimeGrid, _whole, uniform_grid
@@ -390,19 +392,6 @@ _NODES = 20
 _TILE = 1 << ((_BLOCK_ELEMS // _NODES).bit_length() - 1)
 
 
-def _chebyshev(u: np.ndarray) -> np.ndarray:
-    """T_0(u) .. T_(_NODES - 1)(u) for u (blocks, m) by the three-term
-    recurrence, as a (blocks, _NODES, m) view."""
-    out = np.empty((_NODES,) + u.shape)
-    out[0] = 1.0
-    out[1] = u
-    u2 = 2 * u
-    for m in range(2, _NODES):
-        np.multiply(u2, out[m - 1], out=out[m])
-        out[m] -= out[m - 2]
-    return out.transpose(1, 0, 2)
-
-
 def _layout(times: np.ndarray, mids: np.ndarray):
     """The parts of the kernel matrix K, as indices only, in the order they
     are applied to x (n, S): row i adds columns split[i] <= j <= i in tiles
@@ -526,8 +515,9 @@ def _evaluated(spec: KernelSpec, times: np.ndarray, mids: np.ndarray, item: tupl
             yield kind, ti[q:q + per], c0[q:q + per], k, nodes is not None
     elif kind == "moments":
         b, nodes, mid, half = item
-        yield (kind, _chebyshev((mids[:len(nodes) * b].reshape(-1, b) - mid) / half),
-               _chebyshev((nodes - mid) / half))
+        s = mids[:len(nodes) * b].reshape(-1, b)
+        yield kind, *(chebvander((u - mid) / half, _NODES - 1).transpose(0, 2, 1)
+                      for u in (s, nodes))
     else:
         rows, ends, stops, tau = item
         scale = _unified_constant(spec) * (tau**spec.hurst / math.sqrt(tau))
@@ -617,30 +607,27 @@ def fbm_covariance(hurst: float, s, t):
 # ---------------------------------------------------------------------------
 
 
-def _singular_cell(spec: KernelSpec, t, m: np.ndarray, delta: np.ndarray,
-                   k: np.ndarray):
-    """Split K(t, m) = a (t-m)^(H-1/2) + r below half and weight the cell.
-
-    a = c_H (t/m)^(H-1/2); the last cell [t-delta, t] integrates the
-    leading factor exactly, weight = a delta^(H+1/2)/(H+1/2) + r delta.
-    Returns (a, r, weight).  Pass arrays (length-1 slices for one row):
-    numpy's power then rounds like the full weight_matrix diagonal.
-    """
-    h = spec.hurst
-    a = spec.c_h * (t / m) ** (h - 0.5)
-    r = k - a * (t - m) ** (h - 0.5)
-    return a, r, a * delta ** (h + 0.5) / (h + 0.5) + r * delta
+def _singular_factor(spec: KernelSpec, t, m: np.ndarray) -> np.ndarray:
+    """a = c_H (t/m)^(H-1/2), formed as q^H / sqrt(q), of the split K(t, s) =
+    a (t-s)^(H-1/2) + r below half on the last cell, midpoint m."""
+    q = t / m
+    return spec.c_h * (np.power(q, spec.hurst) / np.sqrt(q))
 
 
 def _cell_correction(spec: KernelSpec, t: np.ndarray, m: np.ndarray,
                      delta: np.ndarray) -> np.ndarray:
     """Singular-cell weight minus K(t, m) delta per grid point t, m and delta
-    its last cell's midpoint and width; zero unless H < 1/2.  Elementwise:
-    a slice of the points gives that slice of the corrections, bit for bit."""
+    its last cell's midpoint and width, zero unless H < 1/2: r and K(t, m)
+    cancel at t - m = delta/2, leaving a delta^(H+1/2) c(H).  c(H) =
+    1/(H+1/2) - 2^(1/2-H) is formed as (x 2^x - expm1(x log 2)) / (1 - x),
+    x = 1/2 - H, two terms about 0.31 x apart: no eps/x loss as H -> 1/2.
+    Elementwise: a slice of the points gives that slice, bit for bit."""
     if spec.hurst >= 0.5:
         return np.zeros(t.shape)
-    k = _kernel_values(spec, t, m)
-    return _singular_cell(spec, t, m, delta, k)[2] - k * delta
+    x = 0.5 - spec.hurst
+    c = (x * 2**x - math.expm1(x * math.log(2))) / (1 - x)
+    a = _singular_factor(spec, t, m)
+    return a * (np.power(delta, spec.hurst) * np.sqrt(delta)) * c
 
 
 def kernel_weights(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
@@ -746,13 +733,13 @@ def verify_covariance_identity(spec: KernelSpec, s: float, t: float, n: int) -> 
     k_hi = _kernel_values(spec, hi, nodes)
     terms = k_hi * kernel_weights(spec, grid)
     if hi == lo and spec.hurst < 0.5:
-        # int (a x^(H-1/2) + r)^2 over the last cell; its cross term
-        # 2 a r delta^(H+1/2)/(H+1/2) equals 2 r (w - r delta)
+        # int_0^delta (a x^(H-1/2) + r)^2 dx, the last cell's split squared
         h = spec.hurst
-        delta = grid.widths[-1:]
-        a, r, w = _singular_cell(spec, lo, nodes[-1:], delta, k_hi[-1:])
+        delta, m = grid.widths[-1:], nodes[-1:]
+        a = _singular_factor(spec, lo, m)
+        r = k_hi[-1:] - a * (lo - m) ** (h - 0.5)
         terms[-1:] = (a * a * delta ** (2 * h) / (2 * h)
-                      + 2 * r * w - r * r * delta)
+                      + 2 * a * r * delta ** (h + 0.5) / (h + 0.5) + r * r * delta)
     quad = float(terms.sum())
     target = fbm_covariance(spec.hurst, s, t)
     return abs(quad - target) / target

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from fraclangevin import estimate_hurst
-from fraclangevin.cli import main
+from fraclangevin.cli import _read_csv, _write_csv, main
 
 
 @pytest.fixture
@@ -537,6 +537,26 @@ def test_csv_out_into_missing_directory(runner, tmp_path, command):
     assert isinstance(res.exception, SystemExit)
     assert f"cannot write {out}: " in res.output
     assert "Traceback" not in res.output
+
+
+def test_csv_round_trip_is_lossless(tmp_path):
+    # shortest round-trip reprs, one line per row, read back bit for bit
+    # at the float extremes: signed zero, subnormals, 1e16 and float max
+    extremes = np.array([-0.0, 5e-324, 1e-310, 1e-5, 1e16, 1.7976931348623157e308])
+    rng = np.random.default_rng(3)
+    columns = [np.concatenate((rng.standard_normal(50), extremes)),
+               np.concatenate((-extremes, rng.uniform(-1e300, 1e300, 50))),
+               np.ldexp(rng.uniform(1, 2, 56), rng.integers(-1074, 1023, 56))]
+    path = tmp_path / "r.csv"
+    _write_csv(path, ["t", "a", "b"], columns)
+    lines = path.read_text().splitlines()
+    assert lines == ["t,a,b"] + [",".join(map(repr, row))
+                                 for row in np.column_stack(columns).tolist()]
+    header, back = _read_csv(path)
+    assert header == ["t", "a", "b"]
+    for got, want in zip(back, columns, strict=True):
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 GRID3 = b"t,V,VH\n0.0,1.0,1.0\n0.5,0.9,1.1\n1.0,0.8,1.2\n"

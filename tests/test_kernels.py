@@ -19,8 +19,7 @@ from fraclangevin import kernels
 from fraclangevin.kernels import (SERIES_TOL, _beta, _cell_correction,
                                   _kernel_integral, _kernel_operator,
                                   _kernel_product, _kernel_values,
-                                  _row_blocks, _series, _singular_cell,
-                                  _stored_product)
+                                  _row_blocks, _series, _stored_product)
 
 # High-precision reference values (mpmath, 30 digits).  Kernel points come
 # from the exact closed form of the inner integral,
@@ -245,14 +244,19 @@ def test_kernel_golden_table():
         assert kernel_value(spec, t, s) == pytest.approx(ref, rel=1e-6), (hurst, t, s)
 
 
+def mpmath_constant(h):
+    """C_H of the untransformed form from Gamma functions, at mpmath's
+    working precision."""
+    return mpmath.sqrt(2 * h * mpmath.gamma(1.5 - h) * mpmath.gamma(h + 0.5)
+                       / mpmath.gamma(2 - 2 * h)) / mpmath.gamma(h + 0.5)
+
+
 def mpmath_kernel(hurst, t, s):
     """Decreusefond-Ustunel at 40 digits, in their untransformed form:
     C_H (t-s)^(H-1/2) 2F1(H-1/2, 1/2-H; H+1/2; 1-t/s), at the exact floats."""
     with mpmath.workdps(40):
         h, t, s = mpmath.mpf(hurst), mpmath.mpf(t), mpmath.mpf(s)
-        c = mpmath.sqrt(2 * h * mpmath.gamma(1.5 - h) * mpmath.gamma(h + 0.5)
-                        / mpmath.gamma(2 - 2 * h)) / mpmath.gamma(h + 0.5)
-        return float(c * (t - s) ** (h - 0.5)
+        return float(mpmath_constant(h) * (t - s) ** (h - 0.5)
                      * mpmath.hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1 - t / s))
 
 
@@ -780,18 +784,42 @@ def _scalar_singular_cell(spec, t, m, delta, k):
 
 @pytest.mark.parametrize("hurst", [0.05, 0.1, 0.3, 0.45, 0.49])
 def test_singular_cell_matches_scalar_reference(hurst):
+    # the last-cell weight is K(t, m) delta plus the correction
     spec = make_kernel_spec(hurst)
     grid = uniform_grid(2.0, 1024)
     kmat = kernel_matrix(spec, grid)
     for i in range(grid.n_cells):
         cell = slice(i, i + 1)
-        _, _, w = _singular_cell(spec, float(grid.points[i + 1]),
-                                 grid.midpoints[cell], grid.widths[cell],
-                                 kmat[i, cell])
+        w = kmat[i, cell] * grid.widths[cell] + _cell_correction(
+            spec, grid.points[i + 1:i + 2], grid.midpoints[cell], grid.widths[cell])
         ref = _scalar_singular_cell(spec, float(grid.points[i + 1]),
                                     float(grid.midpoints[i]),
                                     float(grid.widths[i]), float(kmat[i, i]))
         assert abs(w[0] - ref) <= 1e-15 * abs(ref), i
+
+
+def mpmath_cell_correction(hurst, t, m, delta):
+    """a delta^(H+1/2) (1/(H+1/2) - 2^(1/2-H)), a = c_H (t/m)^(H-1/2), at
+    40 digits and the exact floats."""
+    with mpmath.workdps(40):
+        h, t, m, d = (mpmath.mpf(v) for v in (hurst, t, m, delta))
+        return float(mpmath_constant(h) * (t / m) ** (h - 0.5) * d ** (h + 0.5)
+                     * (1 / (h + 0.5) - 2 ** (0.5 - h)))
+
+
+@pytest.mark.parametrize("hurst", [0.001, 0.01, 0.1, 0.2, 0.3, 0.45, 0.499,
+                                   0.5 - 1e-7])
+def test_cell_correction_matches_mpmath(hurst):
+    # the closed form keeps full precision as H -> 1/2, where the weight
+    # minus K(t, m) delta loses eps / (1/2 - H)
+    spec = make_kernel_spec(hurst)
+    for n in (16, 1024, 65536):
+        grid = uniform_grid(1.0, n)
+        t, m, delta = grid.points[1:], grid.midpoints, grid.widths
+        got = _cell_correction(spec, t, m, delta)
+        for i in (0, 1, n // 3, n - 1):
+            ref = mpmath_cell_correction(hurst, t[i], m[i], delta[i])
+            assert abs(got[i] / ref - 1) <= 2e-15, (n, i)
 
 
 # a dyadic grid, a non-dyadic one, and cells 1e-15 wide at both ends
