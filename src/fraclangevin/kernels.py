@@ -20,7 +20,7 @@ Q(y) = 1/2 - a sum_(k>=2) (1-a)_k y^k / (k! (k-2a)) and D(y) = g - 4^a/2
 integral in K(t,s) = (2y)^a K(t,t/2) + a C_H s^a int_y^(1/2) (1-v)^(a-1)
 v^(-2a-1) dv; g makes both forms meet at y = 1/2.  Once per H, 60 Taylor
 terms of F and of Q are economized to degree 20 on [0, 1/2], checking the
-dropped tail (<= 2.8e-16 for H in [0.001, 1 - 1e-8]).  Values are within
+dropped tail (<= 2.9e-16 for every H in (0, 1)).  Values are within
 2.2e-15 relative of 60-digit references for s/t in [1e-300, 1 - 1e-14],
 at t = 1 and at t = 1e200 alike (t (t-s) / s overflows: it is not formed).
 The powers (2y)^a and t^a are formed as x^H / sqrt(x): H - 1/2 is exact
@@ -43,6 +43,9 @@ columns next to the diagonal are evaluated, and each column block further
 out, at least its width from t and from 0, is interpolated in s at 20
 Chebyshev nodes (in the style of Hackbusch's H-matrices, Computing 62,
 1999): O(n log n) kernel values, 137 n at n = 1024 and 254 n at 16384.
+Its moments are the barycentric Lagrange weights of its mids at the nodes
+as rounded (Berrut & Trefethen, SIAM Review 46, 2004), which a block whose
+rounded nodes repeat does not have: it is evaluated instead.
 The far half is the closed form's short sum of powers s^alpha t^beta, so
 each of its 23 terms is one prefix sum over the columns (``_far_terms``).
 ``_apply`` adds one part's share of K @ x: the residual pass streams the
@@ -62,22 +65,14 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import cheb2poly, chebmulx, chebvander
+from numpy.polynomial.chebyshev import cheb2poly, chebmulx
 from numpy.polynomial.polynomial import polyval
 
 from .core import TimeGrid, _whole, uniform_grid
 
-__all__ = [
-    "DenseSizeError",
-    "KernelSpec",
-    "make_kernel_spec",
-    "kernel_value",
-    "fbm_covariance",
-    "kernel_weights",
-    "verify_covariance_identity",
-    "kernel_matrix",
-    "weight_matrix",
-]
+__all__ = ["DenseSizeError", "KernelSpec", "make_kernel_spec", "kernel_value",
+           "fbm_covariance", "kernel_weights", "verify_covariance_identity",
+           "kernel_matrix", "weight_matrix"]
 
 # Bytes the store keeps: the parts of kernel operators, counted before they
 # are built (one alone fits up to n = 211840 on a uniform grid).  Each dense
@@ -160,10 +155,7 @@ class KernelSpec:
         object.__setattr__(self, "c_h", c)
 
 
-def make_kernel_spec(hurst: float) -> KernelSpec:
-    """``KernelSpec(hurst)`` under a second name, kept only while the
-    benchmark's workloads call it; the library uses :class:`KernelSpec`."""
-    return KernelSpec(hurst)
+make_kernel_spec = KernelSpec  # a second name while the benchmark calls it
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +164,7 @@ def make_kernel_spec(hurst: float) -> KernelSpec:
 
 _SERIES_TERMS = 60      # Taylor terms: at arguments <= 1/2 the last is < 2^-60
 _SERIES_DEGREE = 20     # Chebyshev degree kept on [0, 1/2]
-SERIES_TOL = 1e-11      # largest dropped Chebyshev tail accepted
+SERIES_TOL = 5e-16      # largest dropped Chebyshev tail accepted
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,27 +387,34 @@ _TILE = 1 << ((_BLOCK_ELEMS // _NODES).bit_length() - 1)
 def _layout(times: np.ndarray, mids: np.ndarray):
     """The parts of the kernel matrix K, as indices only, in the order they
     are applied to x (n, S): row i adds columns split[i] <= j <= i in tiles
-    and j < split[i] in far sums, every j <= i once.
+    and j < split[i] in far sums, every j <= i once.  ValueError names the
+    first cell whose midpoint is not strictly inside it (under two ulps wide).
 
     * ("tiles", ti, c0, keep, nodes): tile q, rows R ti[q] + [0, R), adds
       K(t_r, s_c) keep[q] @ z[c0[q] + [0, C)] over the columns of z, keep
       (Q, R, C); s and z are the mids and x, or the level's nodes and
       moments.  Row i, in tile I of 32 rows, first takes columns 32 (I - 1)
       to i.
-    * ("moments", b, nodes, mid, half): column blocks J of width b, the
-      nodes of each in s, and the centre and half width of its s-range.
-      At level b = 32, 64, ..., row block I = i // b takes column block
-      I - 2, and I - 3 when I is odd, until a block ends at or below
-      far[i], the count of midpoints below t_i / 2.  A block at least its
-      width from t_i and from 0 is interpolated at _NODES Chebyshev nodes:
-      the row adds K(t_i, nodes) @ moments, formed at levels that have such
-      a block.  Any other (row, block) pair is a one-row tile of mids, so
-      every grid runs one path; on uniform grids every pair interpolates.
+    * ("moments", b, nodes, half): column blocks J of width b, the nodes
+      of each in s as a column and its half width.  At level b = 32, 64,
+      ..., row block I = i // b takes column block I - 2, and I - 3 when I
+      is odd, until a block ends at or below far[i], the count of mids
+      below t_i / 2.  A block at least its width from t_i and from 0 whose
+      _NODES Chebyshev nodes strictly decrease once rounded is interpolated
+      there: the row adds K(t_i, nodes) @ moments, formed at levels with
+      such a block.  Any other (row, block) pair is a one-row tile of mids,
+      so every grid runs one path; on uniform grids every pair interpolates.
     * ("far", rows, ends, stops, tau): rows with split above 0 in a band of
       t spanning at most _BAND_RATIO, tau its largest t, grouped by split:
       rows[stops[g - 1]:stops[g]] split at ends[g], ends increasing.
     """
     n = len(times)
+    left = np.concatenate(([0.0], times[:-1]))
+    bad = np.flatnonzero((mids <= left) | (mids >= times))
+    if len(bad):
+        j = bad[0]
+        raise ValueError(f"cell {j}, [{float(left[j])!r}, {float(times[j])!r}], is "
+                         "under two ulps wide: its midpoint is not inside it")
     size = -(-n // _TILE) * _TILE
     far = np.concatenate((np.minimum(np.searchsorted(mids, times / 2), np.arange(n)),
                           np.full(size - n, size)))
@@ -429,8 +428,9 @@ def _layout(times: np.ndarray, mids: np.ndarray):
     while 2 * b < n:
         s = mids[:n // b * b].reshape(-1, b)
         lo, hi = s[:, 0], s[:, -1]
-        mid, half = (hi + lo)[:, None] / 2, (hi - lo)[:, None] / 2
-        nodes = mid + half * roots
+        mid, half = (hi + lo)[:, None, None] / 2, (hi - lo)[:, None, None] / 2
+        nodes = mid + half * roots[:, None]
+        distinct = (np.diff(nodes, axis=1) < 0).all(axis=(1, 2))
         r = min(b, _TILE)
         starts = np.arange(0, n, r)
         block = starts // b
@@ -445,7 +445,7 @@ def _layout(times: np.ndarray, mids: np.ndarray):
             split[i[used]] = b * np.broadcast_to(j[:, None], i.shape)[used]
             width = (hi - lo)[j, None]
             fit = ((times.take(i, mode="clip") - hi[j, None] >= width)
-                   & (lo[j, None] >= width))
+                   & (lo[j, None] >= width) & distinct[j, None])
             keep = used & fit
             q = keep.any(axis=1)
             if q.any():
@@ -456,7 +456,7 @@ def _layout(times: np.ndarray, mids: np.ndarray):
                 level.append(("tiles", i[rr, cc], b * j[rr], np.broadcast_to(
                     True, (len(rr), 1, b)), None))
         if any(item[4] is nodes for item in level):
-            yield "moments", b, nodes, mid, half
+            yield "moments", b, nodes, half
         yield from level
         b *= 2
 
@@ -492,11 +492,10 @@ def _evaluated(spec: KernelSpec, times: np.ndarray, mids: np.ndarray, item: tupl
     far factors in chunks of at most _BLOCK_ELEMS numbers (or one tile or
     term): ("tiles", ti, c0, K(t, s) keep, whether on the moments); ("far",
     rows, ends, stops, sf, tf), the factors of :func:`_far_terms` with
-    C_H tau^a in tf; ("moments", T(mids), T(nodes)), T the Chebyshev basis
-    on each block's s-range: the moments of block J are T(nodes)_J^-1
-    T(mids)_J x_J, exact at the nodes as rounded (a rounding of eps s is
-    not small against a block near t on a fine grid), the mids not clipped
-    to [-1, 1] (that would move one just outside).
+    C_H tau^a in tf; ("moments", L), L[J, q, j] = (w_q / (u_j - v_q)) /
+    sum_k w_k / (u_j - v_k), w_q = 1 / prod_(k != q) (v_q - v_k): the
+    Lagrange basis of block J's nodes v at its mids u, each difference in
+    s over the half width; a mid on a node takes that node's unit column.
     """
     kind, *item = item
     if kind == "tiles":
@@ -514,10 +513,17 @@ def _evaluated(spec: KernelSpec, times: np.ndarray, mids: np.ndarray, item: tupl
             k.transpose(0, 2, 1)[(cq < 0) | (cq >= len(points))] = 0.0
             yield kind, ti[q:q + per], c0[q:q + per], k, nodes is not None
     elif kind == "moments":
-        b, nodes, mid, half = item
-        s = mids[:len(nodes) * b].reshape(-1, b)
-        yield kind, *(chebvander((u - mid) / half, _NODES - 1).transpose(0, 2, 1)
-                      for u in (s, nodes))
+        b, nodes, half = item
+        gap = (nodes - nodes.transpose(0, 2, 1)) / half
+        gap[gap == 0.0] = 1.0  # the diagonal, and repeated nodes no tile reads
+        d = mids[:len(nodes) * b].reshape(-1, 1, b) - nodes
+        d /= half
+        hit = d == 0.0  # a mid on node q: column j is e_q
+        d += hit
+        np.divide(1.0 / gap.prod(axis=2, keepdims=True), d, out=d)  # w_q / (u_j - v_q)
+        d /= d.sum(axis=1, keepdims=True)
+        np.copyto(d, hit, where=hit.any(axis=1, keepdims=True))
+        yield kind, d
     else:
         rows, ends, stops, tau = item
         scale = _unified_constant(spec) * (tau**spec.hurst / math.sqrt(tau))
@@ -529,11 +535,7 @@ def _evaluated(spec: KernelSpec, times: np.ndarray, mids: np.ndarray, item: tupl
 
 
 def _kept(parts: list) -> tuple:
-    """The stored part of one item from its chunks: the fields that differ
-    between chunks joined along their first axis; a level's moments as
-    one matrix, T(nodes)^-1 T(mids)."""
-    if parts[0][0] == "moments":
-        return "moments", np.linalg.solve(parts[0][2], parts[0][1]), None
+    """One item's stored part: the fields that differ between its chunks joined."""
     return tuple(f[0] if all(g is f[0] for g in f) else np.concatenate(f)
                  for f in zip(*parts))
 
@@ -553,12 +555,10 @@ def _apply(part: tuple, x: np.ndarray, out: np.ndarray, moments: np.ndarray) -> 
         for q in range(0, len(ti), per):
             v = src.take(c0[q:q + per, None] + np.arange(width), axis=0, mode="clip")
             out.reshape(-1, rows, cols)[ti[q:q + per]] += values[q:q + per] @ v
-    elif kind == "moments":  # stored as one matrix, T(nodes) is None
-        basis, nodes = args
-        blocks, _, b = basis.shape
-        z = basis @ x[:blocks * b].reshape(blocks, b, cols)
-        if nodes is not None:
-            z = np.linalg.solve(nodes, z)
+    elif kind == "moments":
+        (lagrange,) = args
+        blocks, _, b = lagrange.shape
+        z = lagrange @ x[:blocks * b].reshape(blocks, b, cols)
         moments[:_NODES * blocks] = z.reshape(-1, cols)
     else:
         rows, ends, stops, sf, tf = args

@@ -342,6 +342,20 @@ def test_estimate_ah_degenerate_velocity(runner, tmp_path):
     assert "vanishes at t=" in res.output
 
 
+def test_estimate_ah_refuses_a_midpoint_on_a_grid_point(runner, tmp_path):
+    # cells of one ulp after t = 1/2: the transform's kernel products
+    # name the first cell whose midpoint is not inside it
+    t = np.concatenate((np.linspace(0.0, 0.5, 1025),
+                        0.5 + np.arange(1, 2049) * np.spacing(0.5)))
+    f = tmp_path / "ulp.csv"
+    f.write_text("t,V,VH\n" + "".join(f"{x!r},1.0,1.0\n" for x in t.tolist()))
+    for hurst in ("0.3", "0.7"):
+        res = runner.invoke(main, ["estimate-ah", str(f), str(f), "--hurst", hurst])
+        assert res.exit_code == 1
+        assert ("cell 1024, [0.5, 0.5000000000000001], is under two ulps wide: "
+                "its midpoint is not inside it") in res.output
+
+
 def test_estimate_ah_grid_mismatch(runner, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -171,6 +171,7 @@ def test_public_api_is_the_module_lists():
     names = [name for mod in modules for name in mod.__all__]
     assert fraclangevin.__all__ == names
     assert len(set(names)) == len(names) == 43
+    assert fraclangevin.make_kernel_spec is fraclangevin.KernelSpec
     for mod in modules:
         for name in mod.__all__:
             assert getattr(fraclangevin, name) is getattr(mod, name)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from collections import OrderedDict
 from decimal import Decimal, localcontext
 
@@ -445,11 +446,15 @@ def test_cell_correction_of_a_slice_is_the_slice_of_all(hurst):
             assert np.array_equal(got.view(np.int64), full[part].view(np.int64))
 
 
-@pytest.mark.parametrize("hurst", [0.01, 0.3, 0.7, 0.99, 1 - 1e-6, 1 - 1e-8])
+@pytest.mark.parametrize("hurst", [5e-324, 1e-300, 1e-12, 1e-6, 0.01, 0.3,
+                                   0.5 - 2**-53, 0.5 + 2**-52, 0.7, 0.99,
+                                   1 - 1e-6, 1 - 1e-8, 1 - 2**-53])
 def test_series_records_its_deviation(hurst):
-    # the economized series records its dropped Chebyshev tail
+    # the economized series records its dropped Chebyshev tail, at most
+    # 2.87e-16 over (0, 1), within the tolerance it is checked against
     series = _series(make_kernel_spec(hurst).hurst)
-    assert 0.0 < series.deviation <= SERIES_TOL
+    assert 0.0 < series.deviation <= 3e-16
+    assert SERIES_TOL == 5e-16
 
 
 def test_series_over_tolerance_raises(monkeypatch):
@@ -926,8 +931,8 @@ def test_row_blocks_cover_the_lower_triangle(n):
 @pytest.mark.parametrize("n", [1, 511, 2048])
 def test_streamed_parts_hold_bounded_numbers(n):
     # each streamed part holds at most _BLOCK_ELEMS kernel values (or one
-    # tile) or far factors (or one term); a level's Chebyshev bases hold
-    # 20 n / b (b + 20) numbers, b >= 32
+    # tile) or far factors (or one term); a level's Lagrange weights hold
+    # 20 numbers per column of its blocks
     spec = make_kernel_spec(0.3)
     grid = uniform_grid(1.0, n)
     times, mids = grid.points[1:], grid.midpoints
@@ -940,7 +945,7 @@ def test_streamed_parts_hold_bounded_numbers(n):
                 sf, tf = part[4:]
                 assert sf.size + tf.size <= kernels._BLOCK_ELEMS or len(sf) == 1
             else:
-                assert sum(a.size for a in part[1:]) <= 20 * n + 400 * n / 32
+                assert part[1].shape[1] == 20 and part[1].size <= 20 * n
 
 
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537, 2048])
@@ -959,6 +964,93 @@ def test_streamed_and_stored_products_agree(hurst, n, monkeypatch):
         assert got.shape == shape
         assert np.all(np.abs(got - _stored_product(spec, grid, x))
                       <= 1e-14 * (ref @ np.abs(x)))
+
+
+@pytest.mark.parametrize("n", [511, 2048])
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_stored_moments_are_the_streamed_moments(hurst, n, monkeypatch):
+    # one form for a level's moments: the store keeps, bit for bit, the
+    # Lagrange weights the stream evaluates and drops
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    spec = make_kernel_spec(hurst)
+    grid = uniform_grid(1.0, n)
+    times, mids = grid.points[1:], grid.midpoints
+    streamed = [part[1] for item in kernels._layout(times, mids)
+                for part in kernels._evaluated(spec, times, mids, item)
+                if part[0] == "moments"]
+    stored = [part[1] for part in _kernel_operator(spec, grid)[0]
+              if part[0] == "moments"]
+    assert len(stored) == len(streamed) > 0
+    for a, b in zip(stored, streamed):
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_moments_of_a_mid_on_a_node_are_its_unit_column():
+    # a node moved exactly onto a mid: that mid's weights are the node's
+    # unit column, every other column still sums to 1, and nothing warns
+    grid = uniform_grid(1.0, 511)
+    times, mids = grid.points[1:], grid.midpoints
+    _, b, nodes, half = next(item for item in kernels._layout(times, mids)
+                             if item[0] == "moments")
+    nodes = nodes.copy()
+    block, q = 3, 7
+    j = int(np.argmin(np.abs(mids[block * b:(block + 1) * b] - nodes[block, q])))
+    nodes[block, q] = mids[block * b + j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (kind, lagrange), = kernels._evaluated(
+            make_kernel_spec(0.3), times, mids, ("moments", b, nodes, half))
+    assert kind == "moments" and lagrange.shape == (len(nodes), 20, b)
+    assert np.isfinite(lagrange).all()
+    assert np.array_equal(lagrange[block, :, j], np.eye(20)[q])
+    assert np.allclose(lagrange.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+
+
+def ulp_cells(n_uniform, steps):
+    """n_uniform cells on [0, 1/2], then cells of steps[k] ulps of 1/2."""
+    tail = 0.5 + np.cumsum(steps) * np.spacing(0.5)
+    return TimeGrid(np.concatenate((np.linspace(0.0, 0.5, n_uniform + 1), tail)))
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_products_on_blocks_whose_nodes_repeat(hurst):
+    # cells of 2 or 3 ulps: every midpoint lies inside its cell, but some
+    # 32-column blocks repeat a node once rounded; those blocks have no
+    # Lagrange basis and are evaluated
+    grid = ulp_cells(1024, np.random.default_rng(3).choice([2, 3], size=2048))
+    times, mids = grid.points[1:], grid.midpoints
+    _, b, nodes, _ = next(item for item in kernels._layout(times, mids)
+                          if item[0] == "moments")
+    assert b == 32 and (np.diff(nodes, axis=1) >= 0).any()
+    x = np.random.default_rng(4).standard_normal((grid.n_cells, 2))
+    assert product_gap(make_kernel_spec(hurst), grid, x) <= 1e-13
+
+
+def test_products_refuse_a_midpoint_on_a_grid_point(monkeypatch):
+    # cells of one ulp: a midpoint rounds onto an end of its cell, where
+    # K(t, m) is infinite below half; the products refuse the grid, the
+    # dense builders keep their elementwise values on the lower triangle
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    grid = ulp_cells(1024, np.ones(2048))
+    message = (r"cell 1024, \[0.5, 0.5000000000000001\], is under two ulps wide: "
+               "its midpoint is not inside it")
+    x = np.ones(grid.n_cells)
+    for hurst in (0.3, 0.7):
+        spec = make_kernel_spec(hurst)
+        for product in (_kernel_product, _stored_product, _kernel_integral):
+            with pytest.raises(ValueError, match=message):
+                product(spec, grid, x)
+    assert not kernels._DENSE
+    small = ulp_cells(64, np.ones(128))
+    with np.errstate(all="ignore"):
+        for hurst in (0.3, 0.7):
+            spec = make_kernel_spec(hurst)
+            kmat = np.tril(kernel_matrix(spec, small))
+            values = _kernel_values(spec, small.points[1:, None], small.midpoints)
+            assert np.array_equal(kmat, np.tril(values), equal_nan=True)
+            assert np.isfinite(kmat).all() == (hurst > 0.5)
+            assert np.array_equal(kernel_weights(spec, small),
+                                  weight_matrix(spec, small)[-1], equal_nan=True)
 
 
 def test_cold_kernel_operator_evaluates_n_log_n_values(monkeypatch):
