@@ -1,10 +1,11 @@
 """Time grids, sample paths and the deterministic seeding contract.
 
 Everything downstream (noise synthesis, kernel quadrature, samplers)
-works on a :class:`TimeGrid` of strictly increasing times starting at 0
-and on :class:`Path` values aligned to it.  Randomness always flows
-through a :class:`NoiseStream`, which pins the generator algorithm so
-that (seed, stream_index) fully determines every variate.
+works on a :class:`TimeGrid` of times starting at 0 whose every cell
+holds its midpoint strictly inside it, and on :class:`Path` values
+aligned to it.  Randomness always flows through a :class:`NoiseStream`,
+which pins the generator algorithm so that (seed, stream_index) fully
+determines every variate.
 """
 from __future__ import annotations
 
@@ -48,7 +49,10 @@ def _frozen(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing mesh 0 = t_0 < t_1 < ... < t_n = T."""
+    """Mesh 0 = t_0 < t_1 < ... < t_n = T whose cell midpoints m_j satisfy
+    t_j < m_j < t_(j+1): the kernel quadrature evaluates K(t, m_j), which
+    is infinite below H = 1/2 once m_j rounds onto t.  A cell under two
+    ulps wide fails this, and ValueError names the first such cell."""
 
     points: np.ndarray
     # computed once, as the dense store hashes its keys on every lookup
@@ -62,8 +66,15 @@ class TimeGrid:
             raise ValueError("grid points must be finite")
         if pts[0] != 0.0:
             raise ValueError("a time grid must start at t=0")
-        if not (np.diff(pts) > 0.0).all():
-            raise ValueError("grid points must be strictly increasing")
+        mids = _midpoints(pts)
+        bad = (mids <= pts[:-1]) | (mids >= pts[1:])
+        if bad.any():
+            j = int(bad.argmax())
+            a, b = float(pts[j]), float(pts[j + 1])
+            if not a < b:
+                raise ValueError("grid points must be strictly increasing")
+            raise ValueError(f"cell {j}, [{a!r}, {b!r}], is under two ulps "
+                             "wide: its midpoint is not inside it")
         object.__setattr__(self, "points", pts)
         # t_0 is 0.0 or -0.0, which compare equal, so it is left out
         object.__setattr__(self, "_hash", hash(pts[1:].tobytes()))

@@ -54,7 +54,6 @@ __all__ = [
     "phi",
     "fractional_velocity",
     "expected_fractional_velocity",
-    "transformed_langevin_residual",
     "normalized_residual_max",
     "residual_refinement_study",
     "ah_ratios",
@@ -159,20 +158,6 @@ def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
     corr = _cell_correction(spec, grid.points[1:], grid.midpoints, grid.widths)
     res += b * corr[:, None] * vmid
     return res.reshape(db.shape), bh.reshape(db.shape)
-
-
-def transformed_langevin_residual(spec: KernelSpec, params: LangevinParams,
-                                  v: Path, brownian_increments) -> Path:
-    """Pathwise residual of the kernel-transformed Langevin equation.
-
-    ``v`` must be the Euler-Maruyama velocity driven by the very same
-    increments; then r(t) = m sum K(t,.) dV + b <weights, V> - sigma B^H(t)
-    vanishes up to discretization error, because the continuum identity
-    is exact given a common driving Brownian path.
-    """
-    db = _checked_increments(v.grid, brownian_increments)
-    res, _ = _residual_pass(spec, params, v.grid, v.values, db)
-    return Path(v.grid, np.concatenate(([0.0], res)))
 
 
 def normalized_residual_max(spec: KernelSpec, params: LangevinParams,

@@ -387,8 +387,7 @@ _TILE = 1 << ((_BLOCK_ELEMS // _NODES).bit_length() - 1)
 def _layout(times: np.ndarray, mids: np.ndarray):
     """The parts of the kernel matrix K, as indices only, in the order they
     are applied to x (n, S): row i adds columns split[i] <= j <= i in tiles
-    and j < split[i] in far sums, every j <= i once.  ValueError names the
-    first cell whose midpoint is not strictly inside it (under two ulps wide).
+    and j < split[i] in far sums, every j <= i once.
 
     * ("tiles", ti, c0, keep, nodes): tile q, rows R ti[q] + [0, R), adds
       K(t_r, s_c) keep[q] @ z[c0[q] + [0, C)] over the columns of z, keep
@@ -409,12 +408,6 @@ def _layout(times: np.ndarray, mids: np.ndarray):
       rows[stops[g - 1]:stops[g]] split at ends[g], ends increasing.
     """
     n = len(times)
-    left = np.concatenate(([0.0], times[:-1]))
-    bad = np.flatnonzero((mids <= left) | (mids >= times))
-    if len(bad):
-        j = bad[0]
-        raise ValueError(f"cell {j}, [{float(left[j])!r}, {float(times[j])!r}], is "
-                         "under two ulps wide: its midpoint is not inside it")
     size = -(-n // _TILE) * _TILE
     far = np.concatenate((np.minimum(np.searchsorted(mids, times / 2), np.arange(n)),
                           np.full(size - n, size)))

@@ -701,8 +701,9 @@ NUMERIC_OPTIONS = {"steps": (False, False), "horizon": (False, False),
     (opt, value, ok)
     for opt, (zero_ok, minus_ok) in NUMERIC_OPTIONS.items()
     for value, ok in (("0", zero_ok), ("-1", minus_ok), ("nan", False))]
-    # positive, but too small for 8 distinct grid cells
-    + [("horizon", "2e-323", False)])
+    # positive, but too small for 8 distinct grid cells, or for 8 cells
+    # that each hold their midpoint (4e-323 gives cells of one ulp)
+    + [("horizon", "2e-323", False), ("horizon", "4e-323", False)])
 def test_simulate_numeric_options_are_checked_by_click(runner, tmp_path,
                                                        option, value, accepted):
     commands = ["simulate-velocity"]
@@ -736,6 +737,7 @@ def test_simulate_numeric_options_are_checked_by_click(runner, tmp_path,
     ("simulate-velocity", "1", ["--v0", "1e308", "--ah", "0"], True),
     ("simulate-velocity", "1", ["--v0", "1e308", "--ah", "1e-3"], True),
     ("simulate-velocity", "1", ["--v0", "1e308", "--ah", "10"], False),
+    ("simulate-fbm", "4e-323", ["--method", "kernel"], False),  # one-ulp cells
 ])
 def test_simulate_horizon_at_float_range_edges(runner, tmp_path, command,
                                                horizon, extra, accepted):

@@ -59,6 +59,31 @@ def test_grid_validation():
             TimeGrid(np.array([0.0, 0.5, bad]))
 
 
+def test_grid_refuses_a_midpoint_on_a_grid_point():
+    # cells of one ulp after t = 1/2: a midpoint rounds onto an end of its
+    # cell, where K(t, m) is infinite below half, so no route gets the grid;
+    # cells of 2 or 3 ulps hold their midpoints and are kept
+    head, ulp = np.linspace(0.0, 0.5, 1025), np.spacing(0.5)
+    message = (r"cell 1024, \[0.5, 0.5000000000000001\], is under two ulps wide: "
+               "its midpoint is not inside it")
+    with pytest.raises(ValueError, match=message):
+        TimeGrid(np.concatenate((head, 0.5 + np.cumsum(np.ones(2048)) * ulp)))
+    steps = np.random.default_rng(3).choice([2, 3], size=2048)
+    grid = TimeGrid(np.concatenate((head, 0.5 + np.cumsum(steps) * ulp)))
+    assert ((grid.points[:-1] < grid.midpoints)
+            & (grid.midpoints < grid.points[1:])).all()
+    with pytest.raises(ValueError, match=r"cell 0, \[0.0, 5e-324\], is under two"):
+        TimeGrid(np.array([0.0, 5e-324]))
+    assert TimeGrid(np.array([0.0, 1e-323])).midpoints[0] == 5e-324
+    # the first bad cell names the fault: here the one-ulp cell before the
+    # decrease, and an equal or decreasing pair otherwise
+    with pytest.raises(ValueError, match=r"cell 1, \[0.5, 0.5000000000000001\]"):
+        TimeGrid(np.array([0.0, 0.5, 0.5 + ulp, 0.4]))
+    for points in ([0.0, 0.5, 0.5], [0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 0.5 + ulp]):
+        with pytest.raises(ValueError, match="grid points must be strictly increasing"):
+            TimeGrid(np.array(points))
+
+
 def test_grid_equality_and_hash():
     a = uniform_grid(1.0, 4)
     b = TimeGrid(np.linspace(0.0, 1.0, 5))
@@ -170,7 +195,7 @@ def test_public_api_is_the_module_lists():
     modules = (core, fbm, fractional, hurst, kernels, langevin, noise)
     names = [name for mod in modules for name in mod.__all__]
     assert fraclangevin.__all__ == names
-    assert len(set(names)) == len(names) == 43
+    assert len(set(names)) == len(names) == 42
     assert fraclangevin.make_kernel_spec is fraclangevin.KernelSpec
     for mod in modules:
         for name in mod.__all__:
@@ -178,7 +203,8 @@ def test_public_api_is_the_module_lists():
     for gone in ("kernel_dt", "simulate_ou_conditional", "CovMatrix",
                  "QuadratureRule", "increments", "covariance_matrix",
                  "cholesky_factor", "RSSeries", "Regime", "beta_fn",
-                 "loglog_regression", "StepDistribution"):
+                 "loglog_regression", "StepDistribution",
+                 "transformed_langevin_residual"):
         assert not any(hasattr(mod, gone) for mod in (fraclangevin, *modules))
     assert not any(hasattr(TimeGrid, gone) for gone in ("index_of", "mesh"))
     assert not hasattr(StepFunction, "integral_to")

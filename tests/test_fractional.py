@@ -13,8 +13,7 @@ from fraclangevin import (DegenerateDenominatorError, FractionalConfig,
                           kernel_weights, make_kernel_spec,
                           normalized_residual_max, phi,
                           residual_refinement_study, simulate_ou_em,
-                          simulate_ou_exact, transformed_langevin_residual,
-                          uniform_grid)
+                          simulate_ou_exact, uniform_grid)
 from fraclangevin import fractional, kernels
 from fraclangevin.core import _midpoints
 from fraclangevin.kernels import _kernel_integral
@@ -206,8 +205,9 @@ def test_residual_noiseless_shrinks_with_refinement():
     for n in (128, 512):
         grid = uniform_grid(1.0, n)
         v = simulate_ou_em(quiet, grid, np.zeros(n))
-        res = transformed_langevin_residual(SPEC7, quiet, v, np.zeros(n))
-        maxima[n] = np.abs(res.values).max()
+        res, _ = fractional._residual_pass(SPEC7, quiet, grid, v.values,
+                                           np.zeros(n))
+        maxima[n] = np.abs(res).max()
     # quadrature error of the noiseless identity decays like the mesh
     assert maxima[512] < maxima[128] / 2
     assert maxima[512] < 5e-3
@@ -245,7 +245,7 @@ def test_residual_rejects_mismatched_increments():
     grid = uniform_grid(1.0, 64)
     v = simulate_ou_em(PARAMS, grid, np.zeros(64))
     with pytest.raises(ValueError):
-        transformed_langevin_residual(SPEC7, PARAMS, v, np.zeros(63))
+        normalized_residual_max(SPEC7, PARAMS, v, np.zeros(63))
 
 
 def test_residual_study_improves_with_refinement():
@@ -289,7 +289,7 @@ def test_residual_study_takes_whole_numbers_only():
 
 
 def test_residual_certificate_refuses_zero_sigma():
-    # sigma * max|B^H| normalizes both; the raw residual accepts sigma = 0
+    # sigma * max|B^H| normalizes both
     quiet = LangevinParams(mass=1.0, friction=2.0, sigma=0.0, v0=1.0)
     grid = uniform_grid(1.0, 64)
     db = gaussian_increments(grid, NoiseStream(7))
@@ -298,7 +298,6 @@ def test_residual_certificate_refuses_zero_sigma():
         normalized_residual_max(SPEC7, quiet, v, db)
     with pytest.raises(ValueError, match="sigma"):
         residual_refinement_study(SPEC7, quiet, 1.0, [16, 64], 2, NoiseStream(0))
-    transformed_langevin_residual(SPEC7, quiet, v, db)
 
 
 def test_residual_study_rejects_nondivisible_counts():

@@ -1026,31 +1026,19 @@ def test_products_on_blocks_whose_nodes_repeat(hurst):
     assert product_gap(make_kernel_spec(hurst), grid, x) <= 1e-13
 
 
-def test_products_refuse_a_midpoint_on_a_grid_point(monkeypatch):
-    # cells of one ulp: a midpoint rounds onto an end of its cell, where
-    # K(t, m) is infinite below half; the products refuse the grid, the
-    # dense builders keep their elementwise values on the lower triangle
-    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
-    grid = ulp_cells(1024, np.ones(2048))
-    message = (r"cell 1024, \[0.5, 0.5000000000000001\], is under two ulps wide: "
-               "its midpoint is not inside it")
-    x = np.ones(grid.n_cells)
-    for hurst in (0.3, 0.7):
-        spec = make_kernel_spec(hurst)
-        for product in (_kernel_product, _stored_product, _kernel_integral):
-            with pytest.raises(ValueError, match=message):
-                product(spec, grid, x)
-    assert not kernels._DENSE
-    small = ulp_cells(64, np.ones(128))
-    with np.errstate(all="ignore"):
-        for hurst in (0.3, 0.7):
-            spec = make_kernel_spec(hurst)
-            kmat = np.tril(kernel_matrix(spec, small))
-            values = _kernel_values(spec, small.points[1:, None], small.midpoints)
-            assert np.array_equal(kmat, np.tril(values), equal_nan=True)
-            assert np.isfinite(kmat).all() == (hurst > 0.5)
-            assert np.array_equal(kernel_weights(spec, small),
-                                  weight_matrix(spec, small)[-1], equal_nan=True)
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_dense_builders_are_zero_right_of_the_diagonal_on_ulp_cells(hurst):
+    # every midpoint lies inside its cell, so each entry right of the
+    # diagonal has s > t, a finite kernel value that np.tri zeroes (an
+    # inf * 0 would warn, and the suite runs RuntimeWarning as an error)
+    grid = ulp_cells(1024, np.random.default_rng(3).choice([2, 3], size=2048))
+    spec = make_kernel_spec(hurst)
+    kmat = kernel_matrix(spec, grid)
+    assert np.isfinite(kmat).all() and not np.triu(kmat, 1).any()
+    del kmat
+    wmat = weight_matrix(spec, grid)
+    assert np.isfinite(wmat).all() and not np.triu(wmat, 1).any()
+    assert np.array_equal(kernel_weights(spec, grid), wmat[-1])
 
 
 def test_cold_kernel_operator_evaluates_n_log_n_values(monkeypatch):
