@@ -48,10 +48,15 @@ as rounded (Berrut & Trefethen, SIAM Review 46, 2004), which a block whose
 rounded nodes repeat does not have: it is evaluated instead.
 The far half is the closed form's short sum of powers s^alpha t^beta, so
 each of its 23 terms is one prefix sum over the columns (``_far_terms``).
-``_apply`` adds one part's share of K @ x: the residual pass streams the
-parts and drops them (``_kernel_product``); the one store, ``_DENSE``,
-keeps them per (H, grid) within DENSE_BYTES_MAX bytes, least recently
-used first out, 4.7 MiB at n = 2048 against 32 MiB dense.
+None of the layout depends on H, nor do each level's Lagrange weights:
+they are the grid's geometry (``_geometry``), which the one store,
+``_DENSE``, keeps once per grid, 0.63 MiB of weights at n = 1024.  The
+operators of every H on a grid share its arrays.  ``_apply`` adds one
+part's share of K @ x: the residual pass evaluates the parts that depend
+on H, tile values and far factors, applies each and drops it
+(``_kernel_product``); the store keeps them per (H, grid).  All of it is
+held within DENSE_BYTES_MAX bytes, least recently used first out, an
+operator 4.7 MiB at n = 2048 against 32 MiB dense.
 ``kernel_matrix`` and ``weight_matrix`` build dense arrays from
 ``_row_blocks``.
 """
@@ -82,8 +87,8 @@ __all__ = ["DenseSizeError", "KernelSpec", "make_kernel_spec", "kernel_value",
 # the 8-byte step draws of noise.donsker_path and noise.theta_epsilon_path.
 DENSE_BYTES_MAX = 1 << 30
 
-# The store: key -> (the operator's parts, correction), read-only, least
-# recently used first.
+# The store, read-only, least recently used first: a grid -> its geometry,
+# (spec, grid) -> (the operator's parts, correction).
 _DENSE: OrderedDict = OrderedDict()
 
 
@@ -107,14 +112,45 @@ def _check_dense(n: int, count: int) -> int:
     return _check_bytes(8 * n * n * count, f"{count} dense {n}x{n} matrix(es)")
 
 
-def _arrays(parts: tuple, corr: np.ndarray) -> list:
-    """Every array of a store entry (parts, correction)."""
-    return [corr] + [a for part in parts for a in part if isinstance(a, np.ndarray)]
+def _arrays(*fields) -> list:
+    """Every array in ``fields``, tuples and lists opened: a store entry's."""
+    out = []
+    for f in fields:
+        if isinstance(f, np.ndarray):
+            out.append(f)
+        elif isinstance(f, (tuple, list)):
+            out += _arrays(*f)
+    return out
 
 
-def _dense_held() -> int:
-    """Bytes of every array in the store."""
-    return sum(a.nbytes for entry in _DENSE.values() for a in _arrays(*entry))
+def _nbytes(*fields) -> int:
+    """Bytes of the distinct arrays in ``fields``: a view counts as the
+    array it views, each array once."""
+    bases = {}
+    for a in _arrays(*fields):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        bases[id(a)] = a.nbytes
+    return sum(bases.values())
+
+
+def _dense_held(*extra) -> int:
+    """Bytes of the distinct arrays in the store and in ``extra``."""
+    return _nbytes(*_DENSE.values(), *extra)
+
+
+def _make_room(need: int, *extra) -> None:
+    """Drop least recently used entries until ``need`` bytes fit beside the
+    store and ``extra``."""
+    while _DENSE and _dense_held(*extra) + need > DENSE_BYTES_MAX:
+        _DENSE.popitem(last=False)
+
+
+def _frozen(entry: tuple) -> tuple:
+    """``entry`` with every array in it read-only."""
+    for a in _arrays(entry):
+        a.flags.writeable = False
+    return entry
 
 
 def _check_hurst(hurst: float) -> float:
@@ -391,9 +427,9 @@ def _layout(times: np.ndarray, mids: np.ndarray):
 
     * ("tiles", ti, c0, keep, nodes): tile q, rows R ti[q] + [0, R), adds
       K(t_r, s_c) keep[q] @ z[c0[q] + [0, C)] over the columns of z, keep
-      (Q, R, C); s and z are the mids and x, or the level's nodes and
-      moments.  Row i, in tile I of 32 rows, first takes columns 32 (I - 1)
-      to i.
+      (Q, R, C); s and z are the mids and x, where keep is all true and
+      the tile keeps columns j <= i, or the level's nodes and moments.
+      Row i, in tile I of 32 rows, first takes columns 32 (I - 1) to i.
     * ("moments", b, nodes, half): column blocks J of width b, the nodes
       of each in s as a column and its half width.  At level b = 32, 64,
       ..., row block I = i // b takes column block I - 2, and I - 3 when I
@@ -414,7 +450,7 @@ def _layout(times: np.ndarray, mids: np.ndarray):
     split = _BAND * np.maximum(np.arange(size) // _BAND - 1, 0)
     ti = np.arange(-(-n // _BAND))
     yield "tiles", ti, _BAND * (ti - 1), np.broadcast_to(
-        np.tri(_BAND, 2 * _BAND, _BAND), (len(ti), _BAND, 2 * _BAND)), None
+        True, (len(ti), _BAND, 2 * _BAND)), None
 
     roots = np.cos(np.pi * np.arange(1, 2 * _NODES, 2) / (2 * _NODES))
     b = _BAND
@@ -465,30 +501,48 @@ def _layout(times: np.ndarray, mids: np.ndarray):
         hi = lo
 
 
-def _factor_bytes(items, n: int) -> int:
-    """Bytes of the stored parts of :func:`_layout`'s ``items`` and of the
-    n corrections, every array float64 or int64."""
-    total = n
+def _factor_bytes(items, n: int) -> tuple:
+    """Bytes of the stored parts of an operator on :func:`_layout`'s
+    ``items`` or on a geometry, every array float64 or int64: (those it
+    shares with the geometry, the index arrays and each level's Lagrange
+    weights; those of its own, tile values, far factors and n corrections)."""
+    shared, own = 0, n
     for kind, *item in items:
         if kind == "tiles":
-            total += item[2].size + 2 * len(item[0])
+            shared += 2 * len(item[0])
+            own += item[2].size
         elif kind == "moments":
-            total += item[1].size * item[0]
+            shared += item[1].size * item[0]
         else:  # rows, ends, stops and _SERIES_DEGREE + 3 terms of _far_terms
-            total += len(item[0]) + 2 * len(item[1]) + (
-                len(item[0]) + item[1][-1]) * (_SERIES_DEGREE + 3)
-    return 8 * total
+            shared += len(item[0]) + 2 * len(item[1])
+            own += (len(item[0]) + item[1][-1]) * (_SERIES_DEGREE + 3)
+    return 8 * shared, 8 * own
+
+
+def _lagrange(mids: np.ndarray, b: int, nodes: np.ndarray, half: np.ndarray):
+    """L[J, q, j] = (w_q / (u_j - v_q)) / sum_k w_k / (u_j - v_k), w_q = 1 /
+    prod_(k != q) (v_q - v_k): the Lagrange basis of block J's nodes v at
+    its mids u, each difference in s over the half width; a mid on a node
+    takes that node's unit column."""
+    gap = (nodes - nodes.transpose(0, 2, 1)) / half
+    gap[gap == 0.0] = 1.0  # the diagonal, and repeated nodes no tile reads
+    d = mids[:len(nodes) * b].reshape(-1, 1, b) - nodes
+    d /= half
+    hit = d == 0.0  # a mid on node q: column j is e_q
+    d += hit
+    np.divide(1.0 / gap.prod(axis=2, keepdims=True), d, out=d)  # w_q / (u_j - v_q)
+    d /= d.sum(axis=1, keepdims=True)
+    np.copyto(d, hit, where=hit.any(axis=1, keepdims=True))
+    return d
 
 
 def _evaluated(spec: KernelSpec, times: np.ndarray, mids: np.ndarray, item: tuple):
-    """The parts of one :func:`_layout` item with their numbers, tiles and
-    far factors in chunks of at most _BLOCK_ELEMS numbers (or one tile or
-    term): ("tiles", ti, c0, K(t, s) keep, whether on the moments); ("far",
-    rows, ends, stops, sf, tf), the factors of :func:`_far_terms` with
-    C_H tau^a in tf; ("moments", L), L[J, q, j] = (w_q / (u_j - v_q)) /
-    sum_k w_k / (u_j - v_k), w_q = 1 / prod_(k != q) (v_q - v_k): the
-    Lagrange basis of block J's nodes v at its mids u, each difference in
-    s over the half width; a mid on a node takes that node's unit column.
+    """The parts of one :func:`_layout` or geometry item with their numbers,
+    tiles and far factors in chunks of at most _BLOCK_ELEMS numbers (or one
+    tile or term): ("tiles", ti, c0, K(t, s) keep, whether on the moments);
+    ("far", rows, ends, stops, sf, tf), the factors of :func:`_far_terms`
+    with C_H tau^a in tf; ("moments", L), the :func:`_lagrange` weights,
+    which a geometry's item holds.
     """
     kind, *item = item
     if kind == "tiles":
@@ -498,25 +552,14 @@ def _evaluated(spec: KernelSpec, times: np.ndarray, mids: np.ndarray, item: tupl
         per = max(1, _BLOCK_ELEMS // (rows * cols))
         r, c = np.arange(rows), np.arange(cols)
         for q in range(0, len(ti), per):
-            cq = c0[q:q + per, None] + c
-            k = _kernel_values(spec, times.take(rows * ti[q:q + per, None] + r,
-                                                mode="clip")[:, :, None],
+            i, cq = rows * ti[q:q + per, None] + r, c0[q:q + per, None] + c
+            k = _kernel_values(spec, times.take(i, mode="clip")[:, :, None],
                                points.take(cq, mode="clip")[:, None, :])
-            k *= keep[q:q + per]
+            k *= keep[q:q + per] if nodes is not None else cq[:, None, :] <= i[:, :, None]
             k.transpose(0, 2, 1)[(cq < 0) | (cq >= len(points))] = 0.0
             yield kind, ti[q:q + per], c0[q:q + per], k, nodes is not None
     elif kind == "moments":
-        b, nodes, half = item
-        gap = (nodes - nodes.transpose(0, 2, 1)) / half
-        gap[gap == 0.0] = 1.0  # the diagonal, and repeated nodes no tile reads
-        d = mids[:len(nodes) * b].reshape(-1, 1, b) - nodes
-        d /= half
-        hit = d == 0.0  # a mid on node q: column j is e_q
-        d += hit
-        np.divide(1.0 / gap.prod(axis=2, keepdims=True), d, out=d)  # w_q / (u_j - v_q)
-        d /= d.sum(axis=1, keepdims=True)
-        np.copyto(d, hit, where=hit.any(axis=1, keepdims=True))
-        yield kind, d
+        yield kind, item[3] if len(item) == 4 else _lagrange(mids, *item)
     else:
         rows, ends, stops, tau = item
         scale = _unified_constant(spec) * (tau**spec.hurst / math.sqrt(tau))
@@ -527,10 +570,12 @@ def _evaluated(spec: KernelSpec, times: np.ndarray, mids: np.ndarray, item: tupl
             yield kind, rows, ends, stops, np.array(sf), scale * np.array(tf)
 
 
-def _kept(parts: list) -> tuple:
-    """One item's stored part: the fields that differ between its chunks joined."""
-    return tuple(f[0] if all(g is f[0] for g in f) else np.concatenate(f)
+def _kept(item: tuple, parts: list) -> tuple:
+    """One item's stored part: the fields that differ between its chunks
+    joined, a tile's row and column indices the item's own."""
+    part = tuple(f[0] if all(g is f[0] for g in f) else np.concatenate(f)
                  for f in zip(*parts))
+    return part[:1] + tuple(item[1:3]) + part[3:] if item[0] == "tiles" else part
 
 
 def _apply(part: tuple, x: np.ndarray, out: np.ndarray, moments: np.ndarray) -> None:
@@ -575,15 +620,39 @@ def _product(parts, x: np.ndarray) -> np.ndarray:
     return out[:len(x)].reshape(x.shape)
 
 
+def _geometry(grid: TimeGrid, items=None):
+    """The grid's geometry: the items of :func:`_layout` (``items``, when
+    given), each moments item with its :func:`_lagrange` weights appended.
+    None of it depends on H.  The store keeps it once per grid, read-only,
+    and a hit becomes the most recently used entry.  A geometry over
+    DENSE_BYTES_MAX is the layout items alone, whose weights each product
+    evaluates."""
+    if grid in _DENSE:
+        _DENSE.move_to_end(grid)
+        return _DENSE[grid]
+    mids = grid.midpoints
+    items = items or list(_layout(grid.points[1:], mids))
+    need = _nbytes(items) + 8 * sum(item[1] * item[2].size
+                                    for item in items if item[0] == "moments")
+    if need > DENSE_BYTES_MAX:
+        return items
+    _make_room(need)
+    _DENSE[grid] = geometry = _frozen(tuple(
+        item + (_lagrange(mids, *item[1:]),) if item[0] == "moments" else item
+        for item in items))
+    return geometry
+
+
 def _kernel_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
-    """kernel_matrix(spec, grid) @ x, streamed: each part of :func:`_layout`
-    is evaluated, applied and dropped, O(n log n) kernel values in all.  K
-    == 1 at H = 1/2: the product is the cumulative sum."""
+    """kernel_matrix(spec, grid) @ x, streamed: each part of the grid's
+    :func:`_geometry` is evaluated where it depends on H, applied and
+    dropped, O(n log n) kernel values in all.  K == 1 at H = 1/2: the
+    product is the cumulative sum."""
     if spec.hurst == 0.5:
         return np.cumsum(x, axis=0)
     times, mids = grid.points[1:], grid.midpoints
     return _product(itertools.chain.from_iterable(
-        _evaluated(spec, times, mids, item) for item in _layout(times, mids)), x)
+        _evaluated(spec, times, mids, item) for item in _geometry(grid)), x)
 
 
 def fbm_covariance(hurst: float, s, t):
@@ -654,7 +723,8 @@ def kernel_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
 
 def _kernel_operator(spec: KernelSpec, grid: TimeGrid) -> tuple:
     """The store's entry for (spec, grid): the read-only parts of the kernel
-    matrix, one per :func:`_layout` item, and its last-cell correction.  A
+    matrix, one per :func:`_layout` item, and its last-cell correction.  Its
+    index arrays and Lagrange weights are the grid's :func:`_geometry`.  A
     hit becomes the most recently used entry; on a miss, least recently
     used entries go until the new parts fit."""
     key = (spec, grid)
@@ -662,15 +732,15 @@ def _kernel_operator(spec: KernelSpec, grid: TimeGrid) -> tuple:
         _DENSE.move_to_end(key)
         return _DENSE[key]
     times, mids, n = grid.points[1:], grid.midpoints, grid.n_cells
-    items = list(_layout(times, mids))
-    need = _check_bytes(_factor_bytes(items, n), f"kernel factors of {n} cells")
-    while _DENSE and _dense_held() + need > DENSE_BYTES_MAX:
-        _DENSE.popitem(last=False)
-    parts = tuple(_kept(list(_evaluated(spec, times, mids, item))) for item in items)
-    corr = _cell_correction(spec, times, mids, grid.widths)
-    for a in _arrays(parts, corr):
-        a.flags.writeable = False
-    _DENSE[key] = entry = parts, corr
+    items = _DENSE.get(grid) or list(_layout(times, mids))
+    shared, own = _factor_bytes(items, n)
+    _check_bytes(shared + own, f"kernel factors of {n} cells")
+    geometry = _geometry(grid, items)  # held: it has fewer bytes than the parts
+    _make_room(own, geometry)
+    parts = tuple(_kept(item, list(_evaluated(spec, times, mids, item)))
+                  for item in geometry)
+    _DENSE[key] = entry = _frozen((parts, _cell_correction(spec, times, mids,
+                                                           grid.widths)))
     return entry
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -485,9 +486,10 @@ def test_dense_operators_refuse_oversized_grids():
 
 
 def factor_bytes(spec, grid):
-    """The bytes the store checks before it builds (spec, grid)."""
+    """The bytes the store checks before it builds (spec, grid): those the
+    operator shares with the grid's geometry and its own."""
     items = list(kernels._layout(grid.points[1:], grid.midpoints))
-    return kernels._factor_bytes(items, grid.n_cells)
+    return sum(kernels._factor_bytes(items, grid.n_cells))
 
 
 def test_dense_store_is_bounded_by_bytes(monkeypatch):
@@ -514,7 +516,8 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
         return out
 
     def kept():
-        return [spec.hurst for spec, _ in kernels._DENSE]
+        # the operators' keys; the grid's geometry is the entry keyed by it
+        return [key[0].hurst for key in kernels._DENSE if key != grid]
 
     k3, k7 = kmat(0.3), kmat(0.7)
     assert kmat(0.3) is k3  # a hit, now the most recently used
@@ -570,21 +573,110 @@ def test_stored_product_matches_dense_product(hurst, n, monkeypatch):
     assert all(not a.flags.writeable for a in kernels._arrays(*_kernel_operator(spec, grid)))
 
 
+def layout_grids():
+    """Uniform grids around the tile and level sizes, an uneven grid with
+    evaluated pairs and a geometric one with several bands of far sums."""
+    uneven = np.cumsum(np.random.default_rng(7).uniform(0.01, 1.0, 700))
+    grids = [uniform_grid(1.0, n) for n in (1, 33, 64, 65, 1000, 2048)]
+    return grids + [TimeGrid(np.concatenate(([0.0], points))) for points in
+                    (uneven / uneven[-1], np.geomspace(1e-200, 1.0, 400))]
+
+
 @pytest.mark.parametrize("hurst", [0.01, 0.3, 0.7, 0.99])
 def test_factor_bytes_are_checked_before_the_build(hurst, monkeypatch):
     # the bytes counted from the layout alone are the bytes then held, on
     # grids with evaluated pairs and several bands of far sums
     spec = make_kernel_spec(hurst)
-    rng = np.random.default_rng(7)
-    uneven = np.cumsum(rng.uniform(0.01, 1.0, 700))
-    grids = [uniform_grid(1.0, n) for n in (1, 33, 64, 65, 1000, 2048)]
-    grids += [TimeGrid(np.concatenate(([0.0], points))) for points in
-              (uneven / uneven[-1], np.geomspace(1e-200, 1.0, 400))]
-    for grid in grids:
+    for grid in layout_grids():
         monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
         need = factor_bytes(spec, grid)
         _kernel_operator(spec, grid)
+        kernels._DENSE.pop(grid)  # the geometry: its layout arrays are not parts
         assert kernels._dense_held() == need
+
+
+def per_call_product(spec, grid, x):
+    """K @ x with every part of _layout evaluated for this call alone."""
+    times, mids = grid.points[1:], grid.midpoints
+    return kernels._product(itertools.chain.from_iterable(
+        kernels._evaluated(spec, times, mids, item)
+        for item in kernels._layout(times, mids)), x)
+
+
+@pytest.mark.parametrize("hurst", [0.01, 0.3, 0.7, 0.99])
+def test_streamed_product_with_a_kept_geometry_is_bitwise_per_call(hurst, monkeypatch):
+    # the first product on a grid keeps its geometry and the second reads
+    # it; both are the product that evaluates everything on each call
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    spec = make_kernel_spec(hurst)
+    for grid in layout_grids():
+        x = np.random.default_rng(grid.n_cells).standard_normal((grid.n_cells, 3))
+        ref = per_call_product(spec, grid, x)
+        assert grid not in kernels._DENSE
+        for _ in range(2):
+            assert np.array_equal(_kernel_product(spec, grid, x), ref)
+            assert grid in kernels._DENSE
+
+
+def test_second_product_on_a_grid_rebuilds_no_geometry(monkeypatch):
+    # an equal grid, at another H too: no layout, no Lagrange weights
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    calls = {"_layout": 0, "_lagrange": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(kernels, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    x = np.random.default_rng(0).standard_normal((1024, 2))
+    first = _kernel_product(make_kernel_spec(0.3), uniform_grid(1.0, 1024), x)
+    assert calls["_layout"] == 1 and calls["_lagrange"] == 4  # b = 32, ..., 256
+    calls.update(_layout=0, _lagrange=0)
+    again = _kernel_product(make_kernel_spec(0.3), uniform_grid(1.0, 1024), x)
+    _kernel_product(make_kernel_spec(0.7), uniform_grid(1.0, 1024), x)
+    assert calls == {"_layout": 0, "_lagrange": 0}
+    assert np.array_equal(again, first)
+
+
+def memory_bytes(arrays):
+    """Bytes of memory the arrays reach, each byte once: the union of their
+    address ranges."""
+    bounds = sorted(np.lib.array_utils.byte_bounds(a) for a in arrays)
+    total, end = 0, 0
+    for lo, hi in bounds:
+        total += max(0, hi - max(lo, end))
+        end = max(end, hi)
+    return total
+
+
+def test_operators_on_one_grid_share_its_weights(monkeypatch):
+    # two H on one grid: one geometry, whose Lagrange weights both
+    # operators hold, and the store counts each array once
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    grid = uniform_grid(1.0, 2048)
+    ops = [_kernel_operator(make_kernel_spec(h), grid) for h in (0.3, 0.7)]
+    # a miss reads the geometry first, so it moves up with each new H
+    assert list(kernels._DENSE) == [(make_kernel_spec(0.3), grid), grid,
+                                    (make_kernel_spec(0.7), grid)]
+    weights = [[part[1] for part in parts if part[0] == "moments"] for parts, _ in ops]
+    assert len(weights[0]) == 5  # b = 32, ..., 512
+    assert all(a is b for a, b in zip(*weights, strict=True))
+    held = kernels._dense_held()
+    assert held == memory_bytes(kernels._arrays(*kernels._DENSE.values()))
+    assert held < sum(kernels._nbytes(entry) for entry in kernels._DENSE.values())
+
+
+def test_geometry_over_the_budget_is_evaluated_per_product(monkeypatch):
+    # a budget below one grid's geometry: the product evaluates it on each
+    # call, the same bytes, and the store keeps nothing
+    grid = uniform_grid(1.0, 2048)
+    spec = make_kernel_spec(0.7)
+    x = np.random.default_rng(2).standard_normal((2048, 2))
+    ref = per_call_product(spec, grid, x)
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", 2**20)  # weights: 1.56 MiB
+    for _ in range(2):
+        assert np.array_equal(_kernel_product(spec, grid, x), ref)
+        assert not kernels._DENSE
 
 
 def test_kernel_operator_holds_factors_not_a_dense_matrix(monkeypatch):
@@ -1121,12 +1213,23 @@ def test_near_and_far_split_product_on_large_uneven_grids(hurst):
         assert product_gap(spec, grid, x) <= 1e-14
 
 
-def test_near_and_far_split_product_memory():
-    # 23 terms of (n, 16) float64 alone would be 5.75 MiB
+def test_near_and_far_split_product_memory(monkeypatch):
+    # 23 terms of (n, 16) float64 alone would be 5.75 MiB; the first call
+    # on a grid also keeps its geometry, 1.56 MiB of Lagrange weights and
+    # the layout's index arrays
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     spec = make_kernel_spec(0.3)
     grid = uniform_grid(1.0, 2048)
     x = np.random.default_rng(0).standard_normal((2048, 16))
-    _kernel_product(spec, grid, x)
+    _series(spec.hurst)
+    tracemalloc.start()
+    try:
+        _kernel_product(spec, grid, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(kernels._DENSE) == [grid]
+    assert peak < 3 * 2**20 + kernels._dense_held()
     tracemalloc.start()
     try:
         _kernel_product(spec, grid, x)
