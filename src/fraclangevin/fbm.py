@@ -14,8 +14,8 @@ memory, nothing stored.  Any other grid forms R and factors it densely
 by LAPACK in O(n^3) on each call, and keeps nothing either.  The kernel
 route discretizes B^H_t = int_0^t K(t,s) dB_s with midpoint kernel
 values against raw Brownian increments; it is consistent as the mesh
-shrinks and reduces to plain Bm partial sums at H = 1/2.  Its product,
-``kernels._stored_product``, applies the kernel factors the store keeps.
+shrinks and reduces to plain Bm partial sums at H = 1/2.  Its product is
+the one kernel product, ``kernels._kernel_product``.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .core import NoiseStream, Path, TimeGrid
-from .kernels import (KernelSpec, _check_dense, _check_hurst, _stored_product,
+from .kernels import (KernelSpec, _check_dense, _check_hurst, _kernel_product,
                       fbm_covariance)
 from .noise import gaussian_increments
 
@@ -136,4 +136,4 @@ def sample_fbm_kernel(spec: KernelSpec, grid: TimeGrid, stream: NoiseStream) -> 
     of the same increments (K == 1).
     """
     db = gaussian_increments(grid, stream)
-    return Path(grid, np.concatenate(([0.0], _stored_product(spec, grid, db))))
+    return Path(grid, np.concatenate(([0.0], _kernel_product(spec, grid, db))))

@@ -143,9 +143,9 @@ def _residual_pass(spec: KernelSpec, params: LangevinParams, grid: TimeGrid,
     (grid points by rows, one path per column of ``db``), shaped like ``db``.
 
     r(t_i) = sum_j K(t_i, m_j) (m dV_j + b w_j V_j - sigma dB_j), V_j at the
-    midpoints, plus the kernel's last-cell correction.  The kernel sums
-    stream through :func:`_kernel_product`, O(n log n) kernel values; the
-    store keeps the grid's geometry alone.
+    midpoints, plus the kernel's last-cell correction.  The kernel sums are
+    one :func:`_kernel_product`: a grid's first pass streams them, later
+    passes apply the operator the store then keeps.
     """
     n = grid.n_cells
     m, b, sig = params.mass, params.friction, params.sigma

@@ -52,16 +52,18 @@ None of the layout depends on H, nor do each level's Lagrange weights:
 they are the grid's geometry (``_geometry``), which the one store,
 ``_DENSE``, keeps once per grid, 0.63 MiB of weights at n = 1024.  The
 operators of every H on a grid share its arrays.  ``_apply`` adds one
-part's share of K @ x: the residual pass evaluates the parts that depend
-on H, tile values and far factors, applies each and drops it
-(``_kernel_product``); the store keeps them per (H, grid).  All of it is
-held within DENSE_BYTES_MAX bytes, least recently used first out, an
-operator 4.7 MiB at n = 2048 against 32 MiB dense.
+part's share of K @ x.  ``_kernel_product`` is the one product: a grid's
+first streams, evaluating each part that depends on H (tile values, far
+factors), applying and dropping it, and keeps the geometry; once the store
+holds the geometry or the (H, grid) operator, it applies that operator,
+built and kept on first use.  The store holds at most DENSE_BYTES_MAX bytes,
+an operator 4.7 MiB at n = 2048 against 32 MiB dense; one over it streams.
 ``kernel_matrix`` and ``weight_matrix`` build dense arrays from
 ``_row_blocks``.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from collections import OrderedDict
@@ -94,7 +96,8 @@ _DENSE: OrderedDict = OrderedDict()
 
 class DenseSizeError(ValueError):
     """Kernel factors, dense n x n operators or the step draws of
-    ``donsker_path`` and ``theta_epsilon_path`` would exceed DENSE_BYTES_MAX."""
+    ``donsker_path`` and ``theta_epsilon_path`` would exceed DENSE_BYTES_MAX.
+    Kernel factors no longer reach callers: ``_kernel_product`` streams them."""
 
 
 def _check_bytes(need: int, what: str) -> int:
@@ -643,7 +646,7 @@ def _geometry(grid: TimeGrid, items=None):
     return geometry
 
 
-def _kernel_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
+def _streamed_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
     """kernel_matrix(spec, grid) @ x, streamed: each part of the grid's
     :func:`_geometry` is evaluated where it depends on H, applied and
     dropped, O(n log n) kernel values in all.  K == 1 at H = 1/2: the
@@ -744,12 +747,14 @@ def _kernel_operator(spec: KernelSpec, grid: TimeGrid) -> tuple:
     return entry
 
 
-def _stored_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
-    """kernel_matrix(spec, grid) @ x from the store; x is (n,) or (n, S).
-    K == 1 at H = 1/2: the product is the cumulative sum."""
-    if spec.hurst == 0.5:
-        return np.cumsum(x, axis=0)
-    return _product(_kernel_operator(spec, grid)[0], x)
+def _kernel_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
+    """kernel_matrix(spec, grid) @ x, x (n,) or (n, S): the stored (spec, grid)
+    operator's, built on first use, when the store holds it or the grid's
+    geometry, else (or when :func:`_kernel_operator` refuses it) streamed."""
+    if spec.hurst != 0.5 and ((spec, grid) in _DENSE or grid in _DENSE):
+        with contextlib.suppress(DenseSizeError):  # over the budget alone: stream
+            return _product(_kernel_operator(spec, grid)[0], x)
+    return _streamed_product(spec, grid, x)
 
 
 def weight_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
@@ -769,9 +774,12 @@ def weight_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
 def _kernel_integral(spec: KernelSpec, grid: TimeGrid, f: np.ndarray):
     """weight_matrix(spec, grid) @ f without forming it; f is (n,) or (n, S)."""
     col = (-1,) + (1,) * (f.ndim - 1)
-    out = _stored_product(spec, grid, grid.widths.reshape(col) * f)
+    out = _kernel_product(spec, grid, grid.widths.reshape(col) * f)
     if spec.hurst != 0.5:
-        out += _kernel_operator(spec, grid)[1].reshape(col) * f
+        held = _DENSE.get((spec, grid))  # held exactly when the product applied it
+        corr = held[1] if held else _cell_correction(
+            spec, grid.points[1:], grid.midpoints, grid.widths)
+        out += corr.reshape(col) * f
     return out
 
 

@@ -111,6 +111,8 @@ def _checked_increments(grid: TimeGrid, increments) -> np.ndarray:
     db = np.asarray(increments, dtype=float)
     if db.shape != (grid.n_cells,):
         raise ValueError("need exactly one Brownian increment per grid cell")
+    if not np.isfinite(db).all():
+        raise ValueError(f"Brownian increment {np.isfinite(db).argmin()} is not finite")
     return db
 
 

@@ -1,11 +1,12 @@
 import json
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fraclangevin import estimate_hurst
+from fraclangevin import KernelSpec, estimate_hurst, kernels, uniform_grid
 from fraclangevin.cli import _read_csv, _write_csv, main
 
 
@@ -70,18 +71,38 @@ def test_simulate_fbm_requires_seed(runner, tmp_path):
     assert "--seed" in res.output
 
 
-def test_simulate_fbm_steps_over_dense_budget(runner, tmp_path):
-    # the kernel factors of 300000 cells need 1.5 GiB, counted before any
-    # is built; they fit up to 211840 cells
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["simulate-fbm", "--hurst", "0.3", "--steps",
-                               "300000", "--seed", "1", "--method", "kernel",
-                               "--out", str(out)])
-    assert res.exit_code != 0
-    assert isinstance(res.exception, SystemExit)
-    assert "--steps 300000 is too large" in res.output
-    assert "Traceback" not in res.output
-    assert not out.exists()
+def test_commands_stream_kernel_factors_over_the_budget(runner, tmp_path, monkeypatch):
+    # a budget between the n = 512 geometry (256 KB) and one operator
+    # (835 KB): every product streams and no operator is kept, and the
+    # outputs match a run with the default budget, whose later products
+    # apply stored operators, within rounding: paths and V^H within 4.4e-16
+    # absolute (2.2e-16 measured), A_H and its ratios within 1e-14 relative
+    # (4e-15 measured, a ratio divides by an integral near 0 at small t)
+    def run(tag):
+        monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+        vel = str(tmp_path / f"{tag}vel.csv")
+        grid = ["--hurst", "0.3", "--steps", "512"]
+        for args in (["simulate-fbm", *grid, "--method", "kernel", "--paths", "2",
+                      "--seed", "1", "--out", str(tmp_path / f"{tag}fbm.csv")],
+                     ["simulate-velocity", *grid, "--seed", "2", "--out", vel],
+                     ["estimate-ah", vel, vel, "--hurst", "0.3",
+                      "--out", str(tmp_path / f"{tag}ah.json")]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, res.output
+        return [key for key in kernels._DENSE if isinstance(key, tuple)]
+
+    assert run("stored") == [(KernelSpec(0.3), uniform_grid(1.0, 512))]
+    monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", 1 << 19)
+    assert run("streamed") == []
+    for name in ("fbm.csv", "vel.csv"):
+        (_, stored), (_, streamed) = (read_csv(tmp_path / f"{tag}{name}")
+                                      for tag in ("stored", "streamed"))
+        assert np.all(np.abs(stored - streamed) <= 4.4e-16)
+    stored, streamed = (json.loads((tmp_path / f"{tag}ah.json").read_text())
+                        for tag in ("stored", "streamed"))
+    assert math.isclose(stored["amplitude"], streamed["amplitude"], rel_tol=1e-14)
+    for a, b in zip(stored["ratios"], streamed["ratios"], strict=True):
+        assert a["t"] == b["t"] and math.isclose(a["ratio"], b["ratio"], rel_tol=1e-14)
 
 
 def test_simulate_fbm_exact_on_a_long_uniform_grid(runner, tmp_path):

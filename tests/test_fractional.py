@@ -248,6 +248,20 @@ def test_residual_rejects_mismatched_increments():
         normalized_residual_max(SPEC7, PARAMS, v, np.zeros(63))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_increments_are_refused_by_index(bad):
+    # the Euler-Maruyama solver and the residual certificate refuse a
+    # non-finite increment by its index, before any arithmetic warns
+    grid = uniform_grid(1.0, 64)
+    db = gaussian_increments(grid, NoiseStream(3))
+    v = simulate_ou_em(PARAMS, grid, db)
+    db[5] = bad
+    for call in (lambda: simulate_ou_em(PARAMS, grid, db),
+                 lambda: normalized_residual_max(SPEC7, PARAMS, v, db)):
+        with pytest.raises(ValueError, match="increment 5 is not finite"):
+            call()
+
+
 def test_residual_study_improves_with_refinement():
     study = residual_refinement_study(SPEC7, PARAMS, 1.0, [256, 1024], 8,
                                       NoiseStream(8))

@@ -21,7 +21,7 @@ from fraclangevin import kernels
 from fraclangevin.kernels import (SERIES_TOL, _beta, _cell_correction,
                                   _kernel_integral, _kernel_operator,
                                   _kernel_product, _kernel_values,
-                                  _row_blocks, _series, _stored_product)
+                                  _row_blocks, _series, _streamed_product)
 
 # High-precision reference values (mpmath, 30 digits).  Kernel points come
 # from the exact closed form of the inner integral,
@@ -557,17 +557,20 @@ def blocks_kernel_matrix(spec, grid):
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537, 2048, 2500])
 @pytest.mark.parametrize("hurst", [0.3, 0.7])
 def test_stored_product_matches_dense_product(hurst, n, monkeypatch):
-    # the stored product against the one-call dense matrix, which
-    # kernel_matrix reproduces bit for bit
+    # the stored product, _kernel_product on a grid whose geometry the
+    # store holds, against the one-call dense matrix, which kernel_matrix
+    # reproduces bit for bit
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     spec = make_kernel_spec(hurst)
     grid = uniform_grid(1.0, n)
     ref = blocks_kernel_matrix(spec, grid)
     assert np.array_equal(kernel_matrix(spec, grid), ref)
     rng = np.random.default_rng(n)
+    _kernel_product(spec, grid, np.zeros(n))  # the first product keeps the geometry
     for shape in [(n,), (n, 4)]:
         x = rng.standard_normal(shape)
-        got = _stored_product(spec, grid, x)
+        got = _kernel_product(spec, grid, x)
+        assert (spec, grid) in kernels._DENSE
         assert got.shape == shape
         assert np.all(np.abs(got - ref @ x) <= 1e-13 * (np.abs(ref) @ np.abs(x)))
     assert all(not a.flags.writeable for a in kernels._arrays(*_kernel_operator(spec, grid)))
@@ -614,7 +617,7 @@ def test_streamed_product_with_a_kept_geometry_is_bitwise_per_call(hurst, monkey
         ref = per_call_product(spec, grid, x)
         assert grid not in kernels._DENSE
         for _ in range(2):
-            assert np.array_equal(_kernel_product(spec, grid, x), ref)
+            assert np.array_equal(_streamed_product(spec, grid, x), ref)
             assert grid in kernels._DENSE
 
 
@@ -628,11 +631,11 @@ def test_second_product_on_a_grid_rebuilds_no_geometry(monkeypatch):
             return _f(*args)
         monkeypatch.setattr(kernels, name, counted)
     x = np.random.default_rng(0).standard_normal((1024, 2))
-    first = _kernel_product(make_kernel_spec(0.3), uniform_grid(1.0, 1024), x)
+    first = _streamed_product(make_kernel_spec(0.3), uniform_grid(1.0, 1024), x)
     assert calls["_layout"] == 1 and calls["_lagrange"] == 4  # b = 32, ..., 256
     calls.update(_layout=0, _lagrange=0)
-    again = _kernel_product(make_kernel_spec(0.3), uniform_grid(1.0, 1024), x)
-    _kernel_product(make_kernel_spec(0.7), uniform_grid(1.0, 1024), x)
+    again = _streamed_product(make_kernel_spec(0.3), uniform_grid(1.0, 1024), x)
+    _streamed_product(make_kernel_spec(0.7), uniform_grid(1.0, 1024), x)
     assert calls == {"_layout": 0, "_lagrange": 0}
     assert np.array_equal(again, first)
 
@@ -677,6 +680,53 @@ def test_geometry_over_the_budget_is_evaluated_per_product(monkeypatch):
     for _ in range(2):
         assert np.array_equal(_kernel_product(spec, grid, x), ref)
         assert not kernels._DENSE
+
+
+def test_the_store_decides_what_a_product_keeps(monkeypatch):
+    # on a fresh store: H = 1/2 keeps nothing; a grid's first product
+    # streams and keeps the geometry alone; a second, at any H, applies
+    # that (spec, grid) operator, built and kept; and an operator still
+    # held is applied after its geometry has been evicted
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    grid = uniform_grid(1.0, 512)
+    s3, s7 = make_kernel_spec(0.3), make_kernel_spec(0.7)
+    x = np.random.default_rng(5).standard_normal((512, 2))
+    assert np.array_equal(_kernel_product(make_kernel_spec(0.5), grid, x),
+                          np.cumsum(x, axis=0))
+    assert not kernels._DENSE
+    first = _kernel_product(s3, grid, x)
+    assert list(kernels._DENSE) == [grid]
+    assert np.array_equal(first, _streamed_product(s3, grid, x))
+    second = _kernel_product(s7, grid, x)
+    assert list(kernels._DENSE) == [grid, (s7, grid)]
+    assert np.array_equal(second, kernels._product(kernels._DENSE[(s7, grid)][0], x))
+    again = _kernel_product(s3, grid, x)
+    assert list(kernels._DENSE) == [(s7, grid), grid, (s3, grid)]
+    assert np.array_equal(again, kernels._product(kernels._DENSE[(s3, grid)][0], x))
+    kernels._DENSE.pop(grid)  # evicted, as least recently used
+    assert np.array_equal(_kernel_product(s7, grid, x), second)
+    assert list(kernels._DENSE) == [(s3, grid), (s7, grid)]
+
+
+def test_an_operator_over_the_budget_is_streamed_on_every_product(monkeypatch):
+    # a budget between the n = 512 geometry and one operator: every
+    # product streams and keeps the geometry alone, within the product-gap
+    # bound of the stored product
+    grid = uniform_grid(1.0, 512)
+    x = np.random.default_rng(6).standard_normal((512, 3))
+    specs = [make_kernel_spec(h) for h in (0.3, 0.7)]
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    stored = [[_kernel_product(spec, grid, x) for _ in range(2)][1] for spec in specs]
+    assert all((spec, grid) in kernels._DENSE for spec in specs)
+    scales = [np.abs(kernel_matrix(spec, grid)) @ np.abs(x) for spec in specs]
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", 1 << 19)
+    for spec, ref, scale in zip(specs * 2, stored * 2, scales * 2):
+        got = _kernel_product(spec, grid, x)
+        assert list(kernels._DENSE) == [grid]
+        assert kernels._dense_held() < 1 << 19 < factor_bytes(spec, grid)
+        assert np.array_equal(got, _streamed_product(spec, grid, x))
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
 
 
 def test_kernel_operator_holds_factors_not_a_dense_matrix(monkeypatch):
@@ -1052,10 +1102,11 @@ def test_streamed_and_stored_products_agree(hurst, n, monkeypatch):
     rng = np.random.default_rng(n)
     for shape in [(n,), (n, 3)]:
         x = rng.standard_normal(shape)
-        got = _kernel_product(spec, grid, x)
+        got = _streamed_product(spec, grid, x)
         assert got.shape == shape
-        assert np.all(np.abs(got - _stored_product(spec, grid, x))
+        assert np.all(np.abs(got - _kernel_product(spec, grid, x))
                       <= 1e-14 * (ref @ np.abs(x)))
+        assert (spec, grid) in kernels._DENSE  # the geometry was held: stored
 
 
 @pytest.mark.parametrize("n", [511, 2048])
@@ -1157,8 +1208,9 @@ PRODUCT_HURSTS = (0.01, 0.1, 0.3, 0.45, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.55, 0.7,
 
 def product_gap(spec, grid, x):
     """|product - the row-block product| / (|K| @ |x|), largest entry, of
-    the streamed and the stored product; the store keeps nothing of it."""
-    got = np.stack((_kernel_product(spec, grid, x), _stored_product(spec, grid, x)))
+    the streamed and the stored product (_kernel_product once the streamed
+    one has kept the grid's geometry); the store keeps no operator of it."""
+    got = np.stack((_streamed_product(spec, grid, x), _kernel_product(spec, grid, x)))
     kernels._DENSE.pop((spec, grid), None)
     assert got.shape[1:] == x.shape
     ref, scale = np.empty_like(x), np.empty_like(x)
@@ -1224,7 +1276,7 @@ def test_near_and_far_split_product_memory(monkeypatch):
     _series(spec.hurst)
     tracemalloc.start()
     try:
-        _kernel_product(spec, grid, x)
+        _streamed_product(spec, grid, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1232,7 +1284,7 @@ def test_near_and_far_split_product_memory(monkeypatch):
     assert peak < 3 * 2**20 + kernels._dense_held()
     tracemalloc.start()
     try:
-        _kernel_product(spec, grid, x)
+        _streamed_product(spec, grid, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1245,10 +1297,10 @@ def test_kernel_product_reads_x_per_tile():
     spec = make_kernel_spec(0.3)
     grid = uniform_grid(1.0, 1024)
     x = np.random.default_rng(1).standard_normal((1024, 16))
-    _kernel_product(spec, grid, x)
+    _streamed_product(spec, grid, x)
     tracemalloc.start()
     try:
-        _kernel_product(spec, grid, x)
+        _streamed_product(spec, grid, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1278,5 +1330,5 @@ def test_near_and_far_split_product_evaluates_n_log_n_kernel_values(n, monkeypat
         return out
 
     monkeypatch.setattr(kernels, "_kernel_values", counted)
-    _kernel_product(make_kernel_spec(0.3), uniform_grid(1.0, n), np.ones((n, 2)))
+    _streamed_product(make_kernel_spec(0.3), uniform_grid(1.0, n), np.ones((n, 2)))
     assert sum(evaluated) <= 20 * n * math.log2(n)

@@ -18,8 +18,9 @@ The hashes depend on the platform (CPU, Python and numpy build).
 Every kernel product goes through the parts of ``kernels._layout``:
 entries evaluated next to the diagonal, column blocks interpolated
 further out and prefix sums of the closed form below about s = t/2.
-The n = 512 commands apply them from the store, ``validate`` streams
-them through ``kernels._kernel_product``; the hashes see both.
+A command's first product on a grid streams them, and later ones apply
+the operator the store then keeps (``kernels._kernel_product``): the
+``--paths 4`` kernel runs use both, ``validate`` streams; the hashes see both.
 
 ``--against OTHER_OUTDIR`` compares with the outputs an earlier run left
 there, for instance from another checkout: for each file whose hash
