@@ -26,7 +26,7 @@ from .core import NoiseStream, Path, TimeGrid, uniform_grid
 from .fractional import (FractionalConfig, ah_ratios, estimate_ah,
                          fractional_velocity, residual_refinement_study)
 from .hurst import DEFAULT_T_MIN, estimate_hurst
-from .kernels import KernelSpec, verify_covariance_identity
+from .kernels import DenseSizeError, KernelSpec, _check_bytes, verify_covariance_identity
 from .langevin import LangevinParams, simulate_ou_exact
 from .fbm import sample_fbm_exact, sample_fbm_kernel
 from .noise import (StepKind, donsker_path, gaussian_increments,
@@ -133,10 +133,14 @@ _cells = click.IntRange(min=1)
 
 
 def _grid(horizon, steps, hurst=None):
-    """uniform_grid; a --horizon error if too small for distinct points or,
-    given ``hurst``, if (horizon/steps)^2H or 2 horizon^2H is not normal."""
+    """uniform_grid; a --steps error if its points exceed the byte budget, a
+    --horizon error if too small for distinct points or, given ``hurst``,
+    if (horizon/steps)^2H or 2 horizon^2H is not normal."""
     try:
+        _check_bytes(8 * (steps + 1), f"{steps + 1} grid points")  # before any is held
         grid = uniform_grid(horizon, steps)
+    except DenseSizeError as exc:
+        raise click.BadParameter(str(exc), param_hint=["--steps"])
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint=["--horizon"])
     if hurst is not None and not (
@@ -213,7 +217,10 @@ def cmd_simulate_fbm(hurst, horizon, steps, paths, seed, method, out, report):
 def cmd_simulate_velocity(hurst, ah, mass, friction, sigma, v0, horizon, steps,
                           seed, out):
     """Exact OU velocity path plus its fractional transform to CSV."""
-    params = LangevinParams(mass=mass, friction=friction, sigma=sigma, v0=v0)
+    try:
+        params = LangevinParams(mass=mass, friction=friction, sigma=sigma, v0=v0)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=["--mass", "--friction", "--sigma"])
     grid = _grid(horizon, steps)
     v = simulate_ou_exact(params, grid, NoiseStream(seed))
     spec = KernelSpec(hurst)

@@ -48,18 +48,18 @@ as rounded (Berrut & Trefethen, SIAM Review 46, 2004), which a block whose
 rounded nodes repeat does not have: it is evaluated instead.
 The far half is the closed form's short sum of powers s^alpha t^beta, so
 each of its 23 terms is one prefix sum over the columns (``_far_terms``).
-None of the layout depends on H, nor do each level's Lagrange weights:
-they are the grid's geometry (``_geometry``), which the one store,
-``_DENSE``, keeps once per grid, 0.63 MiB of weights at n = 1024.  The
-operators of every H on a grid share its arrays.  ``_apply`` adds one
-part's share of K @ x.  ``_kernel_product`` is the one product: a grid's
-first streams, evaluating each part that depends on H (tile values, far
-factors), applying and dropping it, and keeps the geometry; once the store
-holds the geometry or the (H, grid) operator, it applies that operator,
-built and kept on first use.  The store holds at most DENSE_BYTES_MAX bytes,
-an operator 4.7 MiB at n = 2048 against 32 MiB dense; one over it streams.
-``kernel_matrix`` and ``weight_matrix`` build dense arrays from
-``_row_blocks``.
+None of the layout depends on H: it is the grid's geometry (``_geometry``),
+which the one store, ``_DENSE``, keeps once per grid, 50 KiB at n = 2048,
+its index arrays shared by the operators of every H.  Each level's
+Lagrange weights are an operator's own part, 1.56 MiB at n = 2048.
+``_apply`` adds one part's share of K @ x.  ``_kernel_product`` is the one
+product: a grid's first streams, evaluating each part (tile values,
+Lagrange weights, far factors), applying and dropping it, and keeps the
+geometry alone; once the store holds the geometry or the (H, grid)
+operator, it applies that operator, built and kept on first use.  The
+store holds at most DENSE_BYTES_MAX bytes, an operator 4.7 MiB at n = 2048
+against 32 MiB dense; one over it streams.  ``kernel_matrix`` and
+``weight_matrix`` build dense arrays from ``_row_blocks``.
 """
 from __future__ import annotations
 
@@ -506,16 +506,16 @@ def _layout(times: np.ndarray, mids: np.ndarray):
 
 def _factor_bytes(items, n: int) -> tuple:
     """Bytes of the stored parts of an operator on :func:`_layout`'s
-    ``items`` or on a geometry, every array float64 or int64: (those it
-    shares with the geometry, the index arrays and each level's Lagrange
-    weights; those of its own, tile values, far factors and n corrections)."""
+    ``items``, every array float64 or int64: (those it shares with the
+    grid's geometry, the index arrays; those of its own, tile values, each
+    level's Lagrange weights, far factors and n corrections)."""
     shared, own = 0, n
     for kind, *item in items:
         if kind == "tiles":
             shared += 2 * len(item[0])
             own += item[2].size
         elif kind == "moments":
-            shared += item[1].size * item[0]
+            own += item[1].size * item[0]
         else:  # rows, ends, stops and _SERIES_DEGREE + 3 terms of _far_terms
             shared += len(item[0]) + 2 * len(item[1])
             own += (len(item[0]) + item[1][-1]) * (_SERIES_DEGREE + 3)
@@ -540,12 +540,11 @@ def _lagrange(mids: np.ndarray, b: int, nodes: np.ndarray, half: np.ndarray):
 
 
 def _evaluated(spec: KernelSpec, times: np.ndarray, mids: np.ndarray, item: tuple):
-    """The parts of one :func:`_layout` or geometry item with their numbers,
-    tiles and far factors in chunks of at most _BLOCK_ELEMS numbers (or one
-    tile or term): ("tiles", ti, c0, K(t, s) keep, whether on the moments);
-    ("far", rows, ends, stops, sf, tf), the factors of :func:`_far_terms`
-    with C_H tau^a in tf; ("moments", L), the :func:`_lagrange` weights,
-    which a geometry's item holds.
+    """The parts of one :func:`_layout` item with their numbers, tiles and
+    far factors in chunks of at most _BLOCK_ELEMS numbers (or one tile or
+    term): ("tiles", ti, c0, K(t, s) keep, whether on the moments); ("far",
+    rows, ends, stops, sf, tf), the factors of :func:`_far_terms` with
+    C_H tau^a in tf; ("moments", L), the :func:`_lagrange` weights.
     """
     kind, *item = item
     if kind == "tiles":
@@ -562,7 +561,7 @@ def _evaluated(spec: KernelSpec, times: np.ndarray, mids: np.ndarray, item: tupl
             k.transpose(0, 2, 1)[(cq < 0) | (cq >= len(points))] = 0.0
             yield kind, ti[q:q + per], c0[q:q + per], k, nodes is not None
     elif kind == "moments":
-        yield kind, item[3] if len(item) == 4 else _lagrange(mids, *item)
+        yield kind, _lagrange(mids, *item)
     else:
         rows, ends, stops, tau = item
         scale = _unified_constant(spec) * (tau**spec.hurst / math.sqrt(tau))
@@ -625,32 +624,25 @@ def _product(parts, x: np.ndarray) -> np.ndarray:
 
 def _geometry(grid: TimeGrid, items=None):
     """The grid's geometry: the items of :func:`_layout` (``items``, when
-    given), each moments item with its :func:`_lagrange` weights appended.
-    None of it depends on H.  The store keeps it once per grid, read-only,
-    and a hit becomes the most recently used entry.  A geometry over
-    DENSE_BYTES_MAX is the layout items alone, whose weights each product
-    evaluates."""
+    given), indices, nodes and bands, none of which depends on H.  The
+    store keeps it once per grid, read-only, and a hit becomes the most
+    recently used entry; one over DENSE_BYTES_MAX is returned unkept."""
     if grid in _DENSE:
         _DENSE.move_to_end(grid)
         return _DENSE[grid]
-    mids = grid.midpoints
-    items = items or list(_layout(grid.points[1:], mids))
-    need = _nbytes(items) + 8 * sum(item[1] * item[2].size
-                                    for item in items if item[0] == "moments")
+    items = items or list(_layout(grid.points[1:], grid.midpoints))
+    need = _nbytes(items)
     if need > DENSE_BYTES_MAX:
         return items
     _make_room(need)
-    _DENSE[grid] = geometry = _frozen(tuple(
-        item + (_lagrange(mids, *item[1:]),) if item[0] == "moments" else item
-        for item in items))
+    _DENSE[grid] = geometry = _frozen(tuple(items))
     return geometry
 
 
 def _streamed_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
-    """kernel_matrix(spec, grid) @ x, streamed: each part of the grid's
-    :func:`_geometry` is evaluated where it depends on H, applied and
-    dropped, O(n log n) kernel values in all.  K == 1 at H = 1/2: the
-    product is the cumulative sum."""
+    """kernel_matrix(spec, grid) @ x, streamed: each part on the grid's
+    :func:`_geometry` is evaluated, applied and dropped, O(n log n) kernel
+    values in all.  K == 1 at H = 1/2: the product is the cumulative sum."""
     if spec.hurst == 0.5:
         return np.cumsum(x, axis=0)
     times, mids = grid.points[1:], grid.midpoints
@@ -727,9 +719,9 @@ def kernel_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
 def _kernel_operator(spec: KernelSpec, grid: TimeGrid) -> tuple:
     """The store's entry for (spec, grid): the read-only parts of the kernel
     matrix, one per :func:`_layout` item, and its last-cell correction.  Its
-    index arrays and Lagrange weights are the grid's :func:`_geometry`.  A
-    hit becomes the most recently used entry; on a miss, least recently
-    used entries go until the new parts fit."""
+    index arrays are the grid's :func:`_geometry`, its Lagrange weights its
+    own.  A hit becomes the most recently used entry; on a miss, least
+    recently used entries go until the new parts fit."""
     key = (spec, grid)
     if key in _DENSE:
         _DENSE.move_to_end(key)
@@ -738,10 +730,9 @@ def _kernel_operator(spec: KernelSpec, grid: TimeGrid) -> tuple:
     items = _DENSE.get(grid) or list(_layout(times, mids))
     shared, own = _factor_bytes(items, n)
     _check_bytes(shared + own, f"kernel factors of {n} cells")
-    geometry = _geometry(grid, items)  # held: it has fewer bytes than the parts
-    _make_room(own, geometry)
+    _make_room(own, _geometry(grid, items))  # held: fewer bytes than the parts
     parts = tuple(_kept(item, list(_evaluated(spec, times, mids, item)))
-                  for item in geometry)
+                  for item in items)
     _DENSE[key] = entry = _frozen((parts, _cell_correction(spec, times, mids,
                                                            grid.widths)))
     return entry

@@ -43,12 +43,13 @@ class LangevinParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite; got {value!r}")
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
-        if not self.friction > 0:
-            raise ValueError("friction must be positive")
-        if self.sigma < 0:
-            raise ValueError("noise intensity must be nonnegative")
+        two_bm = 2.0 * self.friction * self.mass
+        if not (self.mass > 0 and self.friction > 0 and self.sigma >= 0
+                and two_bm > 0 and math.isfinite(self.rate)
+                and math.isfinite(self.sigma / math.sqrt(two_bm))):
+            raise ValueError(
+                f"mass {self.mass!r}, friction {self.friction!r}, sigma {self.sigma!r}: "
+                "need m, b > 0, sigma >= 0, 2bm > 0, b/m and sigma/sqrt(2bm) finite")
 
     @property
     def rate(self) -> float:

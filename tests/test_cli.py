@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fraclangevin import KernelSpec, estimate_hurst, kernels, uniform_grid
+from fraclangevin import KernelSpec, cli, estimate_hurst, kernels, uniform_grid
 from fraclangevin.cli import _read_csv, _write_csv, main
 
 
@@ -72,7 +72,7 @@ def test_simulate_fbm_requires_seed(runner, tmp_path):
 
 
 def test_commands_stream_kernel_factors_over_the_budget(runner, tmp_path, monkeypatch):
-    # a budget between the n = 512 geometry (256 KB) and one operator
+    # a budget between the n = 512 geometry (10 KiB) and one operator
     # (835 KB): every product streams and no operator is kept, and the
     # outputs match a run with the default budget, whose later products
     # apply stored operators, within rounding: paths and V^H within 4.4e-16
@@ -103,6 +103,54 @@ def test_commands_stream_kernel_factors_over_the_budget(runner, tmp_path, monkey
     assert math.isclose(stored["amplitude"], streamed["amplitude"], rel_tol=1e-14)
     for a, b in zip(stored["ratios"], streamed["ratios"], strict=True):
         assert a["t"] == b["t"] and math.isclose(a["ratio"], b["ratio"], rel_tol=1e-14)
+
+
+def test_one_shot_velocity_keeps_the_grid_layout_alone(runner, tmp_path, monkeypatch):
+    # simulate-velocity applies the kernel once: the store keeps the
+    # grid's layout (49.7 KiB at 2048 steps) and no Lagrange weights
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    grid = uniform_grid(1.0, 2048)
+    res = runner.invoke(main, ["simulate-velocity", "--hurst", "0.7", "--steps", "2048",
+                               "--seed", "1", "--out", str(tmp_path / "v.csv")])
+    assert res.exit_code == 0, res.output
+    assert list(kernels._DENSE) == [grid]
+    layout = kernels._nbytes(list(kernels._layout(grid.points[1:], grid.midpoints)))
+    assert kernels._dense_held() <= layout
+
+
+@pytest.mark.parametrize("command", ["simulate-fbm", "simulate-velocity"])
+def test_steps_over_the_budget_are_refused_before_the_grid(runner, tmp_path,
+                                                          monkeypatch, command):
+    # 10^12 steps would hold 7450.6 GiB of grid points: refused by the
+    # dense budget before the grid is built, so nothing is allocated
+    def unbuilt(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli, "uniform_grid", unbuilt)
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, [command, "--hurst", "0.7", "--steps", str(10**12),
+                               "--seed", "1", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--steps'" in res.output and "GiB" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--mass", "1e-320"],
+                                   ["--friction", "1e-300", "--mass", "1e-300"],
+                                   ["--friction", "1e-300", "--mass", "1e-300",
+                                    "--sigma", "0"],
+                                   ["--sigma", "1e200", "--friction", "1e-150",
+                                    "--mass", "1e-150"]],
+                         ids=["rate", "2bm", "2bm-quiet", "stationary-std"])
+def test_simulate_velocity_refuses_unrepresentable_parameters(runner, tmp_path, extra):
+    # b/m overflows, 2bm underflows or sigma/sqrt(2bm) overflows: exit 2
+    # naming the three options, where the solver ended in a traceback
+    out = tmp_path / "v.csv"
+    res = runner.invoke(main, ["simulate-velocity", "--hurst", "0.3", "--steps", "64",
+                               "--seed", "1", "--out", str(out), *extra])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--mass' / '--friction' / '--sigma'" in res.output
+    assert not out.exists()
 
 
 def test_simulate_fbm_exact_on_a_long_uniform_grid(runner, tmp_path):

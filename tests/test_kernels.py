@@ -622,7 +622,8 @@ def test_streamed_product_with_a_kept_geometry_is_bitwise_per_call(hurst, monkey
 
 
 def test_second_product_on_a_grid_rebuilds_no_geometry(monkeypatch):
-    # an equal grid, at another H too: no layout, no Lagrange weights
+    # an equal grid, at another H too: no layout, but every streamed
+    # product evaluates its own Lagrange weights and keeps none
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     calls = {"_layout": 0, "_lagrange": 0}
     for name in calls:
@@ -636,8 +637,19 @@ def test_second_product_on_a_grid_rebuilds_no_geometry(monkeypatch):
     calls.update(_layout=0, _lagrange=0)
     again = _streamed_product(make_kernel_spec(0.3), uniform_grid(1.0, 1024), x)
     _streamed_product(make_kernel_spec(0.7), uniform_grid(1.0, 1024), x)
-    assert calls == {"_layout": 0, "_lagrange": 0}
+    assert calls == {"_layout": 0, "_lagrange": 8}
     assert np.array_equal(again, first)
+
+
+def test_a_one_shot_product_keeps_the_layout_alone(monkeypatch):
+    # one product on a fresh store keeps the grid's layout, 49.7 KiB at
+    # n = 2048, and none of its 1.56 MiB of Lagrange weights
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    grid = uniform_grid(1.0, 2048)
+    layout = kernels._nbytes(list(kernels._layout(grid.points[1:], grid.midpoints)))
+    _kernel_product(make_kernel_spec(0.7), grid, np.ones(2048))
+    assert list(kernels._DENSE) == [grid]
+    assert kernels._dense_held() <= layout < 2**16
 
 
 def memory_bytes(arrays):
@@ -651,9 +663,10 @@ def memory_bytes(arrays):
     return total
 
 
-def test_operators_on_one_grid_share_its_weights(monkeypatch):
-    # two H on one grid: one geometry, whose Lagrange weights both
-    # operators hold, and the store counts each array once
+def test_operators_on_one_grid_share_its_index_arrays(monkeypatch):
+    # two H on one grid: one geometry, whose index arrays both operators
+    # hold, and the store counts each array once; each operator holds its
+    # own Lagrange weights
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     grid = uniform_grid(1.0, 2048)
     ops = [_kernel_operator(make_kernel_spec(h), grid) for h in (0.3, 0.7)]
@@ -662,21 +675,23 @@ def test_operators_on_one_grid_share_its_weights(monkeypatch):
                                     (make_kernel_spec(0.7), grid)]
     weights = [[part[1] for part in parts if part[0] == "moments"] for parts, _ in ops]
     assert len(weights[0]) == 5  # b = 32, ..., 512
-    assert all(a is b for a, b in zip(*weights, strict=True))
+    assert all(a is not b and np.array_equal(a, b)
+               for a, b in zip(*weights, strict=True))
     held = kernels._dense_held()
     assert held == memory_bytes(kernels._arrays(*kernels._DENSE.values()))
     assert held < sum(kernels._nbytes(entry) for entry in kernels._DENSE.values())
 
 
 def test_geometry_over_the_budget_is_evaluated_per_product(monkeypatch):
-    # a budget below one grid's geometry: the product evaluates it on each
-    # call, the same bytes, and the store keeps nothing
+    # a budget below one grid's geometry, the n = 2048 layout of 49.7 KiB:
+    # the product evaluates it on each call, the same bytes, and the store
+    # keeps nothing
     grid = uniform_grid(1.0, 2048)
     spec = make_kernel_spec(0.7)
     x = np.random.default_rng(2).standard_normal((2048, 2))
     ref = per_call_product(spec, grid, x)
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
-    monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", 2**20)  # weights: 1.56 MiB
+    monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", 2**15)
     for _ in range(2):
         assert np.array_equal(_kernel_product(spec, grid, x), ref)
         assert not kernels._DENSE
@@ -1209,7 +1224,7 @@ PRODUCT_HURSTS = (0.01, 0.1, 0.3, 0.45, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.55, 0.7,
 def product_gap(spec, grid, x):
     """|product - the row-block product| / (|K| @ |x|), largest entry, of
     the streamed and the stored product (_kernel_product once the streamed
-    one has kept the grid's geometry); the store keeps no operator of it."""
+    one has kept the grid's layout); the store keeps no operator of it."""
     got = np.stack((_streamed_product(spec, grid, x), _kernel_product(spec, grid, x)))
     kernels._DENSE.pop((spec, grid), None)
     assert got.shape[1:] == x.shape
@@ -1267,8 +1282,8 @@ def test_near_and_far_split_product_on_large_uneven_grids(hurst):
 
 def test_near_and_far_split_product_memory(monkeypatch):
     # 23 terms of (n, 16) float64 alone would be 5.75 MiB; the first call
-    # on a grid also keeps its geometry, 1.56 MiB of Lagrange weights and
-    # the layout's index arrays
+    # on a grid also keeps its geometry, the layout's 49.7 KiB, and each
+    # call evaluates and drops the 1.56 MiB of Lagrange weights
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     spec = make_kernel_spec(0.3)
     grid = uniform_grid(1.0, 2048)

@@ -42,6 +42,17 @@ def test_params_validation():
             LangevinParams(**{**good, name: bad})
 
 
+@pytest.mark.parametrize("mass, friction, sigma", [
+    (1e-320, 1.0, 1.0),        # b/m overflows
+    (1e-300, 1e-300, 1.0),     # 2bm underflows
+    (1e-300, 1e-300, 0.0),
+    (1e-150, 1e-150, 1e200),   # sigma/sqrt(2bm) overflows
+])
+def test_params_the_solvers_cannot_represent_are_refused(mass, friction, sigma):
+    with pytest.raises(ValueError, match="^mass .*, friction .*, sigma .*: need"):
+        LangevinParams(mass=mass, friction=friction, sigma=sigma, v0=1.0)
+
+
 def test_mean_at_zero_is_start():
     assert ou_mean(PARAMS, 0.0) == 1.0
 
