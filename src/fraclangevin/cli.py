@@ -22,11 +22,11 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import NoiseStream, Path, TimeGrid, uniform_grid
+from .core import DenseSizeError, NoiseStream, Path, TimeGrid, uniform_grid
 from .fractional import (FractionalConfig, ah_ratios, estimate_ah,
                          fractional_velocity, residual_refinement_study)
 from .hurst import DEFAULT_T_MIN, estimate_hurst
-from .kernels import DenseSizeError, KernelSpec, _check_bytes, verify_covariance_identity
+from .kernels import KernelSpec, verify_covariance_identity
 from .langevin import LangevinParams, simulate_ou_exact
 from .fbm import sample_fbm_exact, sample_fbm_kernel
 from .noise import (StepKind, donsker_path, gaussian_increments,
@@ -137,7 +137,6 @@ def _grid(horizon, steps, hurst=None):
     --horizon error if too small for distinct points or, given ``hurst``,
     if (horizon/steps)^2H or 2 horizon^2H is not normal."""
     try:
-        _check_bytes(8 * (steps + 1), f"{steps + 1} grid points")  # before any is held
         grid = uniform_grid(horizon, steps)
     except DenseSizeError as exc:
         raise click.BadParameter(str(exc), param_hint=["--steps"])

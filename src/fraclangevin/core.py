@@ -14,7 +14,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TimeGrid", "Path", "NoiseStream", "uniform_grid"]
+__all__ = ["DenseSizeError", "TimeGrid", "Path", "NoiseStream", "uniform_grid"]
+
+# Bytes one allocation may take, read at each call, so patching it governs
+# every check: a uniform grid's points, the kernel store's operators (one
+# alone fits up to n = 211840 on a uniform grid), each dense n x n build
+# (kernel_matrix and weight_matrix, n <= 11585; the exact sampler's Cholesky
+# factor of a non-uniform grid, three at LAPACK's peak, n <= 6688) and the
+# 8-byte step draws of noise.donsker_path and noise.theta_epsilon_path.
+DENSE_BYTES_MAX = 1 << 30
+
+
+class DenseSizeError(ValueError):
+    """Grid points, kernel factors, dense n x n operators or the step draws
+    of ``donsker_path`` and ``theta_epsilon_path`` would exceed
+    DENSE_BYTES_MAX.  Kernel factors never reach callers: the product streams
+    them."""
+
+
+def _check_bytes(need: int, what: str) -> int:
+    """Raise DenseSizeError before ``what``, ``need`` bytes, is held."""
+    if need > DENSE_BYTES_MAX:
+        raise DenseSizeError(
+            f"{what} need {need / 2**30:.1f} GiB, "
+            f"over the {DENSE_BYTES_MAX / 2**30:g} GiB budget")
+    return need
 
 
 def _midpoints(values: np.ndarray) -> np.ndarray:
@@ -165,10 +189,12 @@ class NoiseStream:
 def uniform_grid(horizon: float, n: int) -> TimeGrid:
     """Equispaced grid of ``n`` cells on [0, horizon].
 
-    Returns the n+1 points 0, T/n, ..., T.
+    Returns the n+1 points 0, T/n, ..., T; DenseSizeError before any is
+    made if they exceed DENSE_BYTES_MAX.
     """
     _positive_real(horizon, "horizon")
     n = _whole(n, "n")
     if n < 1:
         raise ValueError("need at least one cell")
+    _check_bytes(8 * (n + 1), f"{n + 1} grid points")
     return TimeGrid(np.linspace(0.0, float(horizon), n + 1))

@@ -48,18 +48,18 @@ as rounded (Berrut & Trefethen, SIAM Review 46, 2004), which a block whose
 rounded nodes repeat does not have: it is evaluated instead.
 The far half is the closed form's short sum of powers s^alpha t^beta, so
 each of its 23 terms is one prefix sum over the columns (``_far_terms``).
-None of the layout depends on H: it is the grid's geometry (``_geometry``),
-which the one store, ``_DENSE``, keeps once per grid, 50 KiB at n = 2048,
-its index arrays shared by the operators of every H.  Each level's
-Lagrange weights are an operator's own part, 1.56 MiB at n = 2048.
+None of the layout depends on H, and it costs about 1 ms at n = 2048: each
+stream and each operator build evaluates it once, and an operator holds
+its own index arrays, 19 KiB, and Lagrange weights, 1.56 MiB at n = 2048.
 ``_apply`` adds one part's share of K @ x.  ``_kernel_product`` is the one
 product: a grid's first streams, evaluating each part (tile values,
-Lagrange weights, far factors), applying and dropping it, and keeps the
-geometry alone; once the store holds the geometry or the (H, grid)
-operator, it applies that operator, built and kept on first use.  The
-store holds at most DENSE_BYTES_MAX bytes, an operator 4.7 MiB at n = 2048
-against 32 MiB dense; one over it streams.  ``kernel_matrix`` and
-``weight_matrix`` build dense arrays from ``_row_blocks``.
+Lagrange weights, far factors), applying and dropping it, and the one
+store, ``_DENSE``, keeps the grid's points alone; once the store has seen
+the grid or holds the (H, grid) operator, it applies that operator, built
+and kept on first use.  The store holds at most core.DENSE_BYTES_MAX
+bytes, an operator 4.7 MiB at n = 2048 against 32 MiB dense; one over it
+streams.  ``kernel_matrix`` and ``weight_matrix`` build dense arrays from
+``_row_blocks``.
 """
 from __future__ import annotations
 
@@ -75,38 +75,17 @@ import numpy as np
 from numpy.polynomial.chebyshev import cheb2poly, chebmulx
 from numpy.polynomial.polynomial import polyval
 
-from .core import TimeGrid, _whole, uniform_grid
+from . import core
+from .core import DenseSizeError, TimeGrid, _check_bytes, _whole, uniform_grid
 
-__all__ = ["DenseSizeError", "KernelSpec", "make_kernel_spec", "kernel_value",
-           "fbm_covariance", "kernel_weights", "verify_covariance_identity",
-           "kernel_matrix", "weight_matrix"]
+__all__ = ["KernelSpec", "make_kernel_spec", "kernel_value", "fbm_covariance",
+           "kernel_weights", "verify_covariance_identity", "kernel_matrix",
+           "weight_matrix"]
 
-# Bytes the store keeps: the parts of kernel operators, counted before they
-# are built (one alone fits up to n = 211840 on a uniform grid).  Each dense
-# build is checked against it on its own: kernel_matrix and weight_matrix,
-# a new dense n x n array (n <= 11585), and the exact sampler's Cholesky
-# factor of a non-uniform grid, three at LAPACK's peak (n <= 6688); so are
-# the 8-byte step draws of noise.donsker_path and noise.theta_epsilon_path.
-DENSE_BYTES_MAX = 1 << 30
-
-# The store, read-only, least recently used first: a grid -> its geometry,
-# (spec, grid) -> (the operator's parts, correction).
+# The store, read-only, least recently used first, within core.DENSE_BYTES_MAX:
+# a grid its products have seen -> its points, (spec, grid) -> (the
+# operator's parts, correction).
 _DENSE: OrderedDict = OrderedDict()
-
-
-class DenseSizeError(ValueError):
-    """Kernel factors, dense n x n operators or the step draws of
-    ``donsker_path`` and ``theta_epsilon_path`` would exceed DENSE_BYTES_MAX.
-    Kernel factors no longer reach callers: ``_kernel_product`` streams them."""
-
-
-def _check_bytes(need: int, what: str) -> int:
-    """Raise DenseSizeError before ``what``, ``need`` bytes, is held."""
-    if need > DENSE_BYTES_MAX:
-        raise DenseSizeError(
-            f"{what} need {need / 2**30:.1f} GiB, "
-            f"over the {DENSE_BYTES_MAX / 2**30:g} GiB budget")
-    return need
 
 
 def _check_dense(n: int, count: int) -> int:
@@ -126,26 +105,15 @@ def _arrays(*fields) -> list:
     return out
 
 
-def _nbytes(*fields) -> int:
-    """Bytes of the distinct arrays in ``fields``: a view counts as the
-    array it views, each array once."""
-    bases = {}
-    for a in _arrays(*fields):
-        while isinstance(a.base, np.ndarray):
-            a = a.base
-        bases[id(a)] = a.nbytes
-    return sum(bases.values())
+def _dense_held() -> int:
+    """Bytes of the arrays in the store, none a view of another."""
+    return sum(a.nbytes for a in _arrays(*_DENSE.values()))
 
 
-def _dense_held(*extra) -> int:
-    """Bytes of the distinct arrays in the store and in ``extra``."""
-    return _nbytes(*_DENSE.values(), *extra)
-
-
-def _make_room(need: int, *extra) -> None:
+def _make_room(need: int) -> None:
     """Drop least recently used entries until ``need`` bytes fit beside the
-    store and ``extra``."""
-    while _DENSE and _dense_held(*extra) + need > DENSE_BYTES_MAX:
+    store."""
+    while _DENSE and _dense_held() + need > core.DENSE_BYTES_MAX:
         _DENSE.popitem(last=False)
 
 
@@ -504,22 +472,20 @@ def _layout(times: np.ndarray, mids: np.ndarray):
         hi = lo
 
 
-def _factor_bytes(items, n: int) -> tuple:
+def _factor_bytes(items, n: int) -> int:
     """Bytes of the stored parts of an operator on :func:`_layout`'s
-    ``items``, every array float64 or int64: (those it shares with the
-    grid's geometry, the index arrays; those of its own, tile values, each
-    level's Lagrange weights, far factors and n corrections)."""
-    shared, own = 0, n
+    ``items``, every array float64 or int64: tile indices and values, each
+    level's Lagrange weights, far indices and factors, and n corrections."""
+    count = n
     for kind, *item in items:
         if kind == "tiles":
-            shared += 2 * len(item[0])
-            own += item[2].size
+            count += 2 * len(item[0]) + item[2].size
         elif kind == "moments":
-            own += item[1].size * item[0]
+            count += item[1].size * item[0]
         else:  # rows, ends, stops and _SERIES_DEGREE + 3 terms of _far_terms
-            shared += len(item[0]) + 2 * len(item[1])
-            own += (len(item[0]) + item[1][-1]) * (_SERIES_DEGREE + 3)
-    return 8 * shared, 8 * own
+            rows, ends = len(item[0]), len(item[1])
+            count += rows + 2 * ends + (rows + item[1][-1]) * (_SERIES_DEGREE + 3)
+    return 8 * count
 
 
 def _lagrange(mids: np.ndarray, b: int, nodes: np.ndarray, half: np.ndarray):
@@ -622,32 +588,23 @@ def _product(parts, x: np.ndarray) -> np.ndarray:
     return out[:len(x)].reshape(x.shape)
 
 
-def _geometry(grid: TimeGrid, items=None):
-    """The grid's geometry: the items of :func:`_layout` (``items``, when
-    given), indices, nodes and bands, none of which depends on H.  The
-    store keeps it once per grid, read-only, and a hit becomes the most
-    recently used entry; one over DENSE_BYTES_MAX is returned unkept."""
-    if grid in _DENSE:
-        _DENSE.move_to_end(grid)
-        return _DENSE[grid]
-    items = items or list(_layout(grid.points[1:], grid.midpoints))
-    need = _nbytes(items)
-    if need > DENSE_BYTES_MAX:
-        return items
-    _make_room(need)
-    _DENSE[grid] = geometry = _frozen(tuple(items))
-    return geometry
-
-
 def _streamed_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
-    """kernel_matrix(spec, grid) @ x, streamed: each part on the grid's
-    :func:`_geometry` is evaluated, applied and dropped, O(n log n) kernel
-    values in all.  K == 1 at H = 1/2: the product is the cumulative sum."""
+    """kernel_matrix(spec, grid) @ x, streamed: each item of the grid's
+    :func:`_layout`, formed as it is reached, is evaluated, applied and
+    dropped, O(n log n) kernel values in all.  The store keeps the grid's
+    points as its most recently used entry, unless they alone exceed
+    DENSE_BYTES_MAX.  K == 1 at H = 1/2: the product is the cumulative sum,
+    and nothing is kept."""
     if spec.hurst == 0.5:
         return np.cumsum(x, axis=0)
+    if grid in _DENSE:
+        _DENSE.move_to_end(grid)
+    elif grid.points.nbytes <= core.DENSE_BYTES_MAX:
+        _make_room(grid.points.nbytes)
+        _DENSE[grid] = grid.points  # read-only already
     times, mids = grid.points[1:], grid.midpoints
     return _product(itertools.chain.from_iterable(
-        _evaluated(spec, times, mids, item) for item in _geometry(grid)), x)
+        _evaluated(spec, times, mids, item) for item in _layout(times, mids)), x)
 
 
 def fbm_covariance(hurst: float, s, t):
@@ -718,30 +675,35 @@ def kernel_matrix(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
 
 def _kernel_operator(spec: KernelSpec, grid: TimeGrid) -> tuple:
     """The store's entry for (spec, grid): the read-only parts of the kernel
-    matrix, one per :func:`_layout` item, and its last-cell correction.  Its
-    index arrays are the grid's :func:`_geometry`, its Lagrange weights its
-    own.  A hit becomes the most recently used entry; on a miss, least
-    recently used entries go until the new parts fit."""
+    matrix, one per :func:`_layout` item, evaluated once per build, and its
+    last-cell correction.  A hit becomes the most recently used entry.  A
+    miss checks the parts' bytes, then makes the grid's entry, if held, the
+    most recently used, and least recently used entries go until the parts
+    fit."""
     key = (spec, grid)
     if key in _DENSE:
         _DENSE.move_to_end(key)
         return _DENSE[key]
     times, mids, n = grid.points[1:], grid.midpoints, grid.n_cells
-    items = _DENSE.get(grid) or list(_layout(times, mids))
-    shared, own = _factor_bytes(items, n)
-    _check_bytes(shared + own, f"kernel factors of {n} cells")
-    _make_room(own, _geometry(grid, items))  # held: fewer bytes than the parts
-    parts = tuple(_kept(item, list(_evaluated(spec, times, mids, item)))
-                  for item in items)
-    _DENSE[key] = entry = _frozen((parts, _cell_correction(spec, times, mids,
-                                                           grid.widths)))
+    items = list(_layout(times, mids))
+    need = _check_bytes(_factor_bytes(items, n), f"kernel factors of {n} cells")
+    if grid in _DENSE:
+        _DENSE.move_to_end(grid)
+    _make_room(need)
+    items.reverse()  # popped in order: each item goes once its part is kept
+    parts = []
+    while items:
+        item = items.pop()
+        parts.append(_kept(item, list(_evaluated(spec, times, mids, item))))
+    _DENSE[key] = entry = _frozen((tuple(parts), _cell_correction(
+        spec, times, mids, grid.widths)))
     return entry
 
 
 def _kernel_product(spec: KernelSpec, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
     """kernel_matrix(spec, grid) @ x, x (n,) or (n, S): the stored (spec, grid)
-    operator's, built on first use, when the store holds it or the grid's
-    geometry, else (or when :func:`_kernel_operator` refuses it) streamed."""
+    operator's, built on first use, when the store holds it or has seen the
+    grid, else (or when :func:`_kernel_operator` refuses it) streamed."""
     if spec.hurst != 0.5 and ((spec, grid) in _DENSE or grid in _DENSE):
         with contextlib.suppress(DenseSizeError):  # over the budget alone: stream
             return _product(_kernel_operator(spec, grid)[0], x)

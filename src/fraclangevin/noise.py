@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseStream, Path, TimeGrid, _frozen, _positive_real, _whole
-from .kernels import KernelSpec, _check_bytes, _kernel_integral
+from .core import (NoiseStream, Path, TimeGrid, _check_bytes, _frozen,
+                   _positive_real, _whole)
+from .kernels import KernelSpec, _kernel_integral
 
 __all__ = [
     "StepKind",

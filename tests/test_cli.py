@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fraclangevin import KernelSpec, cli, estimate_hurst, kernels, uniform_grid
+from fraclangevin import KernelSpec, core, estimate_hurst, kernels, uniform_grid
 from fraclangevin.cli import _read_csv, _write_csv, main
 
 
@@ -72,7 +72,7 @@ def test_simulate_fbm_requires_seed(runner, tmp_path):
 
 
 def test_commands_stream_kernel_factors_over_the_budget(runner, tmp_path, monkeypatch):
-    # a budget between the n = 512 geometry (10 KiB) and one operator
+    # a budget between the n = 512 grid's points (4 KiB) and one operator
     # (835 KB): every product streams and no operator is kept, and the
     # outputs match a run with the default budget, whose later products
     # apply stored operators, within rounding: paths and V^H within 4.4e-16
@@ -92,7 +92,7 @@ def test_commands_stream_kernel_factors_over_the_budget(runner, tmp_path, monkey
         return [key for key in kernels._DENSE if isinstance(key, tuple)]
 
     assert run("stored") == [(KernelSpec(0.3), uniform_grid(1.0, 512))]
-    monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", 1 << 19)
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 1 << 19)
     assert run("streamed") == []
     for name in ("fbm.csv", "vel.csv"):
         (_, stored), (_, streamed) = (read_csv(tmp_path / f"{tag}{name}")
@@ -107,15 +107,18 @@ def test_commands_stream_kernel_factors_over_the_budget(runner, tmp_path, monkey
 
 def test_one_shot_velocity_keeps_the_grid_layout_alone(runner, tmp_path, monkeypatch):
     # simulate-velocity applies the kernel once: the store keeps the
-    # grid's layout (49.7 KiB at 2048 steps) and no Lagrange weights
+    # grid's points (16 KiB at 2048 steps), no layout and no Lagrange weights
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     grid = uniform_grid(1.0, 2048)
     res = runner.invoke(main, ["simulate-velocity", "--hurst", "0.7", "--steps", "2048",
                                "--seed", "1", "--out", str(tmp_path / "v.csv")])
     assert res.exit_code == 0, res.output
     assert list(kernels._DENSE) == [grid]
-    layout = kernels._nbytes(list(kernels._layout(grid.points[1:], grid.midpoints)))
-    assert kernels._dense_held() <= layout
+    assert kernels._dense_held() == grid.points.nbytes
+
+
+def unbuilt(*args, **kwargs):
+    raise AssertionError("the grid was built")
 
 
 @pytest.mark.parametrize("command", ["simulate-fbm", "simulate-velocity"])
@@ -123,10 +126,7 @@ def test_steps_over_the_budget_are_refused_before_the_grid(runner, tmp_path,
                                                           monkeypatch, command):
     # 10^12 steps would hold 7450.6 GiB of grid points: refused by the
     # dense budget before the grid is built, so nothing is allocated
-    def unbuilt(*args):
-        raise AssertionError("the grid was built")
-
-    monkeypatch.setattr(cli, "uniform_grid", unbuilt)
+    monkeypatch.setattr(np, "linspace", unbuilt)
     out = tmp_path / "x.csv"
     res = runner.invoke(main, [command, "--hurst", "0.7", "--steps", str(10**12),
                                "--seed", "1", "--out", str(out)])
@@ -586,6 +586,19 @@ def test_validate_bad_size_is_a_usage_error(runner, args, reason):
     assert res.exit_code == 2, res.output
     assert reason in res.output
     assert "Invalid value for '--" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("check", [[], ["--check", "qv"], ["--check", "residual"],
+                                   ["--check", "covariance"]],
+                         ids=["all", "qv", "residual", "covariance"])
+def test_validate_refuses_grids_over_the_budget(runner, monkeypatch, check):
+    # 10^12 cells would hold 7450.6 GiB of grid points: refused before the
+    # grid is built, where numpy's allocation error was a traceback
+    monkeypatch.setattr(np, "linspace", unbuilt)
+    res = runner.invoke(main, ["validate", *check, "--n", str(10**12)])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--n'" in res.output and "GiB" in res.output
     assert "Traceback" not in res.output
 
 

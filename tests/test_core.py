@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fraclangevin
-from fraclangevin import (NoiseStream, Path, StepFunction,
+from fraclangevin import (DenseSizeError, NoiseStream, Path, StepFunction,
                           TimeGrid, core, fbm, fractional, hurst, kernels,
                           langevin, noise, uniform_grid)
 
@@ -23,6 +23,16 @@ def test_uniform_grid_minimal():
 def test_uniform_grid_rejects_degenerate(horizon, n):
     with pytest.raises(ValueError):
         uniform_grid(horizon, n)
+
+
+def test_uniform_grid_refuses_points_over_the_budget(monkeypatch):
+    # 10^12 cells would hold 7450.6 GiB of points: refused before any is made
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the points were made")
+
+    monkeypatch.setattr(np, "linspace", unbuilt)
+    with pytest.raises(DenseSizeError, match="1000000000001 grid points need 7450.6 GiB"):
+        uniform_grid(1.0, 10**12)
 
 
 @pytest.mark.parametrize("n", [2.9, "4", np.float64(4.5), np.nan])

@@ -17,7 +17,7 @@ from fraclangevin import (DenseSizeError, KernelSpec, NoiseStream, TimeGrid,
                           kernel_value, kernel_weights, make_kernel_spec,
                           sample_fbm_exact, uniform_grid,
                           verify_covariance_identity, weight_matrix)
-from fraclangevin import kernels
+from fraclangevin import core, kernels
 from fraclangevin.kernels import (SERIES_TOL, _beta, _cell_correction,
                                   _kernel_integral, _kernel_operator,
                                   _kernel_product, _kernel_values,
@@ -486,10 +486,9 @@ def test_dense_operators_refuse_oversized_grids():
 
 
 def factor_bytes(spec, grid):
-    """The bytes the store checks before it builds (spec, grid): those the
-    operator shares with the grid's geometry and its own."""
+    """The bytes the store checks before it builds (spec, grid)."""
     items = list(kernels._layout(grid.points[1:], grid.midpoints))
-    return sum(kernels._factor_bytes(items, grid.n_cells))
+    return kernels._factor_bytes(items, grid.n_cells)
 
 
 def test_dense_store_is_bounded_by_bytes(monkeypatch):
@@ -501,7 +500,7 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
     budget = 3 * factor_bytes(make_kernel_spec(0.3), grid)
     assert 3 * 8 * n * n <= budget < 3 * 8 * 65 * 65
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
-    monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", budget)
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", budget)
 
     def moved(m):
         # one point moved by 1e-9 T: a grid the exact sampler factorizes
@@ -516,8 +515,9 @@ def test_dense_store_is_bounded_by_bytes(monkeypatch):
         return out
 
     def kept():
-        # the operators' keys; the grid's geometry is the entry keyed by it
-        return [key[0].hurst for key in kernels._DENSE if key != grid]
+        # the operators' keys: no product has recorded the grid itself
+        assert grid not in kernels._DENSE
+        return [key[0].hurst for key in kernels._DENSE]
 
     k3, k7 = kmat(0.3), kmat(0.7)
     assert kmat(0.3) is k3  # a hit, now the most recently used
@@ -557,8 +557,8 @@ def blocks_kernel_matrix(spec, grid):
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537, 2048, 2500])
 @pytest.mark.parametrize("hurst", [0.3, 0.7])
 def test_stored_product_matches_dense_product(hurst, n, monkeypatch):
-    # the stored product, _kernel_product on a grid whose geometry the
-    # store holds, against the one-call dense matrix, which kernel_matrix
+    # the stored product, _kernel_product on a grid the store has seen,
+    # against the one-call dense matrix, which kernel_matrix
     # reproduces bit for bit
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     spec = make_kernel_spec(hurst)
@@ -566,7 +566,7 @@ def test_stored_product_matches_dense_product(hurst, n, monkeypatch):
     ref = blocks_kernel_matrix(spec, grid)
     assert np.array_equal(kernel_matrix(spec, grid), ref)
     rng = np.random.default_rng(n)
-    _kernel_product(spec, grid, np.zeros(n))  # the first product keeps the geometry
+    _kernel_product(spec, grid, np.zeros(n))  # the first product records the grid
     for shape in [(n,), (n, 4)]:
         x = rng.standard_normal(shape)
         got = _kernel_product(spec, grid, x)
@@ -594,7 +594,7 @@ def test_factor_bytes_are_checked_before_the_build(hurst, monkeypatch):
         monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
         need = factor_bytes(spec, grid)
         _kernel_operator(spec, grid)
-        kernels._DENSE.pop(grid)  # the geometry: its layout arrays are not parts
+        assert list(kernels._DENSE) == [(spec, grid)]  # a build records no grid
         assert kernels._dense_held() == need
 
 
@@ -608,8 +608,8 @@ def per_call_product(spec, grid, x):
 
 @pytest.mark.parametrize("hurst", [0.01, 0.3, 0.7, 0.99])
 def test_streamed_product_with_a_kept_geometry_is_bitwise_per_call(hurst, monkeypatch):
-    # the first product on a grid keeps its geometry and the second reads
-    # it; both are the product that evaluates everything on each call
+    # the first product on a grid records its points and the second finds
+    # them; both are the product that evaluates everything on each call
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     spec = make_kernel_spec(hurst)
     for grid in layout_grids():
@@ -621,35 +621,64 @@ def test_streamed_product_with_a_kept_geometry_is_bitwise_per_call(hurst, monkey
             assert grid in kernels._DENSE
 
 
-def test_second_product_on_a_grid_rebuilds_no_geometry(monkeypatch):
-    # an equal grid, at another H too: no layout, but every streamed
-    # product evaluates its own Lagrange weights and keeps none
-    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
-    calls = {"_layout": 0, "_lagrange": 0}
-    for name in calls:
-        def counted(*args, _name=name, _f=getattr(kernels, name)):
+def counted(monkeypatch, *names):
+    """A dict of call counts of the named kernels functions, patched to
+    count; _layout is a generator function, so it counts each stream of
+    its items."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def count(*args, _name=name, _f=getattr(kernels, name)):
             calls[_name] += 1
             return _f(*args)
-        monkeypatch.setattr(kernels, name, counted)
+        monkeypatch.setattr(kernels, name, count)
+    return calls
+
+
+def test_layout_is_evaluated_once_per_stream_and_per_build(monkeypatch):
+    # the store keeps no layout: each streamed product and each operator
+    # build evaluate it once, and every streamed product its own Lagrange
+    # weights
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    calls = counted(monkeypatch, "_layout", "_lagrange")
+    grid = uniform_grid(1.0, 1024)
     x = np.random.default_rng(0).standard_normal((1024, 2))
-    first = _streamed_product(make_kernel_spec(0.3), uniform_grid(1.0, 1024), x)
-    assert calls["_layout"] == 1 and calls["_lagrange"] == 4  # b = 32, ..., 256
-    calls.update(_layout=0, _lagrange=0)
+    first = _streamed_product(make_kernel_spec(0.3), grid, x)
+    assert calls == {"_layout": 1, "_lagrange": 4}  # b = 32, ..., 256
     again = _streamed_product(make_kernel_spec(0.3), uniform_grid(1.0, 1024), x)
-    _streamed_product(make_kernel_spec(0.7), uniform_grid(1.0, 1024), x)
-    assert calls == {"_layout": 0, "_lagrange": 8}
+    _streamed_product(make_kernel_spec(0.7), grid, x)
+    assert calls == {"_layout": 3, "_lagrange": 12}
     assert np.array_equal(again, first)
+    for h in (0.3, 0.7):
+        _kernel_operator(make_kernel_spec(h), grid)
+    assert calls == {"_layout": 5, "_lagrange": 20}
+
+
+def test_stored_products_evaluate_nothing_in_steady_state(monkeypatch):
+    # the benchmark's alternating keys at n = 1024: the first product
+    # streams, the next two build the operators at H = 0.7 and 0.3, and
+    # ten more rounds at both H apply them, evaluating no layout and no part
+    monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
+    calls = counted(monkeypatch, "_layout", "_evaluated")
+    grid = uniform_grid(1.0, 1024)
+    specs = [make_kernel_spec(h) for h in (0.3, 0.7)]
+    x = np.random.default_rng(1).standard_normal((1024, 2))
+    warm = [_kernel_product(spec, grid, x) for spec in specs * 2]
+    assert calls["_layout"] == 3
+    calls.update(_layout=0, _evaluated=0)
+    for _ in range(10):
+        for spec, ref in zip(specs, warm[2:]):
+            assert np.array_equal(_kernel_product(spec, grid, x), ref)
+    assert calls == {"_layout": 0, "_evaluated": 0}
 
 
 def test_a_one_shot_product_keeps_the_layout_alone(monkeypatch):
-    # one product on a fresh store keeps the grid's layout, 49.7 KiB at
-    # n = 2048, and none of its 1.56 MiB of Lagrange weights
+    # one product on a fresh store keeps the grid's points, 16 KiB at
+    # n = 2048, and none of its layout or Lagrange weights
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     grid = uniform_grid(1.0, 2048)
-    layout = kernels._nbytes(list(kernels._layout(grid.points[1:], grid.midpoints)))
     _kernel_product(make_kernel_spec(0.7), grid, np.ones(2048))
     assert list(kernels._DENSE) == [grid]
-    assert kernels._dense_held() <= layout < 2**16
+    assert kernels._dense_held() == grid.points.nbytes == 8 * 2049
 
 
 def memory_bytes(arrays):
@@ -663,35 +692,37 @@ def memory_bytes(arrays):
     return total
 
 
-def test_operators_on_one_grid_share_its_index_arrays(monkeypatch):
-    # two H on one grid: one geometry, whose index arrays both operators
-    # hold, and the store counts each array once; each operator holds its
-    # own Lagrange weights
+def test_operators_on_one_grid_hold_their_own_index_arrays(monkeypatch):
+    # two H on one grid: each operator holds its own index arrays and
+    # Lagrange weights, equal to the other's but distinct, and no stored
+    # array is a view of another, so summing the bytes counts none twice
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     grid = uniform_grid(1.0, 2048)
+    _kernel_product(make_kernel_spec(0.3), grid, np.ones(2048))
     ops = [_kernel_operator(make_kernel_spec(h), grid) for h in (0.3, 0.7)]
-    # a miss reads the geometry first, so it moves up with each new H
+    # a build touches the grid's entry first, so it moves up with each new H
     assert list(kernels._DENSE) == [(make_kernel_spec(0.3), grid), grid,
                                     (make_kernel_spec(0.7), grid)]
-    weights = [[part[1] for part in parts if part[0] == "moments"] for parts, _ in ops]
-    assert len(weights[0]) == 5  # b = 32, ..., 512
+    # a tile's row and column indices, a level's weights, a far part's
+    # rows, ends and stops
+    fields = {"tiles": slice(1, 3), "moments": slice(1, 2), "far": slice(1, 4)}
+    held = [[a for part in parts for a in part[fields[part[0]]]] for parts, _ in ops]
+    assert sum(a.ndim == 3 for a in held[0]) == 5  # weights at b = 32, ..., 512
     assert all(a is not b and np.array_equal(a, b)
-               for a, b in zip(*weights, strict=True))
-    held = kernels._dense_held()
-    assert held == memory_bytes(kernels._arrays(*kernels._DENSE.values()))
-    assert held < sum(kernels._nbytes(entry) for entry in kernels._DENSE.values())
+               for a, b in zip(*held, strict=True))
+    assert kernels._dense_held() == memory_bytes(kernels._arrays(*kernels._DENSE.values()))
 
 
-def test_geometry_over_the_budget_is_evaluated_per_product(monkeypatch):
-    # a budget below one grid's geometry, the n = 2048 layout of 49.7 KiB:
-    # the product evaluates it on each call, the same bytes, and the store
-    # keeps nothing
+def test_grid_points_over_the_budget_are_not_kept(monkeypatch):
+    # a budget below one grid's points, 16 KiB at n = 2048: the product
+    # evaluates everything on each call, the same bytes, and the store
+    # stays empty
     grid = uniform_grid(1.0, 2048)
     spec = make_kernel_spec(0.7)
     x = np.random.default_rng(2).standard_normal((2048, 2))
     ref = per_call_product(spec, grid, x)
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
-    monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", 2**15)
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", grid.points.nbytes - 1)
     for _ in range(2):
         assert np.array_equal(_kernel_product(spec, grid, x), ref)
         assert not kernels._DENSE
@@ -724,8 +755,8 @@ def test_the_store_decides_what_a_product_keeps(monkeypatch):
 
 
 def test_an_operator_over_the_budget_is_streamed_on_every_product(monkeypatch):
-    # a budget between the n = 512 geometry and one operator: every
-    # product streams and keeps the geometry alone, within the product-gap
+    # a budget between the n = 512 grid's points and one operator: every
+    # product streams and keeps the points alone, within the product-gap
     # bound of the stored product
     grid = uniform_grid(1.0, 512)
     x = np.random.default_rng(6).standard_normal((512, 3))
@@ -735,7 +766,7 @@ def test_an_operator_over_the_budget_is_streamed_on_every_product(monkeypatch):
     assert all((spec, grid) in kernels._DENSE for spec in specs)
     scales = [np.abs(kernel_matrix(spec, grid)) @ np.abs(x) for spec in specs]
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
-    monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", 1 << 19)
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 1 << 19)
     for spec, ref, scale in zip(specs * 2, stored * 2, scales * 2):
         got = _kernel_product(spec, grid, x)
         assert list(kernels._DENSE) == [grid]
@@ -765,10 +796,10 @@ def test_kernel_operator_holds_factors_not_a_dense_matrix(monkeypatch):
 def test_store_budget_caps_kernel_factors_and_cholesky_builds():
     # budget arithmetic only: nothing of these sizes is allocated
     spec = make_kernel_spec(0.3)
-    assert factor_bytes(spec, uniform_grid(1.0, 211840)) <= kernels.DENSE_BYTES_MAX
+    assert factor_bytes(spec, uniform_grid(1.0, 211840)) <= core.DENSE_BYTES_MAX
     with pytest.raises(DenseSizeError, match="kernel factors of 211841 cells"):
         _kernel_operator(spec, uniform_grid(1.0, 211841))
-    assert kernels._check_dense(6688, 3) <= kernels.DENSE_BYTES_MAX
+    assert kernels._check_dense(6688, 3) <= core.DENSE_BYTES_MAX
     with pytest.raises(DenseSizeError, match="3 dense 6689x6689"):
         kernels._check_dense(6689, 3)
     # a dense kernel_matrix or weight_matrix result is still refused
@@ -1121,7 +1152,7 @@ def test_streamed_and_stored_products_agree(hurst, n, monkeypatch):
         assert got.shape == shape
         assert np.all(np.abs(got - _kernel_product(spec, grid, x))
                       <= 1e-14 * (ref @ np.abs(x)))
-        assert (spec, grid) in kernels._DENSE  # the geometry was held: stored
+        assert (spec, grid) in kernels._DENSE  # the grid was seen: stored
 
 
 @pytest.mark.parametrize("n", [511, 2048])
@@ -1282,8 +1313,8 @@ def test_near_and_far_split_product_on_large_uneven_grids(hurst):
 
 def test_near_and_far_split_product_memory(monkeypatch):
     # 23 terms of (n, 16) float64 alone would be 5.75 MiB; the first call
-    # on a grid also keeps its geometry, the layout's 49.7 KiB, and each
-    # call evaluates and drops the 1.56 MiB of Lagrange weights
+    # on a grid also keeps its points, 16 KiB, and each call evaluates and
+    # drops the layout and the 1.56 MiB of Lagrange weights
     monkeypatch.setattr(kernels, "_DENSE", OrderedDict())
     spec = make_kernel_spec(0.3)
     grid = uniform_grid(1.0, 2048)

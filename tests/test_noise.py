@@ -8,7 +8,7 @@ from fraclangevin import (DenseSizeError, NoiseStream, Path, StepFunction,
                           StepKind, donsker_path, gaussian_increments, make_kernel_spec,
                           quadratic_variation, smoothed_fbm,
                           theta_epsilon_path, uniform_grid, weight_matrix)
-from fraclangevin import kernels
+from fraclangevin import core
 from fraclangevin.kernels import _kernel_integral
 
 RADEMACHER = StepKind.RADEMACHER
@@ -115,12 +115,12 @@ def test_noise_paths_refuse_step_counts_before_drawing(monkeypatch):
 
 
 def test_noise_paths_read_the_live_store_budget(monkeypatch):
-    # step draws are refused against kernels.DENSE_BYTES_MAX as it is at
+    # step draws are refused against core.DENSE_BYTES_MAX as it is at
     # the call: 2000 and 10000 steps of 8 bytes each exceed 8000 B
     def no_draws(*args):
         raise AssertionError("drew variates")
 
-    monkeypatch.setattr(kernels, "DENSE_BYTES_MAX", 8000)
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 8000)
     monkeypatch.setattr(StepKind, "sample", no_draws)
     with pytest.raises(DenseSizeError, match=r"n \* horizon = 2000 steps"):
         donsker_path(1000, 2.0, RADEMACHER, NoiseStream(1))
